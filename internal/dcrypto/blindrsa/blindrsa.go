@@ -6,7 +6,7 @@
 // RSABSSA (RFC 9474) frames it:
 //
 //	Blind:     m = H(msg); blinded = m * r^e mod n, r random in Z_n*
-//	BlindSign: s' = blinded^d mod n                  (signer)
+//	BlindSign: s' = blinded^d mod n                  (signer, via CRT)
 //	Finalize:  s  = s' * r^-1 mod n                  (client)
 //	Verify:    s^e mod n == H(msg)
 //
@@ -16,6 +16,11 @@
 // the unlinkability property the paper's analysis depends on — the signer
 // sees only blinded = m*r^e, which is uniformly distributed in Z_n* and
 // therefore statistically independent of m.
+//
+// The signer computes blinded^d in Chinese Remainder Theorem form (two
+// half-width exponentiations, mod p and mod q) at under half the cost of
+// the full-width one, and checks s'^e == blinded before releasing s', as
+// crypto/rsa does, so that a faulty CRT half never escapes as a signature.
 //
 // Unlinkability is the load-bearing property for decoupling: the Signer
 // learns the client's identity (it authenticates them) but nothing about
@@ -39,11 +44,19 @@ var (
 	ErrVerification = errors.New("blindrsa: signature verification failed")
 	// ErrMessageRange is returned for malformed blinded values.
 	ErrMessageRange = errors.New("blindrsa: value out of range for modulus")
+	// ErrNoCRT is returned by BlindSign for a key that is not a two-prime
+	// key with its CRT values (Precomputed.Dp, Dq, Qinv) filled in, as
+	// GenerateKey's keys always are.
+	ErrNoCRT = errors.New("blindrsa: private key lacks two primes and CRT values")
+	// ErrSignFault is returned by BlindSign when the CRT result fails the
+	// s^e == blinded check, e.g. because a CRT value is corrupt.
+	ErrSignFault = errors.New("blindrsa: CRT signature failed its s^e check")
 )
 
-// GenerateKey creates a signer key pair of the given modulus size in
-// bits. 2048 is the default used across this module's tests; benchmarks
-// may use smaller moduli where signing cost would dominate.
+// GenerateKey creates a two-prime signer key pair, CRT values included,
+// of the given modulus size in bits. Every caller in this module uses
+// 1024 bits, small enough that token issuance does not dominate the
+// experiments.
 func GenerateKey(bits int) (*rsa.PrivateKey, error) {
 	key, err := rsa.GenerateKey(rand.Reader, bits)
 	if err != nil {
@@ -95,15 +108,36 @@ func Blind(pub *rsa.PublicKey, msg []byte) (blinded []byte, st *State, err error
 	return b.FillBytes(make([]byte, (n.BitLen()+7)/8)), &State{rInv: rInv, m: m, n: n}, nil
 }
 
-// BlindSign computes the signer's operation on a blinded value. The
-// signer cannot recover the underlying message from blinded.
+// BlindSign computes the signer's operation blinded^d mod n on a blinded
+// value. The signer cannot recover the underlying message from blinded.
+//
+// The exponentiation runs in CRT form:
+//
+//	m1 = b^Dp mod p,  m2 = b^Dq mod q,  s = m2 + q*((m1 - m2)*Qinv mod p)
+//
+// and s is released only if s^e == b mod n.
 func BlindSign(priv *rsa.PrivateKey, blinded []byte) ([]byte, error) {
+	pre := priv.Precomputed
+	if len(priv.Primes) != 2 || pre.Dp == nil || pre.Dq == nil || pre.Qinv == nil {
+		return nil, ErrNoCRT
+	}
 	n := priv.N
 	b := new(big.Int).SetBytes(blinded)
 	if b.Cmp(n) >= 0 {
 		return nil, ErrMessageRange
 	}
-	s := new(big.Int).Exp(b, priv.D, n)
+	p, q := priv.Primes[0], priv.Primes[1]
+	m1 := new(big.Int).Mod(b, p)
+	m1.Exp(m1, pre.Dp, p)
+	m2 := new(big.Int).Mod(b, q)
+	m2.Exp(m2, pre.Dq, q)
+	s := m1.Sub(m1, m2)
+	s.Mul(s, pre.Qinv).Mod(s, p)
+	s.Mul(s, q).Add(s, m2)
+	check := new(big.Int).Exp(s, big.NewInt(int64(priv.E)), n)
+	if check.Cmp(b) != 0 {
+		return nil, ErrSignFault
+	}
 	return s.FillBytes(make([]byte, (n.BitLen()+7)/8)), nil
 }
 

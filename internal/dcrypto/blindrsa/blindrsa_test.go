@@ -3,6 +3,9 @@ package blindrsa
 import (
 	"bytes"
 	"crypto/rsa"
+	"errors"
+	"math/big"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -123,6 +126,83 @@ func TestBlindSignRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// plainSign is the reference signer: the full-width blinded^d mod n that
+// BlindSign's CRT form must reproduce byte for byte.
+func plainSign(key *rsa.PrivateKey, b *big.Int) []byte {
+	s := new(big.Int).Exp(b, key.D, key.N)
+	return s.FillBytes(make([]byte, (key.N.BitLen()+7)/8))
+}
+
+func checkAgainstPlain(t *testing.T, key *rsa.PrivateKey, name string, b *big.Int) {
+	t.Helper()
+	blinded := b.FillBytes(make([]byte, (key.N.BitLen()+7)/8))
+	got, err := BlindSign(key, blinded)
+	if err != nil {
+		t.Fatalf("%s: BlindSign: %v", name, err)
+	}
+	if want := plainSign(key, b); !bytes.Equal(got, want) {
+		t.Fatalf("%s: CRT signature differs from blinded^d mod n", name)
+	}
+}
+
+func TestBlindSignMatchesPlainExp(t *testing.T) {
+	t.Parallel()
+	key := testKey(t)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 256; i++ {
+		checkAgainstPlain(t, key, "random", new(big.Int).Rand(rng, key.N))
+	}
+}
+
+func TestBlindSignEdgeInputs(t *testing.T) {
+	t.Parallel()
+	key := testKey(t)
+	p, q := key.Primes[0], key.Primes[1]
+	for _, c := range []struct {
+		name string
+		b    *big.Int
+	}{
+		{"0", big.NewInt(0)},
+		{"1", big.NewInt(1)},
+		{"n-1", new(big.Int).Sub(key.N, big.NewInt(1))},
+		{"p", new(big.Int).Set(p)},
+		{"p(q-1)", new(big.Int).Sub(key.N, p)},
+		{"q", new(big.Int).Set(q)},
+		{"(p-1)q", new(big.Int).Sub(key.N, q)},
+	} {
+		checkAgainstPlain(t, key, c.name, c.b)
+	}
+}
+
+// TestBlindSignDetectsCorruptCRT: a wrong Dp yields a wrong half mod p;
+// the s^e check must catch it and return no signature.
+func TestBlindSignDetectsCorruptCRT(t *testing.T) {
+	t.Parallel()
+	bad := *testKey(t)
+	bad.Precomputed.Dp = new(big.Int).Add(bad.Precomputed.Dp, big.NewInt(1))
+	blinded, _, err := Blind(&bad.PublicKey, []byte("fault target"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := BlindSign(&bad, blinded)
+	if !errors.Is(err, ErrSignFault) || sig != nil {
+		t.Fatalf("BlindSign with corrupt Dp = (%x, %v), want (nil, ErrSignFault)", sig, err)
+	}
+}
+
+func TestBlindSignRequiresCRTValues(t *testing.T) {
+	t.Parallel()
+	bare := *testKey(t)
+	bare.Precomputed = rsa.PrecomputedValues{}
+	blinded, _, err := Blind(&bare.PublicKey, []byte("no crt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig, err := BlindSign(&bare, blinded); !errors.Is(err, ErrNoCRT) || sig != nil {
+		t.Fatalf("BlindSign without CRT values = (%x, %v), want (nil, ErrNoCRT)", sig, err)
+	}
+}
+
 func TestCrossKeyVerificationFails(t *testing.T) {
 	t.Parallel()
 	key := testKey(t)
@@ -158,6 +238,21 @@ func BenchmarkIssue(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		issue(b, key, msg)
+	}
+}
+
+// BenchmarkBlindSign isolates the signer's operation at 1024 bits.
+func BenchmarkBlindSign(b *testing.B) {
+	key := testKey(b)
+	blinded, _, err := Blind(&key.PublicKey, []byte("benchmark token"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BlindSign(key, blinded); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
