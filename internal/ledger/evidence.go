@@ -1,10 +1,6 @@
 package ledger
 
-import (
-	"sort"
-
-	"decoupling/internal/core"
-)
+import "decoupling/internal/core"
 
 // ComponentEvidence ties one derived tuple component to the
 // observations that establish it: the component's level is the maximum
@@ -52,59 +48,40 @@ type SystemEvidence struct {
 // DeriveTupleEvidence computes the same tuple as DeriveTuple but
 // returns, per component, the observations establishing it. The
 // component sequence (template axes first, then extras sorted by kind,
-// label, descending level) is guaranteed to match DeriveTuple.
+// label, descending level) is guaranteed to match DeriveTuple. The
+// tuple is read before the log, so every level it reports has
+// supporting observations in the log snapshot even mid-run.
 func (l *Ledger) DeriveTupleEvidence(observer string, template core.Tuple) []ComponentEvidence {
-	obs := l.ByObserver(observer)
-	maxLevel := map[axis]core.Level{}
+	tuple := l.DeriveTuple(observer, template)
 	byAxis := map[axis][]Observation{}
-	for _, o := range obs {
+	for _, o := range l.ByObserver(observer) {
 		a := axis{o.Kind, o.Label}
-		if o.Level > maxLevel[a] {
-			maxLevel[a] = o.Level
-		}
 		byAxis[a] = append(byAxis[a], o)
 	}
-	supporting := func(a axis) []Observation {
+	out := make([]ComponentEvidence, 0, len(tuple))
+	for i, c := range tuple {
+		onAxis := byAxis[axis{c.Kind, c.Label}]
 		var ev []Observation
-		for _, o := range byAxis[a] {
-			if o.Level == maxLevel[a] {
+		for _, o := range onAxis {
+			if o.Level == c.Level {
 				ev = append(ev, o)
 			}
 		}
-		return ev
-	}
-	covered := map[axis]bool{}
-	out := make([]ComponentEvidence, 0, len(template))
-	for _, c := range template {
-		a := axis{c.Kind, c.Label}
-		covered[a] = true
 		out = append(out, ComponentEvidence{
-			Component: core.Component{Kind: c.Kind, Label: c.Label, Level: maxLevel[a]},
-			Evidence:  supporting(a),
-			AxisTotal: len(byAxis[a]),
-		})
-	}
-	extras := make([]axis, 0)
-	for a, lvl := range maxLevel {
-		if !covered[a] && lvl > core.NonSensitive {
-			extras = append(extras, a)
-		}
-	}
-	sortExtras(extras, maxLevel)
-	for _, a := range extras {
-		out = append(out, ComponentEvidence{
-			Component: core.Component{Kind: a.kind, Label: a.label, Level: maxLevel[a]},
-			Extra:     true,
-			Evidence:  supporting(a),
-			AxisTotal: len(byAxis[a]),
+			Component: c,
+			Extra:     i >= len(template),
+			Evidence:  ev,
+			AxisTotal: len(onAxis),
 		})
 	}
 	return out
 }
 
 // LinkEvidenceFor returns, per distinct handle the entity holds (sorted
-// like Handles), the observations carrying it.
+// like Handles), the observations carrying it. The handles are read
+// before the log, so each has evidence in the log snapshot.
 func (l *Ledger) LinkEvidenceFor(observer string) []LinkEvidence {
+	handles := l.Handles(observer)
 	byHandle := map[string][]Observation{}
 	for _, o := range l.ByObserver(observer) {
 		seen := map[string]bool{}
@@ -116,11 +93,6 @@ func (l *Ledger) LinkEvidenceFor(observer string) []LinkEvidence {
 			byHandle[h] = append(byHandle[h], o)
 		}
 	}
-	handles := make([]string, 0, len(byHandle))
-	for h := range byHandle {
-		handles = append(handles, h)
-	}
-	sort.Strings(handles)
 	out := make([]LinkEvidence, 0, len(handles))
 	for _, h := range handles {
 		out = append(out, LinkEvidence{Handle: h, Evidence: byHandle[h]})

@@ -115,15 +115,95 @@ func (c *Classifier) classify(kind core.Kind, value string) (classEntry, bool) {
 	return classEntry{level: core.NonSensitive}, false
 }
 
-// shard holds one observer's append-only observation log. Each observer
-// gets its own lock, so concurrent observers never contend with each
-// other on the hot Saw path.
+// shard holds one observer's append-only observation log and the
+// summaries that reads use instead of rescanning it. Each observer gets
+// its own lock, so concurrent observers never contend with each other
+// on the hot Saw path.
+//
+// The summaries are exact: classification happens at admission, so a
+// stored Level never changes and the running maximum equals what a
+// rescan of obs would find.
 type shard struct {
 	mu  sync.Mutex
 	obs []Observation
+
+	// levels holds the highest level admitted per (kind, label) axis;
+	// axes seen only at NonSensitive are absent. An observer sees a
+	// handful of axes, so a scan of this slice is cheaper on the
+	// admission path than hashing into a map.
+	levels []axisLevel
+	// handles is the set of distinct linkage handles, mapping each to
+	// its canonical string: admission rewrites the ledger's copy of an
+	// observation's handles to these, so a repeated handle is stored
+	// once however many observations carry it.
+	handles map[string]string
+	// sorted holds the distinct handles in order as of the last read;
+	// pending holds those admitted since, unsorted. sortedHandles
+	// merges the two.
+	sorted, pending []string
+
 	// obsCounter is the cached telemetry counter for this observer,
 	// nil when the ledger is uninstrumented (Counter.Add is nil-safe).
 	obsCounter *telemetry.Counter
+}
+
+// admit folds an observation into the shard's summaries, interning its
+// handles in place; o.Handles must be the ledger's own copy, never a
+// caller's slice. Callers hold s.mu and append o to s.obs.
+func (s *shard) admit(o *Observation) {
+	if o.Level > core.NonSensitive {
+		s.raise(axis{o.Kind, o.Label}, o.Level)
+	}
+	for i, h := range o.Handles {
+		if canon, ok := s.handles[h]; ok {
+			o.Handles[i] = canon
+			continue
+		}
+		s.handles[h] = h
+		s.pending = append(s.pending, h)
+	}
+}
+
+// axisLevel is one entry of a shard's per-axis maximum.
+type axisLevel struct {
+	axis  axis
+	level core.Level
+}
+
+// raise lifts a's running maximum to at least lvl. Callers hold s.mu.
+func (s *shard) raise(a axis, lvl core.Level) {
+	for i := range s.levels {
+		if s.levels[i].axis == a {
+			s.levels[i].level = max(s.levels[i].level, lvl)
+			return
+		}
+	}
+	s.levels = append(s.levels, axisLevel{a, lvl})
+}
+
+// sortedHandles sorts the handles admitted since the last read, merges
+// them into the sorted summary and returns it. The two sets are
+// disjoint, so the merge, run back to front in sorted's own storage,
+// never meets equal keys. Callers hold s.mu and must not retain the
+// result past unlocking.
+func (s *shard) sortedHandles() []string {
+	if len(s.pending) == 0 {
+		return s.sorted
+	}
+	sort.Strings(s.pending)
+	i, j := len(s.sorted)-1, len(s.pending)-1
+	s.sorted = append(s.sorted, s.pending...)
+	for k := len(s.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && s.sorted[i] > s.pending[j] {
+			s.sorted[k] = s.sorted[i]
+			i--
+		} else {
+			s.sorted[k] = s.pending[j]
+			j--
+		}
+	}
+	s.pending = s.pending[:0]
+	return s.sorted
 }
 
 // Ledger accumulates observations for one experiment run. The zero
@@ -183,19 +263,24 @@ func observationCounter(tel *telemetry.Telemetry, observer string) *telemetry.Co
 		append(tel.BaseLabels(), telemetry.A("observer", observer))...)
 }
 
+// lookup returns the observer's shard, or nil if it never observed.
+func (l *Ledger) lookup(observer string) *shard {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.shards[observer]
+}
+
 // shardFor returns the observer's shard, creating it on first use. The
 // fast path is a read-locked map lookup.
 func (l *Ledger) shardFor(observer string) *shard {
-	l.mu.RLock()
-	s := l.shards[observer]
-	l.mu.RUnlock()
+	s := l.lookup(observer)
 	if s != nil {
 		return s
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if s = l.shards[observer]; s == nil {
-		s = &shard{}
+		s = &shard{handles: map[string]string{}}
 		if l.tel != nil {
 			s.obsCounter = observationCounter(l.tel, observer)
 		}
@@ -252,6 +337,7 @@ func (l *Ledger) Saw(observer string, kind core.Kind, value string, handles ...s
 	s := l.shardFor(observer)
 	s.mu.Lock()
 	o.seq = l.seq.Add(1)
+	s.admit(&o)
 	s.obs = append(s.obs, o)
 	s.mu.Unlock()
 	s.obsCounter.Add(1) // nil-safe; nil unless instrumented
@@ -280,9 +366,29 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	obs := make([]Observation, len(entries))
+	// A protocol step puts few values in front of an observer, so the
+	// batch is staged on the stack and its handle copies share one
+	// allocation, capped per entry so that appending to one entry's
+	// handles cannot overwrite the next's.
+	var staged [4]Observation
+	obs := staged[:]
+	if len(entries) > len(staged) {
+		obs = make([]Observation, len(entries))
+	}
+	obs = obs[:len(entries)]
+	n := 0
+	for _, in := range entries {
+		n += len(in.Handles)
+	}
+	handles := make([]string, 0, n)
 	for i, in := range entries {
 		e, recognized := l.classifier.classify(in.Kind, in.Value)
+		var own []string // nil when the entry carries no handles, as from Saw
+		if len(in.Handles) > 0 {
+			lo := len(handles)
+			handles = append(handles, in.Handles...)
+			own = handles[lo:len(handles):len(handles)]
+		}
 		obs[i] = Observation{
 			Observer:   observer,
 			Kind:       in.Kind,
@@ -290,7 +396,7 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 			Level:      e.level,
 			Subject:    e.subject,
 			Value:      in.Value,
-			Handles:    append([]string(nil), in.Handles...),
+			Handles:    own,
 			Recognized: recognized,
 		}
 	}
@@ -313,6 +419,7 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	base := l.seq.Add(uint64(len(obs))) - uint64(len(obs))
 	for i := range obs {
 		obs[i].seq = base + uint64(i) + 1
+		s.admit(&obs[i])
 	}
 	s.obs = append(s.obs, obs...)
 	s.mu.Unlock()
@@ -345,9 +452,7 @@ func (l *Ledger) Observations() []Observation {
 // ByObserver returns the observations recorded by one entity, in the
 // order the entity recorded them.
 func (l *Ledger) ByObserver(name string) []Observation {
-	l.mu.RLock()
-	s := l.shards[name]
-	l.mu.RUnlock()
+	s := l.lookup(name)
 	if s == nil {
 		return nil
 	}
@@ -395,35 +500,28 @@ func (l *Ledger) Stats() Stats {
 	sort.Strings(names)
 	for _, name := range names {
 		s := shards[name]
-		handles := map[string]bool{}
-		for _, o := range s.obs {
-			for _, h := range o.Handles {
-				handles[h] = true
-			}
-		}
 		st.Observers = append(st.Observers, ObserverStats{
 			Observer:     name,
 			Observations: len(s.obs),
-			Handles:      len(handles),
+			Handles:      len(s.handles),
 		})
 		st.Total += len(s.obs)
 	}
 	return st
 }
 
-// Handles returns the sorted distinct linkage handles an entity holds.
+// Handles returns the sorted distinct linkage handles an entity holds;
+// an empty, non-nil slice if it holds none or never observed.
 func (l *Ledger) Handles(observer string) []string {
-	set := map[string]bool{}
-	for _, o := range l.ByObserver(observer) {
-		for _, h := range o.Handles {
-			set[h] = true
-		}
+	s := l.lookup(observer)
+	if s == nil {
+		return []string{}
 	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
-	}
-	sort.Strings(out)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sorted := s.sortedHandles()
+	out := make([]string, len(sorted))
+	copy(out, sorted)
 	return out
 }
 
@@ -434,13 +532,13 @@ func (l *Ledger) Handles(observer string) []string {
 // absent from the template are appended, so unexpected leaks surface as
 // extra components rather than vanishing.
 func (l *Ledger) DeriveTuple(observer string, template core.Tuple) core.Tuple {
-	obs := l.ByObserver(observer)
 	maxLevel := map[axis]core.Level{}
-	for _, o := range obs {
-		a := axis{o.Kind, o.Label}
-		if o.Level > maxLevel[a] {
-			maxLevel[a] = o.Level
+	if s := l.lookup(observer); s != nil {
+		s.mu.Lock()
+		for _, al := range s.levels {
+			maxLevel[al.axis] = al.level
 		}
+		s.mu.Unlock()
 	}
 	covered := map[axis]bool{}
 	out := make(core.Tuple, 0, len(template))

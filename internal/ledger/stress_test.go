@@ -10,9 +10,11 @@ import (
 )
 
 // TestConcurrentObserveMatchesSequential is the lock-striping
-// correctness check: N goroutines per observer interleaving Observe,
-// RegisterIdentity/RegisterData, and mid-flight DeriveTuple reads must
-// leave the ledger with exactly the tuples a sequential run derives.
+// correctness check: N goroutines per observer interleaving Saw,
+// RegisterIdentity/RegisterData, and mid-flight DeriveTuple/Handles
+// reads must leave the ledger with exactly the tuples, handles and
+// stats a sequential run derives. Each goroutine's successive
+// mid-flight reads must be monotone: the summaries only ever grow.
 // Run it under -race.
 func TestConcurrentObserveMatchesSequential(t *testing.T) {
 	t.Parallel()
@@ -42,11 +44,22 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 			wg.Add(1)
 			go func(o, w int) {
 				defer wg.Done()
+				var prevTuple core.Tuple
+				prevHandles := 0
 				for e := 0; e < events; e++ {
 					emit(conc, o, w, e)
 					if e%16 == 0 {
-						// Mid-flight reads must not wedge or corrupt.
-						_ = conc.DeriveTuple(obsName(o), template)
+						// Mid-flight reads must not wedge, corrupt, or
+						// go backwards.
+						tuple := conc.DeriveTuple(obsName(o), template)
+						if a := levelDropped(prevTuple, tuple); a != "" {
+							t.Errorf("%s: level on %s fell between reads: %v then %v", obsName(o), a, prevTuple, tuple)
+						}
+						handles := len(conc.Handles(obsName(o)))
+						if handles < prevHandles {
+							t.Errorf("%s: handle count fell between reads: %d then %d", obsName(o), prevHandles, handles)
+						}
+						prevTuple, prevHandles = tuple, handles
 						_ = conc.Len()
 					}
 				}
@@ -67,6 +80,9 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 
 	if got, want := conc.Len(), seq.Len(); got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	if got, want := conc.Stats(), seq.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
 	for o := 0; o < observers; o++ {
 		name := obsName(o)
@@ -96,6 +112,21 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 			t.Fatalf("admission order violated at %d: %d >= %d", i, all[i-1].seq, all[i].seq)
 		}
 	}
+}
+
+// levelDropped names the first axis of prev whose level is lower in
+// cur (absent counting as NonSensitive), or returns "" if none fell.
+func levelDropped(prev, cur core.Tuple) string {
+	levels := map[axis]core.Level{}
+	for _, c := range cur {
+		levels[axis{c.Kind, c.Label}] = c.Level
+	}
+	for _, p := range prev {
+		if levels[axis{p.Kind, p.Label}] < p.Level {
+			return fmt.Sprintf("kind %d label %q", p.Kind, p.Label)
+		}
+	}
+	return ""
 }
 
 func registerAll(c *Classifier, observers int) {
