@@ -19,6 +19,7 @@ import (
 	"decoupling/internal/pgpp"
 	"decoupling/internal/ppm"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 func benchExperiment(b *testing.B, f experiments.ExperimentFunc) {
@@ -126,7 +127,7 @@ func BenchmarkOnionHops(b *testing.B) {
 			net.SetDefaultLink(simnet.Link{}) // zero latency: measure compute
 			var infos []onion.RelayInfo
 			for i := 1; i <= hops; i++ {
-				r, err := onion.NewRelay(net, fmt.Sprintf("r%d", i), simnet.Addr(fmt.Sprintf("relay%d", i)), nil)
+				r, err := onion.NewRelay(net, fmt.Sprintf("r%d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
 				if err != nil {
 					b.Fatal(err)
 				}

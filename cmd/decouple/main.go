@@ -41,7 +41,7 @@
 //	                 across values; that is the point)
 //	-faults p        run the scenario under an injected fault plan: a
 //	                 named plan (flaky, split, tail) or a spec string
-//	                 (see simnet.ParseFaultPlan); clients run through
+//	                 (see faults.ParsePlan); clients run through
 //	                 the fail-closed resilience layer and the audit is
 //	                 byte-identical for a fixed plan
 //	-stats           ledger stats on stderr, with per-observer
@@ -69,11 +69,11 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/experiments"
 	"decoupling/internal/explore"
+	"decoupling/internal/faults"
 	"decoupling/internal/ledger"
 	"decoupling/internal/provenance"
 	"decoupling/internal/schema"
 	"decoupling/internal/schema/catalog"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 )
 
@@ -216,7 +216,7 @@ func audit(out, errw io.Writer, args []string) error {
 	fs.SetOutput(errw)
 	static := fs.Bool("static", false, "audit declared schemas instead of a run: derive static knowledge tuples and the static coalition closure for `scenario` (or \"all\"); a schema conviction is a nonzero exit")
 	parallel := fs.Int("parallel", 1, "client goroutines; audit output is byte-identical across values")
-	faults := fs.String("faults", "", "inject a fault `plan`: a named plan ("+strings.Join(simnet.NamedFaultPlans(), ", ")+") or a spec string like \"crash:proxy@0-;loss:*>*:0.2@10ms-\"")
+	faultSpec := fs.String("faults", "", "inject a fault `plan`: a named plan ("+strings.Join(faults.NamedPlans(), ", ")+") or a spec string like \"crash:proxy@0-;loss:*>*:0.2@10ms-\"")
 	stats := fs.Bool("stats", false, "print ledger stats (per-observer observation and distinct-handle counts) to stderr")
 	jsonlFile := fs.String("jsonl", "", "write the machine-readable audit (JSON Lines) to `file`")
 	dotFile := fs.String("dot", "", "write the linkage graph in Graphviz DOT to `file`")
@@ -225,7 +225,7 @@ func audit(out, errw io.Writer, args []string) error {
 		return err
 	}
 	if *static {
-		if *faults != "" || *graphFile != "" || *stats {
+		if *faultSpec != "" || *graphFile != "" || *stats {
 			return fmt.Errorf("-faults, -stats, and -graphjson need a run; they do not apply to -static")
 		}
 		if fs.NArg() != 1 {
@@ -236,12 +236,12 @@ func audit(out, errw io.Writer, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: decouple audit [flags] <scenario-id> (one of: %s)", scenarioIDs())
 	}
-	sc, ok := experiments.FindAuditScenario(fs.Arg(0))
-	if !ok {
+	sc, ok := experiments.FindScenario(fs.Arg(0))
+	if !ok || sc.Run == nil {
 		return fmt.Errorf("unknown audit scenario %q (try: %s)", fs.Arg(0), scenarioIDs())
 	}
 
-	plan, err := simnet.FaultPlanFromSpec(*faults)
+	plan, err := faults.PlanFromSpec(*faultSpec)
 	if err != nil {
 		return err
 	}
@@ -251,10 +251,7 @@ func audit(out, errw io.Writer, args []string) error {
 	tel := telemetry.New("audit", true, nil)
 	var lg *ledger.Ledger
 	if plan != nil {
-		if sc.RunFaults == nil {
-			return fmt.Errorf("scenario %s does not support fault injection", sc.ID)
-		}
-		lg, err = sc.RunFaults(experiments.Ctx{Tel: tel}, *parallel, plan)
+		lg, err = sc.RunFaults(experiments.Ctx{Tel: tel}, *parallel, sc.MaxClients, plan)
 	} else {
 		lg, err = sc.Run(experiments.Ctx{Tel: tel}, *parallel)
 	}
@@ -374,8 +371,10 @@ func writeFile(path string, a *provenance.Audit, write func(io.Writer, *provenan
 
 func scenarioIDs() string {
 	var ids []string
-	for _, sc := range experiments.AuditScenarios() {
-		ids = append(ids, sc.ID)
+	for _, sc := range experiments.Scenarios() {
+		if sc.Run != nil {
+			ids = append(ids, sc.ID)
+		}
 	}
 	return strings.Join(ids, ", ")
 }

@@ -102,38 +102,59 @@ func TestNoArgsUsage(t *testing.T) {
 	}
 }
 
-// TestAuditGolden pins the audit report bytes for the ODoH scenario and
-// proves they are identical across -parallel settings: fresh HPKE keys,
-// fresh connection handles, and different goroutine interleavings per
+// TestAuditGolden pins the audit report bytes for every audit
+// scenario, healthy and under the named flaky fault plan, and proves
+// they are identical across -parallel settings: fresh HPKE keys, fresh
+// connection handles, and different goroutine interleavings per
 // invocation must not change a single byte. Refresh with: go test
 // ./cmd/decouple -run TestAuditGolden -update
 func TestAuditGolden(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "audit_odoh.golden")
-	base, code := runOut(t, "audit", "-parallel", "1", "odoh")
-	if code != 0 {
-		t.Fatalf("audit exit = %d", code)
-	}
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if base != string(golden) {
-		t.Errorf("audit odoh output differs from golden:\n%s", firstDiffLine(string(golden), base))
-	}
-	for _, parallel := range []string{"4", "8"} {
-		out, code := runOut(t, "audit", "-parallel", parallel, "odoh")
-		if code != 0 {
-			t.Fatalf("audit -parallel %s exit = %d", parallel, code)
-		}
-		if out != base {
-			t.Errorf("audit odoh -parallel %s differs from -parallel 1:\n%s",
-				parallel, firstDiffLine(base, out))
-		}
+	for _, tc := range []struct {
+		id, faults, golden string
+	}{
+		{"mixnet", "", "audit_mixnet.golden"},
+		{"odns", "", "audit_odns.golden"},
+		{"odoh", "", "audit_odoh.golden"},
+		{"mixnet", "flaky", "audit_mixnet_flaky.golden"},
+		{"odns", "flaky", "audit_odns_flaky.golden"},
+		{"odoh", "flaky", "audit_odoh_flaky.golden"},
+	} {
+		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
+			args := func(parallel string) []string {
+				a := []string{"audit", "-parallel", parallel}
+				if tc.faults != "" {
+					a = append(a, "-faults", tc.faults)
+				}
+				return append(a, tc.id)
+			}
+			goldenPath := filepath.Join("testdata", tc.golden)
+			base, code := runOut(t, args("1")...)
+			if code != 0 {
+				t.Fatalf("audit exit = %d", code)
+			}
+			if *update {
+				if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			golden, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if base != string(golden) {
+				t.Errorf("audit %s output differs from golden:\n%s", tc.golden, firstDiffLine(string(golden), base))
+			}
+			for _, parallel := range []string{"4", "8"} {
+				out, code := runOut(t, args(parallel)...)
+				if code != 0 {
+					t.Fatalf("audit -parallel %s exit = %d", parallel, code)
+				}
+				if out != base {
+					t.Errorf("audit %s -parallel %s differs from -parallel 1:\n%s",
+						tc.golden, parallel, firstDiffLine(base, out))
+				}
+			}
+		})
 	}
 }
 
@@ -244,5 +265,23 @@ func TestAuditErrors(t *testing.T) {
 	}
 	if _, code := runOut(t, "audit"); code != 1 {
 		t.Errorf("missing scenario exit = %d, want 1", code)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		// The explorer's planted fail-open probe has no healthy run, so
+		// the audit CLI does not offer it.
+		{[]string{"audit", "odoh-failopen"}, "unknown audit scenario"},
+		// A plan that silences every sender leaves nothing to explain.
+		{[]string{"audit", "-faults", "crash:mix1@0-", "mixnet"}, "plan too severe to audit"},
+	} {
+		var out, errBuf bytes.Buffer
+		if code := run(&out, &errBuf, tc.args); code != 1 {
+			t.Errorf("%v: exit = %d, want 1", tc.args, code)
+		}
+		if !strings.Contains(errBuf.String(), tc.want) {
+			t.Errorf("%v: stderr = %q, want it to mention %q", tc.args, errBuf.String(), tc.want)
+		}
 	}
 }

@@ -74,9 +74,9 @@ import (
 
 	"decoupling/internal/experiments"
 	"decoupling/internal/explore"
+	"decoupling/internal/faults"
 	"decoupling/internal/nettransport"
 	"decoupling/internal/provenance"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
 	"decoupling/internal/transport"
@@ -94,8 +94,8 @@ func run(out, errw io.Writer, args []string) int {
 	fs.SetOutput(errw)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of experiments to run concurrently (1 = sequential)")
-	faults := fs.String("faults", "",
-		"overlay a fault `plan` on the chaos experiments' simulators (E14-E16): a named plan or a spec string; see simnet.ParseFaultPlan")
+	faultSpec := fs.String("faults", "",
+		"overlay a fault `plan` on the chaos experiments' simulators (E14-E16): a named plan or a spec string; see faults.ParsePlan")
 	doStatic := fs.Bool("static", false,
 		"append the static-conformance section: check static ⊇ measured for every experiment against its declared schemas; any violation is a nonzero exit")
 	transportName := fs.String("transport", "simnet",
@@ -123,7 +123,7 @@ func run(out, errw io.Writer, args []string) int {
 	if *doExplore {
 		return runExplore(out, errw, fs.Args(), *seeds, *seedBase, *parallel, *tracesDir, *metricsFile, *listenAddr)
 	}
-	plan, err := simnet.FaultPlanFromSpec(*faults)
+	plan, err := faults.PlanFromSpec(*faultSpec)
 	if err != nil {
 		fmt.Fprintf(errw, "experiments: %v\n", err)
 		return 2
@@ -368,7 +368,7 @@ func runExplore(out, errw io.Writer, ids []string, seeds int, seedBase uint64, p
 		fmt.Fprintf(errw, "experiments: observability on http://%s/metrics /statusz /debug/pprof\n", addr)
 	}
 	matched := map[string]bool{}
-	for _, p := range experiments.ExploreProbes() {
+	for _, p := range experiments.Scenarios() {
 		if len(want) > 0 && !want[p.ID] {
 			continue
 		}

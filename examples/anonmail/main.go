@@ -16,6 +16,7 @@ import (
 	"decoupling/internal/ledger"
 	"decoupling/internal/mixnet"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 	// the demo (see E12 for why production wants batching).
 	var route []mixnet.NodeInfo
 	for i := 1; i <= 3; i++ {
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 1, 0, lg)
+		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), 1, 0, lg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	sc, ok := experiments.FindAuditScenario("odoh")
+	sc, ok := experiments.FindScenario("odoh")
 	if !ok {
 		log.Fatal("odoh scenario not registered")
 	}

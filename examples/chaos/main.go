@@ -14,13 +14,13 @@ import (
 	"os"
 
 	"decoupling/internal/experiments"
+	"decoupling/internal/faults"
 	"decoupling/internal/provenance"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 )
 
 func main() {
-	sc, ok := experiments.FindAuditScenario("odoh")
+	sc, ok := experiments.FindScenario("odoh")
 	if !ok {
 		log.Fatal("odoh scenario not registered")
 	}
@@ -28,12 +28,12 @@ func main() {
 	// The proxy dies at t=30ms and never restarts. Equivalent CLI:
 	//
 	//	decouple audit -faults "crash:proxy@30ms-" odoh
-	plan, err := simnet.ParseFaultPlan("crash:proxy@30ms-")
+	plan, err := faults.ParsePlan("crash:proxy@30ms-")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New("chaos", true, nil)}, 1, plan)
+	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New("chaos", true, nil)}, 1, sc.MaxClients, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,11 @@
 // seeded RNG or a splitmix64 hash of fixed seeds, and every client
 // loop is internally sequential, so reports, metrics, and audits are
 // byte-identical across runs and -parallel settings.
+//
+// Instrumentation: the chaos runs build the shared stacks with the
+// experiment's telemetry but no wire plane. A wire-traced E16 would
+// have the rotate-mode trace-plane audit compare the proxy's wire
+// vantage against fail-open plaintext the wire never carried.
 package experiments
 
 import (
@@ -33,13 +38,10 @@ import (
 	"decoupling/internal/dnswire"
 	"decoupling/internal/faults"
 	"decoupling/internal/ledger"
-	"decoupling/internal/mixnet"
-	"decoupling/internal/odns"
 	"decoupling/internal/odoh"
 	"decoupling/internal/onion"
 	"decoupling/internal/provenance"
 	"decoupling/internal/resilience"
-	"decoupling/internal/simnet"
 	"decoupling/internal/transport"
 )
 
@@ -128,27 +130,6 @@ func (f *flakyLink) stats() (calls uint64, injected int) {
 	return f.calls, f.injected
 }
 
-// flakyAuthority wraps a dns.Authority so a deterministic fraction of
-// queries fail with SERVFAIL before reaching the inner authority — a
-// transiently unreachable upstream. Failed attempts are still observed
-// by the resolver in front of it (the retry leaks a COUNT), but the
-// inner authority never sees them.
-type flakyAuthority struct {
-	inner dns.Authority
-	link  *flakyLink
-}
-
-func (f *flakyAuthority) Serves(name string) bool { return f.inner.Serves(name) }
-
-func (f *flakyAuthority) Handle(from string, q *dnswire.Message) *dnswire.Message {
-	if f.link.fail() {
-		r := q.Reply()
-		r.RCode = dnswire.RCodeServFail
-		return r
-	}
-	return f.inner.Handle(from, q)
-}
-
 // chaosRates are the injected fault rates E14 sweeps.
 var chaosRates = []float64{0, 0.1, 0.3}
 
@@ -165,15 +146,7 @@ func mixnetChaosRun(ctx Ctx, rate float64, retry bool) (delivered, retries int, 
 	net := ctx.NewRunner(14)
 	defer net.Close()
 	net.Instrument(tel)
-	var route []mixnet.NodeInfo
-	for i := 1; i <= 3; i++ {
-		m, merr := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
-		if merr != nil {
-			return 0, 0, 0, merr
-		}
-		route = append(route, m.Info())
-	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, nil)
+	c, err := newCascade(net, nil, 1, tel, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -193,32 +166,25 @@ func mixnetChaosRun(ctx Ctx, rate float64, retry bool) (delivered, retries int, 
 		p.MaxAttempts = 1
 	}
 	var retryCount atomic.Int64
-	seen := map[string]bool{}
 	for i := 0; i < 16; i++ {
 		i := i
-		s := &mixnet.Sender{Addr: simnet.Addr(fmt.Sprintf("sender%02d", i))}
-		msg := []byte(fmt.Sprintf("chaos message %02d", i))
+		from := transport.Addr(fmt.Sprintf("sender%02d", i))
+		msg := fmt.Sprintf("chaos message %02d", i)
 		net.After(time.Duration(i)*2*time.Millisecond, func() {
 			resilience.RetryAsync(net, tel, p, uint64(0xE14<<8)|uint64(i),
 				func(attempt int) error {
 					if attempt > 0 {
 						retryCount.Add(1)
 					}
-					return s.Send(net, route, rcv.Info(), msg)
+					return c.send(net, from, nil, msg)
 				},
-				func() bool {
-					for _, got := range rcv.Inbox() {
-						if string(got.Body) == string(msg) {
-							return true
-						}
-					}
-					return false
-				},
+				func() bool { return c.delivered(msg) },
 				nil)
 		})
 	}
 	net.Run()
-	for _, got := range rcv.Inbox() {
+	seen := map[string]bool{}
+	for _, got := range c.rcv.Inbox() {
 		seen[string(got.Body)] = true
 	}
 	return len(seen), int(retryCount.Load()), net.Now(), nil
@@ -235,7 +201,7 @@ func onionChaosRun(ctx Ctx, retry bool) (delivered int, err error) {
 	net.Instrument(tel)
 	var pool []onion.RelayInfo
 	for i := 1; i <= 4; i++ {
-		r, rerr := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), simnet.Addr(fmt.Sprintf("relay%d", i)), nil)
+		r, rerr := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
 		if rerr != nil {
 			return 0, rerr
 		}
@@ -289,28 +255,16 @@ func onionChaosRun(ctx Ctx, retry bool) (delivered int, err error) {
 // fault models an unreachable proxy, so retries cost the client wire
 // attempts but leak nothing new to any observer.
 func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger, link *flakyLink, err error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	target, err := odoh.NewTarget(odoh.TargetName, origin, lg)
+	s, err := newODoHStack(ctx.Tel, nil, auditDNSClients)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	target.Instrument(tel)
-	proxy := odoh.NewProxy(odoh.ProxyName, target, lg)
-	proxy.Instrument(tel)
-	keyID, pub := target.KeyConfig()
-
 	link = &flakyLink{rate: rate, seed: 0xE14D0}
 	forward := func(clientAddr string, raw []byte) ([]byte, error) {
 		if link.fail() {
 			return nil, fmt.Errorf("odoh: proxy unreachable (injected fault)")
 		}
-		return proxy.Forward(clientAddr, raw)
+		return s.proxy.Forward(clientAddr, raw)
 	}
 
 	p := resilience.Default("odoh")
@@ -318,16 +272,11 @@ func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger,
 		p.MaxAttempts = 1
 	}
 	for i := 0; i < auditDNSClients; i++ {
-		who := fmt.Sprintf("client-%d", i)
-		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
-		rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: []odoh.ForwardFunc{forward}}
-		rc.Instrument(tel)
-		if _, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA); qerr == nil {
+		if _, qerr := s.resilient(i, p, forward).Query(dnsName(i), dnswire.TypeA); qerr == nil {
 			ok++
 		}
 	}
-	return ok, lg, link, nil
+	return ok, s.lg, link, nil
 }
 
 // odnsChaosRun drives the E4 ODNS stack with a deterministically flaky
@@ -336,39 +285,31 @@ func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger,
 // (opaque) query in the resolver's logs — the count leak E14 verifies
 // is counts-only.
 func odnsChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger, link *flakyLink, err error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, auditDNSClients, "Resolver", odns.ObliviousResolverName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	oblivious, err := odns.NewObliviousResolver(origin, lg)
+	s, err := newODNSStack(ctx.Tel, nil, auditDNSClients)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	link = &flakyLink{rate: rate, seed: 0xE14D1}
-	recursive := dns.NewResolver("Resolver",
-		[]dns.Authority{&flakyAuthority{inner: oblivious, link: link}, origin}, lg, nil)
+	flaky := &downAuthority{Authority: s.oblivious, down: link.fail}
+	recursive := dns.NewResolver("Resolver", []dns.Authority{flaky, s.origin}, s.lg, nil)
 
 	p := resilience.Default("odns")
 	if !retry {
 		p.MaxAttempts = 1
 	}
 	for i := 0; i < auditDNSClients; i++ {
-		who := fmt.Sprintf("client-%d", i)
-		c := odns.NewClient(who, oblivious.PublicKey(), recursive)
+		c := s.client(i, recursive)
+		var qerr error
 		if retry {
-			if _, qerr := c.QueryResilient(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA, p, tel, nil); qerr == nil {
-				ok++
-			}
+			_, qerr = c.QueryResilient(dnsName(i), dnswire.TypeA, p, ctx.Tel, nil)
 		} else {
-			if _, qerr := c.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA); qerr == nil {
-				ok++
-			}
+			_, qerr = c.Query(dnsName(i), dnswire.TypeA)
+		}
+		if qerr == nil {
+			ok++
 		}
 	}
-	return ok, lg, link, nil
+	return ok, s.lg, link, nil
 }
 
 // E14ChaosAvailability measures availability vs. injected fault rate
@@ -505,7 +446,6 @@ func E14ChaosAvailability(ctx Ctx) (*Result, error) {
 // attempts and latency but leaves the knowledge tuples and the
 // coalition degree untouched.
 func E15ChaosFailover(ctx Ctx) (*Result, error) {
-	tel := ctx.Tel
 	r := &Result{ID: "E15", Title: "Chaos: failover across N proxies vs the degrees-of-decoupling cost", Section: "4.2"}
 	expected := core.ObliviousDNS()
 	t := Table{
@@ -513,17 +453,10 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 		Columns: []string{"proxies", "down", "attempts/query", "failovers/query", "answered", "tuple diffs", "degree"},
 	}
 	for _, n := range []int{1, 2, 4} {
-		cls := ledger.NewClassifier()
-		lg := ledger.New(cls, nil)
-		lg.Instrument(tel)
-		registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
-		origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-		target, err := odoh.NewTarget(odoh.TargetName, origin, lg)
+		s, err := newODoHStack(ctx.Tel, nil, auditDNSClients)
 		if err != nil {
 			return nil, err
 		}
-		proxy := odoh.NewProxy(odoh.ProxyName, target, lg)
-		keyID, pub := target.KeyConfig()
 
 		// Proxies 0..n-2 are down hard (they observe nothing); the last
 		// replica is healthy. Every replica plays the same "Resolver" role.
@@ -538,24 +471,19 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 		}
 		forwards = append(forwards, func(clientAddr string, raw []byte) ([]byte, error) {
 			attempts++
-			return proxy.Forward(clientAddr, raw)
+			return s.proxy.Forward(clientAddr, raw)
 		})
 
 		p := resilience.Default("odoh")
 		p.MaxAttempts = n + 1
 		answered := 0
 		for i := 0; i < auditDNSClients; i++ {
-			who := fmt.Sprintf("client-%d", i)
-			c := odoh.NewClient(who, keyID, pub)
-			c.Instrument(tel)
-			rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: forwards}
-			rc.Instrument(tel)
-			if _, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA); qerr == nil {
+			if _, qerr := s.resilient(i, p, forwards...).Query(dnsName(i), dnswire.TypeA); qerr == nil {
 				answered++
 			}
 		}
 
-		measured := lg.DeriveSystem(expected)
+		measured := s.lg.DeriveSystem(expected)
 		diffs := core.CompareTuples(expected, measured)
 		v, err := core.Analyze(measured)
 		if err != nil {
@@ -580,8 +508,8 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 			r.Expected = expected
 			r.Measured = measured
 			r.Verdict = &v
-			r.Ledger = lg
-			r.LedgerStats = ledgerStats(lg)
+			r.Ledger = s.lg
+			r.LedgerStats = ledgerStats(s.lg)
 		}
 	}
 	r.Tables = append(r.Tables, t)
@@ -597,56 +525,31 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 // mode. In FailOpen mode the client is deliberately misconfigured with
 // a direct-resolver fallback — the re-coupling the paper warns about.
 func e16Run(ctx Ctx, mode resilience.Mode) (lg *ledger.Ledger, okHealthy, fallbacks, exhaustions int, err error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	target, terr := odoh.NewTarget(odoh.TargetName, origin, lg)
-	if terr != nil {
-		return nil, 0, 0, 0, terr
+	s, err := newODoHStack(ctx.Tel, nil, auditDNSClients)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
-	target.Instrument(tel)
-	proxy := odoh.NewProxy(odoh.ProxyName, target, lg)
-	proxy.Instrument(tel)
-	keyID, pub := target.KeyConfig()
-
 	outage := false
 	forward := func(clientAddr string, raw []byte) ([]byte, error) {
 		if outage {
 			return nil, fmt.Errorf("odoh: proxy unreachable (total outage)")
 		}
-		return proxy.Forward(clientAddr, raw)
+		return s.proxy.Forward(clientAddr, raw)
 	}
-	// The fallback path: a plain recursive resolver. It records under the
-	// same "Resolver" role the oblivious proxy plays — which is exactly
-	// the point: the operator who ran the proxy now sees plaintext names.
-	direct := dns.NewResolver(odoh.ProxyName, []dns.Authority{origin}, lg, nil)
+	// The fallback resolver records under the same "Resolver" role the
+	// oblivious proxy plays — which is exactly the point: the operator
+	// who ran the proxy now sees plaintext names.
+	direct := s.directResolver()
 
-	p := resilience.Default("odoh")
-	p.Mode = mode
 	for i := 0; i < auditDNSClients; i++ {
 		if i == 10 {
 			outage = true
 		}
-		who := fmt.Sprintf("client-%d", i)
-		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
-		rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: []odoh.ForwardFunc{forward}}
-		rc.Instrument(tel)
+		rc := s.resilient(i, resilience.Default("odoh"), forward)
 		if mode == resilience.FailOpen {
-			rc.Fallback = func(name string, qtype dnswire.Type) (*dnswire.Message, error) {
-				fallbacks++
-				resp := direct.Resolve(who, dnswire.NewQuery(1, name, qtype))
-				if resp.RCode != dnswire.RCodeNoError {
-					return nil, fmt.Errorf("direct fallback failed: rcode=%v", resp.RCode)
-				}
-				return resp, nil
-			}
+			failOpen(rc, direct, &fallbacks)
 		}
-		_, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA)
+		_, qerr := rc.Query(dnsName(i), dnswire.TypeA)
 		switch {
 		case qerr == nil && !outage:
 			okHealthy++
@@ -656,7 +559,7 @@ func e16Run(ctx Ctx, mode resilience.Mode) (lg *ledger.Ledger, okHealthy, fallba
 			return nil, 0, 0, 0, fmt.Errorf("e16 %s client %d: unexpected error: %w", mode, i, qerr)
 		}
 	}
-	return lg, okHealthy, fallbacks, exhaustions, nil
+	return s.lg, okHealthy, fallbacks, exhaustions, nil
 }
 
 // E16ChaosFailOpen is the fail-open counterexample. Two identical runs

@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"decoupling/internal/core"
-	"decoupling/internal/dns"
 	"decoupling/internal/dnswire"
-	"decoupling/internal/ledger"
-	"decoupling/internal/odoh"
+	"decoupling/internal/faults"
 	"decoupling/internal/provenance"
 	"decoupling/internal/resilience"
-	"decoupling/internal/simnet"
 )
 
 // TestFailClosedInvariantUnderTotalOutage is the acceptance test for
@@ -21,32 +17,21 @@ import (
 // EMPTY — a fail-closed client leaks nothing to anyone while failing,
 // so the measured system still analyzes as decoupled.
 func TestFailClosedInvariantUnderTotalOutage(t *testing.T) {
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	target, err := odoh.NewTarget(odoh.TargetName, origin, lg)
+	s, err := newODoHStack(nil, nil, auditDNSClients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keyID, pub := target.KeyConfig()
-
 	dead := func(string, []byte) ([]byte, error) {
 		return nil, errors.New("proxy unreachable")
 	}
 	for i := 0; i < auditDNSClients; i++ {
-		who := fmt.Sprintf("client-%d", i)
-		rc := &odoh.ResilientClient{
-			Client:   odoh.NewClient(who, keyID, pub),
-			Policy:   resilience.Default("odoh"),
-			Forwards: []odoh.ForwardFunc{dead, dead},
-		}
-		_, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA)
+		_, qerr := s.resilient(i, resilience.Default("odoh"), dead, dead).Query(dnsName(i), dnswire.TypeA)
 		if !errors.Is(qerr, resilience.ErrExhausted) {
 			t.Fatalf("client %d: err = %v, want ErrExhausted", i, qerr)
 		}
 	}
 
+	lg := s.lg
 	if st := lg.Stats(); st.Total != 0 {
 		t.Fatalf("fail-closed outage leaked %d observations", st.Total)
 	}
@@ -158,7 +143,7 @@ func TestFlakyLinkIsDeterministic(t *testing.T) {
 // the chaos experiments' simulators (crashing the middle mix kills the
 // whole cascade), and clearing it restores the healthy baseline.
 func TestChaosOverlayAffectsSimulatorRuns(t *testing.T) {
-	SetChaosFaults(simnet.NewFaultPlan().Crash("mix2", 0, 0))
+	SetChaosFaults(faults.NewPlan().Crash("mix2", 0, 0))
 	defer SetChaosFaults(nil)
 	delivered, _, _, err := mixnetChaosRun(Ctx{}, 0, false)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
-	"decoupling/internal/mixnet"
 	"decoupling/internal/nettransport"
 	"decoupling/internal/provenance"
 	"decoupling/internal/simnet"
@@ -97,32 +96,21 @@ func equivalenceScenario(t *testing.T, net transport.Runner) *ledger.Ledger {
 	t.Helper()
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
-	var route []mixnet.NodeInfo
 	for i := 1; i <= 3; i++ {
-		addr := fmt.Sprintf("mix%d", i)
-		cls.RegisterIdentity(addr, "", "", core.NonSensitive)
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(addr), 4, 0, lg)
-		if err != nil {
-			t.Fatalf("mix %d: %v", i, err)
-		}
-		route = append(route, m.Info())
+		cls.RegisterIdentity(fmt.Sprintf("mix%d", i), "", "", core.NonSensitive)
 	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, lg)
+	c, err := newCascade(net, lg, 4, nil, nil)
 	if err != nil {
-		t.Fatalf("receiver: %v", err)
+		t.Fatalf("cascade: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		sender := fmt.Sprintf("sender%02d", i)
-		msg := fmt.Sprintf("private message %02d", i)
-		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
-		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &mixnet.Sender{Addr: simnet.Addr(sender)}
-		if err := s.Send(net, route, rcv.Info(), []byte(msg)); err != nil {
+		from, msg := registerSender(cls, i)
+		if err := c.send(net, from, nil, msg); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	net.Run()
-	if got := len(rcv.Inbox()); got != 8 {
+	if got := len(c.rcv.Inbox()); got != 8 {
 		t.Fatalf("delivered %d of 8 messages", got)
 	}
 	return lg

@@ -9,104 +9,121 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/dns"
 	"decoupling/internal/dnswire"
+	"decoupling/internal/faults"
 	"decoupling/internal/ledger"
-	"decoupling/internal/mixnet"
-	"decoupling/internal/odns"
-	"decoupling/internal/odoh"
 	"decoupling/internal/resilience"
-	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
-// AuditScenario is a runnable system reproduction packaged for the
-// provenance audit CLI: an expected model plus a runner that returns
-// the quiesced ledger to audit. The table experiments reuse the same
-// runners, so `decouple audit` explains exactly the runs the tables
-// measure.
-type AuditScenario struct {
-	ID    string
-	Title string
+// Scenario is a runnable system reproduction: the paper's model plus
+// runners that return the quiesced ledger to audit. One registry
+// serves the audit CLI, which offers every scenario with a healthy
+// Run, and the schedule explorer (internal/explore), which sweeps
+// every scenario through RunFaults so a failing (clients, plan,
+// schedule) triple can be delta-debugged down to a minimal
+// counterexample. The table experiments build the same stacks, so
+// `decouple audit` explains exactly the runs the tables measure.
+type Scenario struct {
+	ID string
 	// Expected returns the paper's model for the scenario.
 	Expected func() *core.System
-	// Run executes the scenario and returns its ledger. parallel splits
-	// client load across that many goroutines where the protocol is
-	// concurrency-safe; scenarios driven by the deterministic simulator
-	// ignore it. Audit output is byte-identical across parallel values.
+	// FailClosed declares the contract under faults: under ANY fault
+	// plan and ANY admissible schedule, observed knowledge must stay
+	// within the paper's tuples (faults may erase knowledge, never add
+	// it). The explorer treats a violation as a bug. The one
+	// non-fail-closed scenario is the planted E16 misconfiguration the
+	// explorer exists to find.
+	FailClosed bool
+	// FaultNodes are the node names fault plans may target with
+	// crash/partition/loss clauses: the names RunFaults evaluates.
+	FaultNodes []transport.Addr
+	// MaxClients is the scenario's client count: the healthy run drives
+	// it, the audit CLI runs faults with it, and explorer synthesis
+	// shrinks it toward 1.
+	MaxClients int
+	// Run executes the healthy scenario and returns its ledger. parallel
+	// splits client load across that many goroutines where the protocol
+	// is concurrency-safe; scenarios driven by the deterministic
+	// simulator ignore it. Audit output is byte-identical across
+	// parallel values. Run is nil for a scenario that exists only under
+	// faults.
 	Run func(ctx Ctx, parallel int) (*ledger.Ledger, error)
-	// RunFaults runs the scenario under an injected fault plan, with the
-	// protocol clients wrapped in the resilience layer (fail-closed).
-	// The simulator-driven scenario applies the plan to its network; the
-	// HTTP-shaped scenarios evaluate crash/partition/loss windows on a
-	// deterministic logical clock (fault node names: odoh "proxy", odns
-	// "oblivious"; latency spikes are simulator-only). Audit output is
-	// byte-identical for a fixed plan.
-	RunFaults func(ctx Ctx, parallel int, plan *simnet.FaultPlan) (*ledger.Ledger, error)
+	// RunFaults drives `clients` clients under plan, with the protocol
+	// clients wrapped in the resilience layer, and returns the quiesced
+	// ledger. The simulator-driven mixnet applies the plan to a network
+	// built through ctx.NewNet, so the explorer's scheduler hook sees
+	// every decision point; the HTTP-shaped DNS scenarios evaluate
+	// crash/partition/loss windows on a deterministic logical clock
+	// (latency spikes are simulator-only). Output is byte-identical for
+	// a fixed plan and across parallel values. A run in which a
+	// non-empty plan silenced every sender returns its ledger with
+	// ErrNothingDelivered.
+	RunFaults func(ctx Ctx, parallel, clients int, plan *faults.Plan) (*ledger.Ledger, error)
 }
 
-// AuditScenarios lists every scenario the audit CLI can run, in id
-// order. All three are in-process and cross-run deterministic under
-// audit rendering (canonical ordering + handle aliasing + redaction).
-func AuditScenarios() []AuditScenario {
-	return []AuditScenario{
+// ErrNothingDelivered reports a fault run in which the plan silenced
+// every sender: there is nothing to explain, though the (silent)
+// ledger leaks nothing either.
+var ErrNothingDelivered = errors.New("mixnet fault scenario: nothing delivered (plan too severe to audit)")
+
+// Scenarios lists every scenario in id order. All are in-process and
+// cross-run deterministic under audit rendering (canonical ordering +
+// handle aliasing + redaction).
+func Scenarios() []Scenario {
+	return []Scenario{
 		{
-			ID:        "mixnet",
-			Title:     "Chaum mix cascade (3 mixes, batch 4)",
-			Expected:  func() *core.System { return core.Mixnet(3) },
-			Run:       runMixnetScenario,
-			RunFaults: runMixnetScenarioFaults,
+			ID:         "mixnet",
+			Expected:   func() *core.System { return core.Mixnet(3) },
+			FailClosed: true,
+			FaultNodes: []transport.Addr{"mix1", "mix2", "mix3"},
+			MaxClients: 8,
+			Run:        runMixnetScenario,
+			RunFaults:  mixnetFaultsRun,
 		},
 		{
-			ID:        "odns",
-			Title:     "Oblivious DNS (encrypted-name variant)",
-			Expected:  core.ObliviousDNS,
-			Run:       runODNSScenario,
-			RunFaults: runODNSScenarioFaults,
+			ID:         "odns",
+			Expected:   core.ObliviousDNS,
+			FailClosed: true,
+			FaultNodes: []transport.Addr{"oblivious"},
+			MaxClients: auditDNSClients,
+			Run:        runODNSScenario,
+			RunFaults:  odnsFaultsRun,
 		},
 		{
-			ID:        "odoh",
-			Title:     "Oblivious DoH (RFC 9230 shape)",
-			Expected:  core.ObliviousDNS,
-			Run:       runODoHScenario,
-			RunFaults: runODoHScenarioFaults,
+			ID:         "odoh",
+			Expected:   core.ObliviousDNS,
+			FailClosed: true,
+			FaultNodes: []transport.Addr{"proxy"},
+			MaxClients: auditDNSClients,
+			Run:        runODoHScenario,
+			RunFaults: func(ctx Ctx, parallel, clients int, plan *faults.Plan) (*ledger.Ledger, error) {
+				return odohFaultsRun(ctx, parallel, clients, plan, false)
+			},
+		},
+		{
+			// Deliberately misconfigured: any plan that exhausts a
+			// client's oblivious path triggers a direct-resolver
+			// fallback, handing the proxy operator plaintext names. The
+			// explorer must find that leak and shrink it.
+			ID:         "odoh-failopen",
+			Expected:   core.ObliviousDNS,
+			FaultNodes: []transport.Addr{"proxy"},
+			MaxClients: auditDNSClients,
+			RunFaults: func(ctx Ctx, parallel, clients int, plan *faults.Plan) (*ledger.Ledger, error) {
+				return odohFaultsRun(ctx, parallel, clients, plan, true)
+			},
 		},
 	}
 }
 
-// FindAuditScenario returns the scenario with the given id.
-func FindAuditScenario(id string) (AuditScenario, bool) {
-	for _, s := range AuditScenarios() {
+// FindScenario returns the scenario with the given id.
+func FindScenario(id string) (Scenario, bool) {
+	for _, s := range Scenarios() {
 		if s.ID == id {
 			return s, true
 		}
 	}
-	return AuditScenario{}, false
-}
-
-// auditDNSNames is the query workload shared by the DNS scenarios.
-var auditDNSNames = []string{"www.example.com", "mail.example.com", "secret.example.com", "api.example.com"}
-
-const auditDNSClients = 20
-
-func auditZone() *dns.Zone {
-	z := dns.NewZone("example.com")
-	for i, n := range auditDNSNames {
-		z.Add(dnswire.A(n, 300, [4]byte{192, 0, 2, byte(i)}))
-	}
-	return z
-}
-
-// registerDNSGroundTruth registers the client identities and query
-// names (sensitive) plus the infrastructure names (non-sensitive, so
-// audit reports render them unredacted) for a DNS scenario driving
-// the given number of clients.
-func registerDNSGroundTruth(cls *ledger.Classifier, clients int, infra ...string) {
-	for i := 0; i < clients; i++ {
-		who := fmt.Sprintf("client-%d", i)
-		cls.RegisterIdentity(who, who, "", core.Sensitive)
-		cls.RegisterData(dnswire.CanonicalName(auditDNSNames[i%len(auditDNSNames)]), who, "", core.Sensitive)
-	}
-	for _, name := range infra {
-		cls.RegisterIdentity(name, "", "", core.NonSensitive)
-	}
+	return Scenario{}, false
 }
 
 // forEachClient fans a loop over `clients` client indices out over
@@ -138,36 +155,17 @@ func forEachClient(parallel, clients int, fn func(i int) error) error {
 // HPKE-encrypt queries through the proxy to the target, which resolves
 // via the origin. This is the same run E4's ODoH half measures.
 func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	target, err := odoh.NewTarget(odoh.TargetName, origin, lg)
+	s, err := newODoHStack(ctx.Tel, ctx.Wire, auditDNSClients)
 	if err != nil {
 		return nil, err
 	}
-	target.Instrument(tel)
-	target.InstrumentWire(ctx.Wire)
-	proxy := odoh.NewProxy(odoh.ProxyName, target, lg)
-	proxy.Instrument(tel)
-	proxy.InstrumentWire(ctx.Wire)
-	origin.Wire = ctx.Wire
-	keyID, pub := target.KeyConfig()
-
-	phase := tel.Start("phase:odoh")
+	phase := ctx.Tel.Start("phase:odoh")
 	defer phase.End()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
-		who := fmt.Sprintf("client-%d", i)
-		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
-		c.InstrumentWire(ctx.Wire)
-		_, err := c.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA, proxy.Forward)
+		_, err := s.client(i).Query(dnsName(i), dnswire.TypeA, s.proxy.Forward)
 		return err
 	})
-	return lg, err
+	return s.lg, err
 }
 
 // runODNSScenario drives the §3.2.2 ODNS reproduction: clients send
@@ -175,82 +173,57 @@ func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 // resolver, which decrypts and resolves via the origin. Same run as
 // E4's ODNS half.
 func runODNSScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, auditDNSClients, "Resolver", odns.ObliviousResolverName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	oblivious, err := odns.NewObliviousResolver(origin, lg)
+	s, err := newODNSStack(ctx.Tel, ctx.Wire, auditDNSClients)
 	if err != nil {
 		return nil, err
 	}
-	recursive := dns.NewResolver("Resolver", []dns.Authority{oblivious, origin}, lg, nil)
-	origin.Wire = ctx.Wire
-	oblivious.InstrumentWire(ctx.Wire)
+	recursive := dns.NewResolver("Resolver", []dns.Authority{s.oblivious, s.origin}, s.lg, nil)
 	recursive.Wire = ctx.Wire
-
-	phase := tel.Start("phase:odns")
+	phase := ctx.Tel.Start("phase:odns")
 	defer phase.End()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
-		who := fmt.Sprintf("client-%d", i)
-		c := odns.NewClient(who, oblivious.PublicKey(), recursive)
-		c.InstrumentWire(ctx.Wire)
-		_, err := c.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA)
+		_, err := s.client(i, recursive).Query(dnsName(i), dnswire.TypeA)
 		return err
 	})
-	return lg, err
+	return s.lg, err
 }
 
-// runMixnetScenario drives a 3-mix cascade with batch threshold 4 and
-// 8 senders over the seeded simulator. The ledger runs on the virtual
-// clock, so audit evidence carries real virtual timestamps. parallel
-// is ignored: the simulator is single-threaded and already
-// deterministic.
+// newMixnetScenario builds the scenario cascade (batch threshold 4) on
+// net, with a ledger on net's clock whose classifier knows the mixes
+// as infrastructure.
+func newMixnetScenario(ctx Ctx, net transport.Runner) (*ledger.Ledger, *cascade, error) {
+	net.Instrument(ctx.Tel)
+	ctx.Wire.SetClock(net.Now)
+	lg := ledger.New(ledger.NewClassifier(), net.Now)
+	lg.Instrument(ctx.Tel)
+	for i := 1; i <= 3; i++ {
+		lg.Classifier().RegisterIdentity(fmt.Sprintf("mix%d", i), "", "", core.NonSensitive)
+	}
+	c, err := newCascade(net, lg, 4, ctx.Tel, ctx.Wire)
+	return lg, c, err
+}
+
+// runMixnetScenario drives the 3-mix cascade with 8 senders over the
+// seeded simulator. The ledger runs on the virtual clock, so audit
+// evidence carries real virtual timestamps. parallel is ignored: the
+// simulator is single-threaded and already deterministic.
 func runMixnetScenario(ctx Ctx, _ int) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
 	net := ctx.NewRunner(2)
 	defer net.Close()
-	net.Instrument(tel)
-	ctx.Wire.SetClock(net.Now)
-	lg := ledger.New(cls, net.Now)
-	lg.Instrument(tel)
-
-	var route []mixnet.NodeInfo
-	for i := 1; i <= 3; i++ {
-		addr := fmt.Sprintf("mix%d", i)
-		cls.RegisterIdentity(addr, "", "", core.NonSensitive)
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(addr), 4, 0, lg)
-		if err != nil {
-			return nil, err
-		}
-		m.Instrument(tel)
-		m.InstrumentWire(ctx.Wire)
-		route = append(route, m.Info())
-	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, lg)
+	lg, c, err := newMixnetScenario(ctx, net)
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
-	rcv.InstrumentWire(ctx.Wire)
-
-	phase := tel.Start("phase:forward")
+	phase := ctx.Tel.Start("phase:forward")
 	defer phase.End()
 	for i := 0; i < 8; i++ {
-		sender := fmt.Sprintf("sender%02d", i)
-		msg := fmt.Sprintf("private message %02d", i)
-		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
-		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &mixnet.Sender{Addr: simnet.Addr(sender), Wire: ctx.Wire}
-		if err := s.Send(net, route, rcv.Info(), []byte(msg)); err != nil {
+		from, msg := registerSender(lg.Classifier(), i)
+		if err := c.send(net, from, ctx.Wire, msg); err != nil {
 			return nil, err
 		}
 	}
 	net.Run()
-	if got := len(rcv.Inbox()); got != 8 {
+	if got := len(c.rcv.Inbox()); got != 8 {
 		return nil, fmt.Errorf("mixnet scenario: delivered %d of 8 messages", got)
 	}
 	return lg, nil
@@ -267,10 +240,10 @@ const scenarioHopDelay = 10 * time.Millisecond
 // keyed by (i, j) — never a shared RNG, so parallel clients cannot
 // perturb each other. Latency spikes have no HTTP equivalent here and
 // are ignored (simulator-only).
-func faultGate(plan *simnet.FaultPlan, src, node simnet.Addr, i, j int) error {
+func faultGate(plan *faults.Plan, src, node transport.Addr, i, j int) error {
 	t := time.Duration(i+j) * scenarioHopDelay
 	if plan.CrashedAt(node, t) {
-		return fmt.Errorf("scenario fault: %s at t=%s: %w", node, t, simnet.ErrNodeDown)
+		return fmt.Errorf("scenario fault: %s at t=%s: %w", node, t, faults.ErrNodeDown)
 	}
 	if plan.PartitionedAt(src, node, t) {
 		return fmt.Errorf("scenario fault: link %s->%s partitioned at t=%s", src, node, t)
@@ -281,222 +254,108 @@ func faultGate(plan *simnet.FaultPlan, src, node simnet.Addr, i, j int) error {
 	return nil
 }
 
-// runODoHScenarioFaults is runODoHScenario with the client→proxy hop
-// gated by the plan (fault node "proxy") and the clients wrapped in
-// the fail-closed resilience layer. Each client's logical clock is a
-// pure function of (client index, attempt), so the run stays
-// parallel-safe and byte-identical for a fixed plan.
-func runODoHScenarioFaults(ctx Ctx, parallel int, plan *simnet.FaultPlan) (*ledger.Ledger, error) {
-	return odohFaultsRun(ctx, parallel, auditDNSClients, plan, false)
-}
-
-// odohFaultsRun is the parameterized core behind runODoHScenarioFaults
-// and the schedule explorer's ODoH probes: a configurable client count
-// (so counterexamples shrink) and, when failOpen is set, the E16
-// misconfiguration — a direct-resolver fallback that re-couples the
-// proxy operator's knowledge whenever the plan exhausts the oblivious
-// path. failOpen is the explorer's planted violation; every other
-// caller stays fail-closed.
-func odohFaultsRun(ctx Ctx, parallel, clients int, plan *simnet.FaultPlan, failOpen bool) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, clients, odoh.ProxyName, odoh.TargetName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	target, err := odoh.NewTarget(odoh.TargetName, origin, lg)
+// odohFaultsRun is runODoHScenario with the client→proxy hop gated by
+// the plan (fault node "proxy") and the clients wrapped in the
+// fail-closed resilience layer. Each client's logical clock is a pure
+// function of (client index, attempt), so the run stays parallel-safe
+// and byte-identical for a fixed plan. With fallback set it is the
+// planted odoh-failopen misconfiguration instead: clients whose
+// oblivious path the plan exhausts fall back to the direct resolver.
+func odohFaultsRun(ctx Ctx, parallel, clients int, plan *faults.Plan, fallback bool) (*ledger.Ledger, error) {
+	s, err := newODoHStack(ctx.Tel, ctx.Wire, clients)
 	if err != nil {
 		return nil, err
 	}
-	target.Instrument(tel)
-	target.InstrumentWire(ctx.Wire)
-	proxy := odoh.NewProxy(odoh.ProxyName, target, lg)
-	proxy.Instrument(tel)
-	proxy.InstrumentWire(ctx.Wire)
-	origin.Wire = ctx.Wire
-	keyID, pub := target.KeyConfig()
-
-	// The fail-open escape hatch mirrors e16Run: a plain recursive
-	// resolver registered under the proxy's own role, so falling back
-	// hands the proxy operator plaintext names.
 	var direct *dns.Resolver
-	if failOpen {
-		direct = dns.NewResolver(odoh.ProxyName, []dns.Authority{origin}, lg, nil)
+	if fallback {
+		direct = s.directResolver()
 	}
-
-	phase := tel.Start("phase:odoh-faults")
+	phase := ctx.Tel.Start("phase:odoh-faults")
 	defer phase.End()
 	err = forEachClient(parallel, clients, func(i int) error {
-		who := fmt.Sprintf("client-%d", i)
-		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
 		attempt := 0 // per-client, so parallel clients share nothing
-		rc := &odoh.ResilientClient{
-			Client: c, Policy: resilience.Default("odoh"),
-			Forwards: []odoh.ForwardFunc{func(clientAddr string, raw []byte) ([]byte, error) {
-				j := attempt
-				attempt++
-				if gerr := faultGate(plan, "client", "proxy", i, j); gerr != nil {
-					return nil, gerr
-				}
-				return proxy.Forward(clientAddr, raw)
-			}},
-		}
-		rc.Instrument(tel)
-		if failOpen {
-			// The ResilientClient only consults Fallback under an
-			// explicit FailOpen policy — the misconfiguration takes
-			// both the mode AND the hook, exactly like e16Run.
-			rc.Policy.Mode = resilience.FailOpen
-			rc.Fallback = func(name string, qtype dnswire.Type) (*dnswire.Message, error) {
-				resp := direct.Resolve(who, dnswire.NewQuery(1, name, qtype))
-				if resp.RCode != dnswire.RCodeNoError {
-					return nil, fmt.Errorf("direct fallback failed: rcode=%v", resp.RCode)
-				}
-				return resp, nil
+		rc := s.resilient(i, resilience.Default("odoh"), func(clientAddr string, raw []byte) ([]byte, error) {
+			j := attempt
+			attempt++
+			if gerr := faultGate(plan, "client", "proxy", i, j); gerr != nil {
+				return nil, gerr
 			}
+			return s.proxy.Forward(clientAddr, raw)
+		})
+		if fallback {
+			failOpen(rc, direct, nil)
 		}
 		// Fail-closed: a client inside a permanent fault window errors
 		// out (wrapping resilience.ErrExhausted) rather than bypassing
 		// the proxy; the audit then explains the healthy clients.
-		_, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA)
+		_, qerr := rc.Query(dnsName(i), dnswire.TypeA)
 		if qerr != nil && !errors.Is(qerr, resilience.ErrExhausted) {
 			return qerr
 		}
 		return nil
 	})
-	return lg, err
+	return s.lg, err
 }
 
-// runODNSScenarioFaults is runODNSScenario with the recursive→oblivious
-// hop gated by the plan (fault node "oblivious"). The gate's logical
-// clock is the shared upstream call counter, so this runner is
-// internally sequential regardless of parallel — the cost of keeping
-// audits byte-identical.
-func runODNSScenarioFaults(ctx Ctx, _ int, plan *simnet.FaultPlan) (*ledger.Ledger, error) {
-	return odnsFaultsRun(ctx, auditDNSClients, plan)
-}
-
-// odnsFaultsRun is the parameterized core behind runODNSScenarioFaults
-// and the explorer's ODNS probe.
-func odnsFaultsRun(ctx Ctx, clients int, plan *simnet.FaultPlan) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	lg.Instrument(tel)
-	registerDNSGroundTruth(cls, clients, "Resolver", odns.ObliviousResolverName, "Origin")
-
-	origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
-	oblivious, err := odns.NewObliviousResolver(origin, lg)
+// odnsFaultsRun is runODNSScenario with the recursive→oblivious hop
+// gated by the plan (fault node "oblivious"). The gate's logical clock
+// is the shared upstream call counter, so this runner is internally
+// sequential regardless of parallel — the cost of keeping audits
+// byte-identical.
+func odnsFaultsRun(ctx Ctx, _, clients int, plan *faults.Plan) (*ledger.Ledger, error) {
+	s, err := newODNSStack(ctx.Tel, ctx.Wire, clients)
 	if err != nil {
 		return nil, err
 	}
-	gated := &gatedAuthority{inner: oblivious, plan: plan}
-	recursive := dns.NewResolver("Resolver", []dns.Authority{gated, origin}, lg, nil)
-
-	phase := tel.Start("phase:odns-faults")
+	calls := 0
+	gated := &downAuthority{Authority: s.oblivious, down: func() bool {
+		n := calls
+		calls++
+		return faultGate(plan, "resolver", "oblivious", n, 0) != nil
+	}}
+	recursive := dns.NewResolver("Resolver", []dns.Authority{gated, s.origin}, s.lg, nil)
+	recursive.Wire = ctx.Wire
+	phase := ctx.Tel.Start("phase:odns-faults")
 	defer phase.End()
 	for i := 0; i < clients; i++ {
-		who := fmt.Sprintf("client-%d", i)
-		c := odns.NewClient(who, oblivious.PublicKey(), recursive)
-		_, qerr := c.QueryResilient(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA, resilience.Default("odns"), tel, nil)
+		_, qerr := s.client(i, recursive).QueryResilient(dnsName(i), dnswire.TypeA, resilience.Default("odns"), ctx.Tel, nil)
 		if qerr != nil && !errors.Is(qerr, resilience.ErrExhausted) {
 			return nil, qerr
 		}
 	}
-	return lg, nil
+	return s.lg, nil
 }
 
-// gatedAuthority fails upstream queries whose position on the logical
-// clock falls inside the plan's fault windows for node "oblivious".
-type gatedAuthority struct {
-	inner dns.Authority
-	plan  *simnet.FaultPlan
-	calls int
-}
-
-func (g *gatedAuthority) Serves(name string) bool { return g.inner.Serves(name) }
-
-func (g *gatedAuthority) Handle(from string, q *dnswire.Message) *dnswire.Message {
-	n := g.calls
-	g.calls++
-	if err := faultGate(g.plan, "resolver", "oblivious", n, 0); err != nil {
-		r := q.Reply()
-		r.RCode = dnswire.RCodeServFail
-		return r
-	}
-	return g.inner.Handle(from, q)
-}
-
-// runMixnetScenarioFaults is runMixnetScenario with the plan applied
-// to the simulator and the senders driven through RetryAsync on the
+// mixnetFaultsRun is runMixnetScenario with the plan applied to the
+// simulator and `senders` senders driven through RetryAsync on the
 // virtual clock (fail-closed; staggered sends so retries interleave
-// deterministically). Unlike the healthy runner it tolerates losses —
-// the audit's job under faults is to explain what WAS observed.
-func runMixnetScenarioFaults(ctx Ctx, _ int, plan *simnet.FaultPlan) (*ledger.Ledger, error) {
-	return mixnetFaultsRun(ctx, 8, plan, true)
-}
-
-// mixnetFaultsRun is the parameterized core behind
-// runMixnetScenarioFaults and the explorer's mixnet probe. strict
-// keeps the audit CLI's guard that a plan severe enough to silence
-// every sender is an error; the explorer passes false because fault
-// synthesis is allowed to find such plans (silence leaks nothing).
-func mixnetFaultsRun(ctx Ctx, senders int, plan *simnet.FaultPlan, strict bool) (*ledger.Ledger, error) {
-	tel := ctx.Tel
-	cls := ledger.NewClassifier()
+// deterministically). parallel is ignored. Unlike the healthy runner
+// it tolerates losses: the audit's job under faults is to explain what
+// WAS observed.
+func mixnetFaultsRun(ctx Ctx, _, senders int, plan *faults.Plan) (*ledger.Ledger, error) {
 	net := ctx.NewNet(2)
-	net.Instrument(tel)
-	lg := ledger.New(cls, net.Now)
-	lg.Instrument(tel)
-
-	var route []mixnet.NodeInfo
-	for i := 1; i <= 3; i++ {
-		addr := fmt.Sprintf("mix%d", i)
-		cls.RegisterIdentity(addr, "", "", core.NonSensitive)
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(addr), 4, 0, lg)
-		if err != nil {
-			return nil, err
-		}
-		m.Instrument(tel)
-		route = append(route, m.Info())
-	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, lg)
+	lg, c, err := newMixnetScenario(ctx, net)
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
 	net.ApplyFaults(plan)
-
-	phase := tel.Start("phase:forward-faults")
+	phase := ctx.Tel.Start("phase:forward-faults")
 	defer phase.End()
 	p := resilience.Default("mixnet")
 	p.Timeout = 80 * time.Millisecond
 	for i := 0; i < senders; i++ {
 		i := i
-		sender := fmt.Sprintf("sender%02d", i)
-		msg := fmt.Sprintf("private message %02d", i)
-		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
-		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &mixnet.Sender{Addr: simnet.Addr(sender)}
+		from, msg := registerSender(lg.Classifier(), i)
 		net.After(time.Duration(i)*time.Millisecond, func() {
-			resilience.RetryAsync(net, tel, p, uint64(0xA0D17<<8)|uint64(i),
-				func(int) error { return s.Send(net, route, rcv.Info(), []byte(msg)) },
-				func() bool {
-					for _, got := range rcv.Inbox() {
-						if string(got.Body) == msg {
-							return true
-						}
-					}
-					return false
-				},
+			resilience.RetryAsync(net, ctx.Tel, p, uint64(0xA0D17<<8)|uint64(i),
+				func(int) error { return c.send(net, from, ctx.Wire, msg) },
+				func() bool { return c.delivered(msg) },
 				nil)
 		})
 	}
 	net.Run()
-	if strict && len(rcv.Inbox()) == 0 && !plan.Empty() {
-		return nil, fmt.Errorf("mixnet fault scenario: nothing delivered (plan too severe to audit)")
+	if len(c.rcv.Inbox()) == 0 && !plan.Empty() {
+		return lg, ErrNothingDelivered
 	}
 	return lg, nil
 }

@@ -12,8 +12,8 @@ import (
 // JSONL + DOT + graph JSON) into one byte string.
 func renderScenario(t *testing.T, id string, parallel int) string {
 	t.Helper()
-	sc, ok := FindAuditScenario(id)
-	if !ok {
+	sc, ok := FindScenario(id)
+	if !ok || sc.Run == nil {
 		t.Fatalf("scenario %q not found", id)
 	}
 	lg, err := sc.Run(Ctx{}, parallel)
@@ -44,7 +44,10 @@ func renderScenario(t *testing.T, id string, parallel int) string {
 // goroutine interleavings) must render byte-identical audits.
 func TestAuditScenariosDeterministic(t *testing.T) {
 	t.Parallel()
-	for _, sc := range AuditScenarios() {
+	for _, sc := range Scenarios() {
+		if sc.Run == nil {
+			continue
+		}
 		sc := sc
 		t.Run(sc.ID, func(t *testing.T) {
 			t.Parallel()
@@ -74,7 +77,10 @@ func diffLine(a, b string) string {
 // reproduce the same tables the experiments do.
 func TestAuditScenariosMatchExperiments(t *testing.T) {
 	t.Parallel()
-	for _, sc := range AuditScenarios() {
+	for _, sc := range Scenarios() {
+		if sc.Run == nil {
+			continue
+		}
 		sc := sc
 		t.Run(sc.ID, func(t *testing.T) {
 			t.Parallel()

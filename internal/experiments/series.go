@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"decoupling/internal/adversary"
@@ -13,8 +14,8 @@ import (
 	"decoupling/internal/mixnet"
 	"decoupling/internal/onion"
 	"decoupling/internal/ppm"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/transport"
 	"decoupling/internal/workload"
 )
 
@@ -96,7 +97,7 @@ func E10Degrees(ctx Ctx) (*Result, error) {
 // ledger structure). It also reports the virtual time the run consumed.
 func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:hops", telemetry.A("hops", telemetry.Itoa(hops)))
+	phase := tel.Start("phase:hops", telemetry.A("hops", strconv.Itoa(hops)))
 	defer phase.End()
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
@@ -106,7 +107,7 @@ func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 
 	var infos []onion.RelayInfo
 	for i := 1; i <= hops; i++ {
-		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), simnet.Addr(fmt.Sprintf("relay%d", i)), lg)
+		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), lg)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -169,7 +170,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 	}
 	prevAvg := 2.0
 	for _, k := range []int{1, 2, 4, 8} {
-		phase := tel.Start("phase:stripe", telemetry.A("k", telemetry.Itoa(k)))
+		phase := tel.Start("phase:stripe", telemetry.A("k", strconv.Itoa(k)))
 		zone := dns.NewZone("test")
 		var allNames []string
 		for i := 0; i < nameCount; i++ {
@@ -392,7 +393,7 @@ func disclosureRun(cover bool) (topReceiver string, topScore float64) {
 // given batch threshold and runs the rank-order timing attack.
 func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, meanLatency time.Duration, elapsed time.Duration, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:batch", telemetry.A("threshold", telemetry.Itoa(batch)))
+	phase := tel.Start("phase:batch", telemetry.A("threshold", strconv.Itoa(batch)))
 	defer phase.End()
 	net := ctx.NewNet(int64(batch) + 100)
 	net.Instrument(tel)
@@ -413,7 +414,7 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 	for i := 0; i < senders; i++ {
 		who := fmt.Sprintf("s%02d", i)
 		at := time.Duration(i) * time.Millisecond
-		s := &mixnet.Sender{Addr: simnet.Addr(who)}
+		s := &mixnet.Sender{Addr: transport.Addr(who)}
 		if padded {
 			s.PadTo = 512
 		}
@@ -465,7 +466,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 	route := []mixnet.NodeInfo{m.Info()}
 	for i := 0; i < senders; i++ {
 		who := fmt.Sprintf("s%02d", i)
-		s := &mixnet.Sender{Addr: simnet.Addr(who)}
+		s := &mixnet.Sender{Addr: transport.Addr(who)}
 		if padded {
 			s.PadTo = 512
 		}
@@ -482,7 +483,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 	// events attributed via the receiver inbox order aligned with the
 	// exit capture records.
 	var entries, exits []adversary.Event
-	var exitRecords []simnet.PacketRecord
+	var exitRecords []transport.PacketRecord
 	for _, rec := range net.Capture() {
 		switch {
 		case rec.Dst == "mix1":
@@ -508,13 +509,13 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 // chaff cells through a 3-hop circuit.
 func onionChaffRun(ctx Ctx, rate int) (cells int, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:chaff", telemetry.A("rate", telemetry.Itoa(rate)))
+	phase := tel.Start("phase:chaff", telemetry.A("rate", strconv.Itoa(rate)))
 	defer phase.End()
 	net := ctx.NewNet(int64(rate) + 5)
 	net.Instrument(tel)
 	var infos []onion.RelayInfo
 	for i := 1; i <= 3; i++ {
-		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), simnet.Addr(fmt.Sprintf("relay%d", i)), nil)
+		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
 		if err != nil {
 			return 0, err
 		}

@@ -14,7 +14,7 @@ import (
 	"decoupling/internal/pgpp"
 	"decoupling/internal/ppm"
 	"decoupling/internal/privacypass"
-	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 	"decoupling/internal/vpn"
 	"decoupling/internal/workload"
 
@@ -80,37 +80,20 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	defer net.Close()
 	net.Instrument(tel)
 	ctx.Wire.SetClock(net.Now)
-
-	var route []mixnet.NodeInfo
-	for i := 1; i <= 3; i++ {
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 8, 0, lg)
-		if err != nil {
-			return nil, err
-		}
-		m.Instrument(tel)
-		m.InstrumentWire(ctx.Wire)
-		route = append(route, m.Info())
-	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, lg)
+	c, err := newCascade(net, lg, 8, tel, ctx.Wire)
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
-	rcv.InstrumentWire(ctx.Wire)
 	phase := tel.Start("phase:forward")
 	for i := 0; i < 64; i++ {
-		sender := fmt.Sprintf("sender%02d", i)
-		msg := fmt.Sprintf("private message %02d", i)
-		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
-		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &mixnet.Sender{Addr: simnet.Addr(sender), Wire: ctx.Wire}
-		if err := s.Send(net, route, rcv.Info(), []byte(msg)); err != nil {
+		from, msg := registerSender(cls, i)
+		if err := c.send(net, from, ctx.Wire, msg); err != nil {
 			return nil, err
 		}
 	}
 	net.Run()
 	phase.End()
-	if got := len(rcv.Inbox()); got != 64 {
+	if got := len(c.rcv.Inbox()); got != 64 {
 		return nil, fmt.Errorf("E2: delivered %d of 64 messages", got)
 	}
 
@@ -119,17 +102,16 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	// through it without learning who they answered.
 	phase = tel.Start("phase:reply")
 	collector := mixnet.NewReplyCollector(net, "sender00")
-	replyAddr, replyKeys, err := mixnet.BuildReplyBlock(route, collector.Addr)
+	replyAddr, replyKeys, err := mixnet.BuildReplyBlock(c.route, collector.Addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := mixnet.SendReply(net, rcv.Addr, replyAddr, []byte("reply via return address")); err != nil {
+	if err := mixnet.SendReply(net, c.rcv.Addr, replyAddr, []byte("reply via return address")); err != nil {
 		return nil, err
 	}
 	// The reply joins a batch; push 7 forward messages to flush it.
 	for i := 0; i < 7; i++ {
-		s := &mixnet.Sender{Addr: simnet.Addr(fmt.Sprintf("filler%d", i))}
-		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("filler %d", i))); err != nil {
+		if err := c.send(net, transport.Addr(fmt.Sprintf("filler%d", i)), nil, fmt.Sprintf("filler %d", i)); err != nil {
 			return nil, err
 		}
 	}

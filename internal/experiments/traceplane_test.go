@@ -155,7 +155,7 @@ func TestTracePlaneAuditScenarios(t *testing.T) {
 	for _, tr := range tracePlaneTransports() {
 		for _, sc := range scenarios {
 			sc, tr := sc, tr
-			scenario, ok := FindAuditScenario(sc.id)
+			scenario, ok := FindScenario(sc.id)
 			if !ok {
 				t.Fatalf("scenario %s not registered", sc.id)
 			}
@@ -192,7 +192,7 @@ func TestTracePlaneAuditScenarios(t *testing.T) {
 // to keep unlinked, re-joined by the global trace ID.
 func TestTracePlaneNaiveLeakShape(t *testing.T) {
 	plane := wiretrace.New(wiretrace.ModeNaive, 11)
-	scenario, _ := FindAuditScenario("mixnet")
+	scenario, _ := FindScenario("mixnet")
 	lg, err := scenario.Run(Ctx{Wire: plane}, 1)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -10,9 +10,9 @@ import (
 	"decoupling/internal/telemetry"
 )
 
-func probe(t *testing.T, id string) experiments.ExploreProbe {
+func probe(t *testing.T, id string) experiments.Scenario {
 	t.Helper()
-	p, ok := experiments.FindExploreProbe(id)
+	p, ok := experiments.FindScenario(id)
 	if !ok {
 		t.Fatalf("probe %q not registered", id)
 	}
@@ -114,7 +114,7 @@ func TestSynthCaseDeterministicAndValid(t *testing.T) {
 func TestFailClosedProbesCleanUnderSweep(t *testing.T) {
 	r := Sweep(Options{
 		Seeds: SeedList(1, 4),
-		Probes: []experiments.ExploreProbe{
+		Probes: []experiments.Scenario{
 			probe(t, "odoh"), probe(t, "odns"),
 		},
 		Workers: 2,
@@ -127,10 +127,25 @@ func TestFailClosedProbesCleanUnderSweep(t *testing.T) {
 	}
 }
 
+// TestSilencingPlanIsACase: a plan that silences every mixnet sender
+// is an ordinary explored case, not an error. The run reports
+// ErrNothingDelivered, and the oracles check its quiet ledger.
+func TestSilencingPlanIsACase(t *testing.T) {
+	p := probe(t, "mixnet")
+	tr := &Trace{Probe: p.ID, Clients: 2, Faults: "crash:mix1@0-"}
+	run, err := runCase(p, tr, 1, false)
+	if err != nil {
+		t.Fatalf("runCase: %v", err)
+	}
+	if vs := Check(run.lg, p.Expected(), healthyCase(p, tr)); len(vs) != 0 {
+		t.Errorf("silenced run violates oracles: %v", vs)
+	}
+}
+
 func TestSweepFindsAndShrinksPlantedViolation(t *testing.T) {
 	r := Sweep(Options{
 		Seeds:   SeedList(1, 4),
-		Probes:  []experiments.ExploreProbe{probe(t, "odoh-failopen")},
+		Probes:  []experiments.Scenario{probe(t, "odoh-failopen")},
 		Workers: 2,
 	})
 	if !r.PlantedFound() {
@@ -171,7 +186,7 @@ func TestSweepFindsAndShrinksPlantedViolation(t *testing.T) {
 func TestSweepRenderIsWorkerIndependent(t *testing.T) {
 	opts := Options{
 		Seeds:  SeedList(1, 3),
-		Probes: []experiments.ExploreProbe{probe(t, "odoh"), probe(t, "odoh-failopen")},
+		Probes: []experiments.Scenario{probe(t, "odoh"), probe(t, "odoh-failopen")},
 	}
 	opts.Workers = 1
 	a := Sweep(opts).Render()
@@ -186,7 +201,7 @@ func TestSweepEmitsTelemetryCounters(t *testing.T) {
 	m := telemetry.NewMetrics()
 	r := Sweep(Options{
 		Seeds:   SeedList(1, 2),
-		Probes:  []experiments.ExploreProbe{probe(t, "odoh-failopen")},
+		Probes:  []experiments.Scenario{probe(t, "odoh-failopen")},
 		Workers: 1,
 		Tel:     telemetry.New("explore", false, m),
 	})

@@ -29,7 +29,7 @@ func Replay(t *Trace, parallel int) (*ReplayResult, error) {
 	if parallel < 1 {
 		parallel = 1
 	}
-	if probe, ok := experiments.FindExploreProbe(t.Probe); ok {
+	if probe, ok := experiments.FindScenario(t.Probe); ok {
 		return replayProbe(probe, t, parallel)
 	}
 	for _, c := range DefaultExperimentCases() {
@@ -40,7 +40,7 @@ func Replay(t *Trace, parallel int) (*ReplayResult, error) {
 	return nil, fmt.Errorf("explore: trace names no known probe or experiment %q", t.Probe)
 }
 
-func replayProbe(probe experiments.ExploreProbe, t *Trace, parallel int) (*ReplayResult, error) {
+func replayProbe(probe experiments.Scenario, t *Trace, parallel int) (*ReplayResult, error) {
 	run, err := runCase(probe, t, parallel, true)
 	if err != nil {
 		if t.Oracle == OracleReproduction {

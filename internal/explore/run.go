@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -78,7 +79,7 @@ func exploreCtx(t *Trace, replay bool) (experiments.Ctx, *netRecorder) {
 // runCase executes a probe case and harvests its schedules. Panics in
 // probe code are converted to errors so one pathological case cannot
 // kill a sweep.
-func runCase(probe experiments.ExploreProbe, t *Trace, parallel int, replay bool) (run *caseRun, err error) {
+func runCase(probe experiments.Scenario, t *Trace, parallel int, replay bool) (run *caseRun, err error) {
 	plan, err := t.Plan()
 	if err != nil {
 		return nil, fmt.Errorf("case fault plan: %w", err)
@@ -89,8 +90,10 @@ func runCase(probe experiments.ExploreProbe, t *Trace, parallel int, replay bool
 			err = fmt.Errorf("probe %s panicked: %v", probe.ID, p)
 		}
 	}()
-	lg, err := probe.Run(ctx, parallel, t.Clients, plan)
-	if err != nil {
+	// A plan that silences every sender is a legitimate case: silence
+	// leaks nothing, so the oracles still run on the (quiet) ledger.
+	lg, err := probe.RunFaults(ctx, parallel, t.Clients, plan)
+	if err != nil && !errors.Is(err, experiments.ErrNothingDelivered) {
 		return nil, err
 	}
 	schedules, decisions := rec.harvest()
@@ -99,7 +102,7 @@ func runCase(probe experiments.ExploreProbe, t *Trace, parallel int, replay bool
 
 // canonicalClients is the probe's paper-table client count — the count
 // the tuple-equality oracle assumes.
-func canonicalClients(probe experiments.ExploreProbe) int {
+func canonicalClients(probe experiments.Scenario) int {
 	if probe.MaxClients < 1 {
 		return 1
 	}
@@ -109,7 +112,7 @@ func canonicalClients(probe experiments.ExploreProbe) int {
 // healthyCase reports whether a case may assert tuple EQUALITY against
 // the paper (no faults, canonical client count); every other case gets
 // only the subsumption oracles.
-func healthyCase(probe experiments.ExploreProbe, t *Trace) bool {
+func healthyCase(probe experiments.Scenario, t *Trace) bool {
 	return t.Faults == "" && t.Clients == canonicalClients(probe)
 }
 
@@ -149,7 +152,7 @@ func equalSchedules(a, b []simnet.ScheduleTrace) bool {
 // checkDeterminism replays a recorded case and asserts the replay is a
 // fixpoint: identical re-recorded schedules and identical provenance
 // audit bytes. Any divergence is an OracleDeterminism violation.
-func checkDeterminism(probe experiments.ExploreProbe, t *Trace, parallel int, rec *caseRun) []Violation {
+func checkDeterminism(probe experiments.Scenario, t *Trace, parallel int, rec *caseRun) []Violation {
 	replayT := *t
 	replayT.Schedules = rec.schedules
 	rerun, err := runCase(probe, &replayT, parallel, true)

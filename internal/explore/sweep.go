@@ -62,7 +62,7 @@ type Options struct {
 	Seeds []uint64
 	// Probes are the fault-tolerant scenarios explored with synthesized
 	// faults AND permuted schedules.
-	Probes []experiments.ExploreProbe
+	Probes []experiments.Scenario
 	// Experiments are explored with permuted schedules only.
 	Experiments []ExperimentCase
 	// Workers sizes the case worker pool (default GOMAXPROCS).
@@ -252,7 +252,7 @@ func Sweep(o Options) *Report {
 // checkProbeCase records one probe case, runs the oracle library, and
 // appends the determinism check. The trace's Oracle/Detail fields are
 // stamped from the first violation.
-func checkProbeCase(probe experiments.ExploreProbe, t *Trace, parallel int) ([]Violation, *caseRun) {
+func checkProbeCase(probe experiments.Scenario, t *Trace, parallel int) ([]Violation, *caseRun) {
 	run, err := runCase(probe, t, parallel, false)
 	if err != nil {
 		vs := []Violation{{OracleReproduction, err.Error()}}
@@ -283,7 +283,7 @@ func stampTrace(t *Trace, vs []Violation) {
 // violations are reported unshrunk — a nondeterministic case cannot be
 // validated by replay). It returns the number of candidate executions
 // the shrink spent.
-func minimizeProbeFinding(probe experiments.ExploreProbe, f *Finding, parallel int) int {
+func minimizeProbeFinding(probe experiments.Scenario, f *Finding, parallel int) int {
 	if f.Trace.Oracle == OracleDeterminism {
 		return 0
 	}

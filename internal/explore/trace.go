@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"decoupling/internal/faults"
 	"decoupling/internal/simnet"
 )
 
@@ -29,14 +30,14 @@ const TraceFormat = "decoupling-explore-trace/v1"
 // to the canonical schedule, which is what makes traces shrinkable.
 type Trace struct {
 	Format string `json:"format"`
-	// Probe is the explore-probe id (experiments.ExploreProbes).
+	// Probe is the explored scenario id (experiments.Scenarios).
 	Probe string `json:"probe"`
 	// Seed is the sweep seed the case was derived from (provenance; the
 	// fields below are self-sufficient for replay).
 	Seed uint64 `json:"seed"`
 	// Clients is the probe's client/sender count.
 	Clients int `json:"clients"`
-	// Faults is the fault plan in ParseFaultPlan grammar ("" = none).
+	// Faults is the fault plan in faults.ParsePlan grammar ("" = none).
 	Faults string `json:"faults,omitempty"`
 	// Schedules are the recorded scheduling decisions per net index.
 	Schedules []simnet.ScheduleTrace `json:"schedules,omitempty"`
@@ -52,7 +53,7 @@ type Trace struct {
 func (t *Trace) Events() int {
 	n := t.Clients
 	if t.Faults != "" {
-		if p, err := simnet.ParseFaultPlan(t.Faults); err == nil {
+		if p, err := faults.ParsePlan(t.Faults); err == nil {
 			n += len(p.Faults())
 		}
 	}
@@ -63,11 +64,11 @@ func (t *Trace) Events() int {
 }
 
 // Plan parses the trace's fault plan (nil when empty).
-func (t *Trace) Plan() (*simnet.FaultPlan, error) {
+func (t *Trace) Plan() (*faults.Plan, error) {
 	if t.Faults == "" {
 		return nil, nil
 	}
-	return simnet.ParseFaultPlan(t.Faults)
+	return faults.ParsePlan(t.Faults)
 }
 
 // EncodeTrace renders a trace as canonical, newline-terminated JSON:
@@ -102,7 +103,7 @@ func DecodeTrace(b []byte) (*Trace, error) {
 		return nil, fmt.Errorf("explore: trace has negative client count %d", t.Clients)
 	}
 	if t.Faults != "" {
-		if _, err := simnet.ParseFaultPlan(t.Faults); err != nil {
+		if _, err := faults.ParsePlan(t.Faults); err != nil {
 			return nil, fmt.Errorf("explore: trace fault plan: %w", err)
 		}
 	}

@@ -38,10 +38,6 @@ import (
 	"decoupling/internal/transport"
 )
 
-// Addr aliases the shared transport address type; fault plans address
-// nodes by the same names the transports route on.
-type Addr = transport.Addr
-
 // ErrNodeDown is wrapped into Send errors when the source or destination
 // node is inside a crash window. Unlike silent link loss, a send to a
 // crashed node fails fast — the caller's retry logic gets an immediate,
@@ -62,7 +58,7 @@ var ErrOverlappingCrash = errors.New("faults: overlapping crash windows for the 
 var ErrShed = errors.New("faults: overloaded, message shed")
 
 // Wildcard matches any node in a fault's Node/Src/Dst position.
-const Wildcard Addr = "*"
+const Wildcard transport.Addr = "*"
 
 // Kind enumerates the injectable failure modes.
 type Kind int
@@ -86,9 +82,9 @@ const (
 // Fault is one scheduled failure. Src/Dst/Node may be Wildcard.
 type Fault struct {
 	Kind Kind
-	Node Addr // FaultCrash target
-	Src  Addr // link faults: directed source
-	Dst  Addr // link faults: directed destination
+	Node transport.Addr // FaultCrash target
+	Src  transport.Addr // link faults: directed source
+	Dst  transport.Addr // link faults: directed destination
 	// Window [From, Until); Until <= 0 = never clears.
 	From, Until time.Duration
 	Loss        float64       // FaultLoss probability in [0, 1]
@@ -99,7 +95,7 @@ func (f Fault) active(t time.Duration) bool {
 	return t >= f.From && (f.Until <= 0 || t < f.Until)
 }
 
-func matchAddr(pat, a Addr) bool { return pat == Wildcard || pat == a }
+func matchAddr(pat, a transport.Addr) bool { return pat == Wildcard || pat == a }
 
 // Plan is an immutable-once-applied schedule of faults. The builder
 // methods return the plan for chaining.
@@ -120,33 +116,33 @@ type Injector interface {
 
 // Crash schedules node down during [from, until); until <= 0 means no
 // restart.
-func (p *Plan) Crash(node Addr, from, until time.Duration) *Plan {
+func (p *Plan) Crash(node transport.Addr, from, until time.Duration) *Plan {
 	p.faults = append(p.faults, Fault{Kind: FaultCrash, Node: node, From: from, Until: until})
 	return p
 }
 
 // Partition severs the link between a and b in both directions during
 // [from, until).
-func (p *Plan) Partition(a, b Addr, from, until time.Duration) *Plan {
+func (p *Plan) Partition(a, b transport.Addr, from, until time.Duration) *Plan {
 	return p.PartitionOneWay(a, b, from, until).PartitionOneWay(b, a, from, until)
 }
 
 // PartitionOneWay severs only the directed link src->dst.
-func (p *Plan) PartitionOneWay(src, dst Addr, from, until time.Duration) *Plan {
+func (p *Plan) PartitionOneWay(src, dst transport.Addr, from, until time.Duration) *Plan {
 	p.faults = append(p.faults, Fault{Kind: FaultPartition, Src: src, Dst: dst, From: from, Until: until})
 	return p
 }
 
 // Loss raises the directed link's drop probability to at least prob
 // during [from, until).
-func (p *Plan) Loss(src, dst Addr, prob float64, from, until time.Duration) *Plan {
+func (p *Plan) Loss(src, dst transport.Addr, prob float64, from, until time.Duration) *Plan {
 	p.faults = append(p.faults, Fault{Kind: FaultLoss, Src: src, Dst: dst, Loss: prob, From: from, Until: until})
 	return p
 }
 
 // LatencySpike adds extra delay on the directed link during [from,
 // until). Overlapping spikes sum.
-func (p *Plan) LatencySpike(src, dst Addr, extra, from, until time.Duration) *Plan {
+func (p *Plan) LatencySpike(src, dst transport.Addr, extra, from, until time.Duration) *Plan {
 	p.faults = append(p.faults, Fault{Kind: FaultSpike, Src: src, Dst: dst, Extra: extra, From: from, Until: until})
 	return p
 }
@@ -174,7 +170,7 @@ func (p *Plan) Empty() bool { return p == nil || len(p.faults) == 0 }
 // a pure window query: protocols that run outside any transport (the
 // HTTP-based stacks) can evaluate the same plan against their own
 // logical clocks.
-func (p *Plan) CrashedAt(node Addr, t time.Duration) bool {
+func (p *Plan) CrashedAt(node transport.Addr, t time.Duration) bool {
 	if p == nil {
 		return false
 	}
@@ -188,7 +184,7 @@ func (p *Plan) CrashedAt(node Addr, t time.Duration) bool {
 
 // PartitionedAt reports whether the directed link src->dst is severed
 // at t.
-func (p *Plan) PartitionedAt(src, dst Addr, t time.Duration) bool {
+func (p *Plan) PartitionedAt(src, dst transport.Addr, t time.Duration) bool {
 	if p == nil {
 		return false
 	}
@@ -202,7 +198,7 @@ func (p *Plan) PartitionedAt(src, dst Addr, t time.Duration) bool {
 
 // LossAt returns the highest injected loss probability on src->dst at t
 // (0 when no loss fault is active).
-func (p *Plan) LossAt(src, dst Addr, t time.Duration) float64 {
+func (p *Plan) LossAt(src, dst transport.Addr, t time.Duration) float64 {
 	if p == nil {
 		return 0
 	}
@@ -216,7 +212,7 @@ func (p *Plan) LossAt(src, dst Addr, t time.Duration) float64 {
 }
 
 // SpikeAt returns the summed extra latency on src->dst at t.
-func (p *Plan) SpikeAt(src, dst Addr, t time.Duration) time.Duration {
+func (p *Plan) SpikeAt(src, dst transport.Addr, t time.Duration) time.Duration {
 	if p == nil {
 		return 0
 	}
@@ -321,12 +317,12 @@ func ParsePlan(spec string) (*Plan, error) {
 			if body == "" {
 				return nil, fmt.Errorf("faults: fault %q: missing node", part)
 			}
-			p.Crash(Addr(body), from, until)
+			p.Crash(transport.Addr(body), from, until)
 		case "partition":
 			if a, b, ok := strings.Cut(body, "<>"); ok {
-				p.Partition(Addr(a), Addr(b), from, until)
+				p.Partition(transport.Addr(a), transport.Addr(b), from, until)
 			} else if a, b, ok := strings.Cut(body, ">"); ok {
-				p.PartitionOneWay(Addr(a), Addr(b), from, until)
+				p.PartitionOneWay(transport.Addr(a), transport.Addr(b), from, until)
 			} else {
 				return nil, fmt.Errorf("faults: fault %q: want A<>B or A>B", part)
 			}
@@ -340,7 +336,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			if err != nil || !(prob >= 0 && prob <= 1) {
 				return nil, fmt.Errorf("faults: fault %q: loss probability must be in [0,1]", part)
 			}
-			p.Loss(Addr(src), Addr(dst), prob, from, until)
+			p.Loss(transport.Addr(src), transport.Addr(dst), prob, from, until)
 		case "spike":
 			link, extraStr, ok := strings.Cut(body, ":")
 			src, dst, ok2 := strings.Cut(link, ">")
@@ -351,7 +347,7 @@ func ParsePlan(spec string) (*Plan, error) {
 			if err != nil || extra < 0 {
 				return nil, fmt.Errorf("faults: fault %q: bad spike duration %q", part, extraStr)
 			}
-			p.LatencySpike(Addr(src), Addr(dst), extra, from, until)
+			p.LatencySpike(transport.Addr(src), transport.Addr(dst), extra, from, until)
 		default:
 			return nil, fmt.Errorf("faults: fault %q: unknown kind %q (crash, partition, loss, spike)", part, kind)
 		}
@@ -430,7 +426,7 @@ func PlanFromSpec(spec string) (*Plan, error) {
 // transports draw from this — never from a shared RNG — for INJECTED
 // loss, which is what makes chaos availability tables byte-comparable
 // between simnet and the real wire.
-func LossDraw(seed int64, src, dst Addr, n uint64) float64 {
+func LossDraw(seed int64, src, dst transport.Addr, n uint64) float64 {
 	h := mix64(uint64(seed) ^ hashAddr(src)*0x9e3779b97f4a7c15 ^ hashAddr(dst))
 	return float64(mix64(h^n)%(1<<20)) / (1 << 20)
 }
@@ -445,7 +441,7 @@ func mix64(x uint64) uint64 {
 }
 
 // hashAddr is FNV-1a over the address bytes.
-func hashAddr(a Addr) uint64 {
+func hashAddr(a transport.Addr) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(a); i++ {
 		h ^= uint64(a[i])

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 // Failure-injection tests: the mix network over lossy links. Chaum's
@@ -19,7 +20,7 @@ func TestLossyLinksDegradeGracefully(t *testing.T) {
 	route, _, rcv := buildCascade(t, net, 3, 1, 0, false, nil)
 	const senders = 100
 	for i := 0; i < senders; i++ {
-		s := &Sender{Addr: simnet.Addr(fmt.Sprintf("s%02d", i))}
+		s := &Sender{Addr: transport.Addr(fmt.Sprintf("s%02d", i))}
 		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("m%02d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestBatchTimeoutDrainsAfterLoss(t *testing.T) {
 	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond, Loss: 0.5})
 	route, _, rcv := buildCascade(t, net, 1, 8, 500*time.Millisecond, false, nil)
 	for i := 0; i < 8; i++ {
-		s := &Sender{Addr: simnet.Addr(fmt.Sprintf("s%d", i))}
+		s := &Sender{Addr: transport.Addr(fmt.Sprintf("s%d", i))}
 		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}

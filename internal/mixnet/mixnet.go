@@ -3,12 +3,13 @@
 // each mix strips one layer, collects messages into a batch, shuffles,
 // and forwards — decoupling who is sending from what is being received.
 //
-// The implementation runs over the deterministic simulator in
-// internal/simnet. Each layer is an HPKE sealed box, so the bytes on
-// every hop are cryptographically unrelated to the bytes on the next:
-// the linkage handles recorded in the ledger (digests of wire bytes)
-// therefore chain only between adjacent hops, which is precisely the
-// structure the paper's collusion argument relies on.
+// The implementation runs over any transport.Transport: the
+// deterministic simulator in internal/simnet or real loopback sockets
+// in internal/nettransport. Each layer is an HPKE sealed box, so the
+// bytes on every hop are cryptographically unrelated to the bytes on
+// the next: the linkage handles recorded in the ledger (digests of
+// wire bytes) therefore chain only between adjacent hops, which is
+// precisely the structure the paper's collusion argument relies on.
 //
 // Two Chaum defenses are modeled because §4.3 quantifies their cost:
 //
@@ -21,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -28,7 +30,6 @@ import (
 	"decoupling/internal/dcrypto/hpke"
 	"decoupling/internal/ledger"
 	"decoupling/internal/resilience"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
 	"decoupling/internal/transport"
@@ -40,7 +41,7 @@ const (
 	layerDeliver byte = 1
 )
 
-// Wire tags: the first byte of every simnet payload distinguishes
+// Wire tags: the first byte of every transport payload distinguishes
 // forward onions from reply-block traffic (Chaum's untraceable return
 // addresses) and final reply deliveries.
 const (
@@ -61,7 +62,7 @@ const hpkeInfo = "decoupling mixnet layer"
 
 // NodeInfo is the public routing descriptor of a mix or receiver.
 type NodeInfo struct {
-	Addr   simnet.Addr
+	Addr   transport.Addr
 	PubKey []byte
 }
 
@@ -136,7 +137,7 @@ func open(kp *hpke.KeyPair, wire []byte) ([]byte, error) {
 	return hpke.Open(wire[:hpke.NEnc], kp, []byte(hpkeInfo), nil, wire[hpke.NEnc:])
 }
 
-func parseLayer(plain []byte) (typ byte, next simnet.Addr, inner []byte, err error) {
+func parseLayer(plain []byte) (typ byte, next transport.Addr, inner []byte, err error) {
 	if len(plain) < 3 {
 		return 0, "", nil, ErrMalformedLayer
 	}
@@ -145,7 +146,7 @@ func parseLayer(plain []byte) (typ byte, next simnet.Addr, inner []byte, err err
 	if len(plain) < 3+n {
 		return 0, "", nil, ErrMalformedLayer
 	}
-	return typ, simnet.Addr(plain[3 : 3+n]), plain[3+n:], nil
+	return typ, transport.Addr(plain[3 : 3+n]), plain[3+n:], nil
 }
 
 // Mix is one relay node. It batches incoming messages and flushes them
@@ -153,7 +154,7 @@ func parseLayer(plain []byte) (typ byte, next simnet.Addr, inner []byte, err err
 // Timeout elapses since the first queued message, whichever is first.
 type Mix struct {
 	Name string // ledger entity name, e.g. "Mix 1"
-	Addr simnet.Addr
+	Addr transport.Addr
 
 	// Threshold is the batch size that triggers a flush. 1 disables
 	// batching (the ablation baseline: a plain FIFO relay).
@@ -173,7 +174,7 @@ type Mix struct {
 }
 
 type outbound struct {
-	next simnet.Addr
+	next transport.Addr
 	wire []byte
 	tag  byte
 	// trace is the outbound wire-trace context captured when the item
@@ -184,7 +185,7 @@ type outbound struct {
 }
 
 // NewMix creates a mix and registers it on the network.
-func NewMix(net simnet.Transport, name string, addr simnet.Addr, threshold int, timeout time.Duration, lg *ledger.Ledger) (*Mix, error) {
+func NewMix(net transport.Transport, name string, addr transport.Addr, threshold int, timeout time.Duration, lg *ledger.Ledger) (*Mix, error) {
 	kp, err := hpke.GenerateKeyPair()
 	if err != nil {
 		return nil, fmt.Errorf("mixnet: mix key: %w", err)
@@ -212,7 +213,7 @@ func (m *Mix) Instrument(tel *telemetry.Telemetry) { m.tel = tel }
 // cryptography does. Nil-safe.
 func (m *Mix) InstrumentWire(p *wiretrace.Plane) { m.wire = p }
 
-func (m *Mix) handle(net simnet.Transport, msg simnet.Message) {
+func (m *Mix) handle(net transport.Transport, msg transport.Message) {
 	if len(msg.Payload) < 1 {
 		m.dropped++
 		return
@@ -227,7 +228,7 @@ func (m *Mix) handle(net simnet.Transport, msg simnet.Message) {
 	}
 }
 
-func (m *Mix) handleOnion(net simnet.Transport, msg simnet.Message) {
+func (m *Mix) handleOnion(net transport.Transport, msg transport.Message) {
 	sp := m.tel.Start("mixnet.mix.in", telemetry.A("mix", m.Name))
 	defer sp.End()
 	hop := m.wire.Hop(m.Name, "mixnet.hop", msg.Trace, string(msg.Src), "")
@@ -274,14 +275,14 @@ func (m *Mix) handleOnion(net simnet.Transport, msg simnet.Message) {
 
 // flush shuffles the queue (Fisher-Yates over the network's seeded RNG)
 // and forwards everything.
-func (m *Mix) flush(net simnet.Transport) {
+func (m *Mix) flush(net transport.Transport) {
 	if len(m.queue) == 0 {
 		return
 	}
 	q := m.queue
 	m.queue = nil
 	sp := m.tel.Start("mixnet.mix.flush",
-		telemetry.A("mix", m.Name), telemetry.A("batch", telemetry.Itoa(len(q))))
+		telemetry.A("mix", m.Name), telemetry.A("batch", strconv.Itoa(len(q))))
 	defer sp.End()
 	m.tel.Observe(telemetry.MetricMixBatchSize, "Messages per mix batch flush.",
 		telemetry.BatchBuckets, float64(len(q)), telemetry.A("mix", m.Name))
@@ -300,7 +301,7 @@ func (m *Mix) flush(net simnet.Transport) {
 
 // Received is a message delivered to a receiver.
 type Received struct {
-	From simnet.Addr // last-hop mix address
+	From transport.Addr // last-hop mix address
 	Body []byte
 	Time time.Duration
 }
@@ -308,7 +309,7 @@ type Received struct {
 // Receiver is a terminal node that opens the innermost layer.
 type Receiver struct {
 	Name string
-	Addr simnet.Addr
+	Addr transport.Addr
 	kp   *hpke.KeyPair
 	lg   *ledger.Ledger
 	tel  *telemetry.Telemetry
@@ -327,7 +328,7 @@ type Receiver struct {
 }
 
 // NewReceiver creates a receiver and registers it on the network.
-func NewReceiver(net simnet.Transport, name string, addr simnet.Addr, padded bool, lg *ledger.Ledger) (*Receiver, error) {
+func NewReceiver(net transport.Transport, name string, addr transport.Addr, padded bool, lg *ledger.Ledger) (*Receiver, error) {
 	kp, err := hpke.GenerateKeyPair()
 	if err != nil {
 		return nil, fmt.Errorf("mixnet: receiver key: %w", err)
@@ -348,7 +349,7 @@ func (r *Receiver) Instrument(tel *telemetry.Telemetry) { r.tel = tel }
 // terminal span mirroring the receiver's ledger observations. Nil-safe.
 func (r *Receiver) InstrumentWire(p *wiretrace.Plane) { r.wire = p }
 
-func (r *Receiver) handle(net simnet.Transport, msg simnet.Message) {
+func (r *Receiver) handle(net transport.Transport, msg transport.Message) {
 	sp := r.tel.Start("mixnet.receiver.open", telemetry.A("receiver", r.Name))
 	defer sp.End()
 	hop := r.wire.Hop(r.Name, "mixnet.deliver", msg.Trace, string(msg.Src), "")
@@ -417,7 +418,7 @@ func (r *Receiver) Dropped() int {
 // Sender originates onions. It is a thin helper tying a client address
 // to BuildOnion + Send.
 type Sender struct {
-	Addr  simnet.Addr
+	Addr  transport.Addr
 	PadTo int
 	// Wire, when set, opens a client root span per message and attaches
 	// its context to the injected onion.
@@ -425,7 +426,7 @@ type Sender struct {
 }
 
 // Send wraps message for the route and injects it at the first mix.
-func (s *Sender) Send(net simnet.Transport, route []NodeInfo, receiver NodeInfo, message []byte) error {
+func (s *Sender) Send(net transport.Transport, route []NodeInfo, receiver NodeInfo, message []byte) error {
 	onion, err := BuildOnion(route, receiver, message, s.PadTo)
 	if err != nil {
 		return err
@@ -443,7 +444,7 @@ func (s *Sender) Send(net simnet.Transport, route []NodeInfo, receiver NodeInfo,
 // message errors (wrapping resilience.ErrExhausted) rather than being
 // handed to the receiver outside the mixnet. It returns the route that
 // was ultimately used, for experiments that need ground truth.
-func (s *Sender) SendResilient(net simnet.Transport, pool []NodeInfo, receiver NodeInfo, message []byte, hops int, tel *telemetry.Telemetry) ([]NodeInfo, error) {
+func (s *Sender) SendResilient(net transport.Transport, pool []NodeInfo, receiver NodeInfo, message []byte, hops int, tel *telemetry.Telemetry) ([]NodeInfo, error) {
 	p := resilience.Default("mixnet")
 	if len(pool) > p.MaxAttempts {
 		p.MaxAttempts = len(pool)
@@ -470,7 +471,7 @@ func (s *Sender) SendResilient(net simnet.Transport, pool []NodeInfo, receiver N
 // the network's deterministic RNG — the free-route alternative to a
 // fixed cascade. Free routes spread trust across the whole mix pool:
 // no single fixed entry mix sees every sender.
-func RandomRoute(net simnet.Transport, pool []NodeInfo, hops int) ([]NodeInfo, error) {
+func RandomRoute(net transport.Transport, pool []NodeInfo, hops int) ([]NodeInfo, error) {
 	if hops <= 0 || hops > len(pool) {
 		return nil, fmt.Errorf("mixnet: cannot pick %d distinct mixes from a pool of %d", hops, len(pool))
 	}

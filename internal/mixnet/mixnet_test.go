@@ -9,15 +9,16 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 // buildCascade wires n mixes and a receiver on a fresh network.
-func buildCascade(t testing.TB, net simnet.Transport, n, threshold int, timeout time.Duration, padded bool, lg *ledger.Ledger) ([]NodeInfo, []*Mix, *Receiver) {
+func buildCascade(t testing.TB, net transport.Transport, n, threshold int, timeout time.Duration, padded bool, lg *ledger.Ledger) ([]NodeInfo, []*Mix, *Receiver) {
 	t.Helper()
 	var route []NodeInfo
 	var mixes []*Mix
 	for i := 1; i <= n; i++ {
-		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), threshold, timeout, lg)
+		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), threshold, timeout, lg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestBatchingHoldsUntilThreshold(t *testing.T) {
 	net := simnet.New(1)
 	route, mixes, rcv := buildCascade(t, net, 1, 4, 0, false, nil)
 	for i := 0; i < 3; i++ {
-		s := &Sender{Addr: simnet.Addr(fmt.Sprintf("sender%d", i))}
+		s := &Sender{Addr: transport.Addr(fmt.Sprintf("sender%d", i))}
 		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("m%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestDecouplingTable(t *testing.T) {
 		msg := fmt.Sprintf("private note %d", i)
 		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
 		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &Sender{Addr: simnet.Addr(sender)}
+		s := &Sender{Addr: transport.Addr(sender)}
 		if err := s.Send(net, route, rcv.Info(), []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestCollusionStructure(t *testing.T) {
 		msg := fmt.Sprintf("secret %d", i)
 		cls.RegisterIdentity(sender, sender, "", core.Sensitive)
 		cls.RegisterData(msg, sender, "", core.Sensitive)
-		s := &Sender{Addr: simnet.Addr(sender)}
+		s := &Sender{Addr: transport.Addr(sender)}
 		if err := s.Send(net, route, rcv.Info(), []byte(msg)); err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestShuffleDefeatsTimingCorrelation(t *testing.T) {
 		var entries []adversary.Event
 		for i := 0; i < 16; i++ {
 			sender := fmt.Sprintf("sender%d", i)
-			s := &Sender{Addr: simnet.Addr(sender)}
+			s := &Sender{Addr: transport.Addr(sender)}
 			// Stagger the entries so arrival order is the sender order.
 			net.After(time.Duration(i)*time.Millisecond, func() {
 				s.Send(net, route, rcv.Info(), []byte(sender))
@@ -297,7 +298,7 @@ func TestFreeRouteDelivery(t *testing.T) {
 	net := simnet.New(41)
 	var pool []NodeInfo
 	for i := 1; i <= 6; i++ {
-		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
+		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestFreeRouteDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := map[simnet.Addr]int{}
+	entries := map[transport.Addr]int{}
 	const msgs = 60
 	for i := 0; i < msgs; i++ {
 		route, err := RandomRoute(net, pool, 3)
@@ -315,7 +316,7 @@ func TestFreeRouteDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Distinct mixes on every route.
-		seen := map[simnet.Addr]bool{}
+		seen := map[transport.Addr]bool{}
 		for _, n := range route {
 			if seen[n.Addr] {
 				t.Fatalf("route reuses mix %s", n.Addr)
@@ -323,7 +324,7 @@ func TestFreeRouteDelivery(t *testing.T) {
 			seen[n.Addr] = true
 		}
 		entries[route[0].Addr]++
-		s := &Sender{Addr: simnet.Addr(fmt.Sprintf("s%02d", i))}
+		s := &Sender{Addr: transport.Addr(fmt.Sprintf("s%02d", i))}
 		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("m%02d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -360,9 +361,9 @@ func TestStatisticalDisclosureOverCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	route := []NodeInfo{m.Info()}
-	receivers := map[simnet.Addr]*Receiver{}
+	receivers := map[transport.Addr]*Receiver{}
 	for i := 0; i < 6; i++ {
-		addr := simnet.Addr(fmt.Sprintf("recv%d", i))
+		addr := transport.Addr(fmt.Sprintf("recv%d", i))
 		r, err := NewReceiver(net, string(addr), addr, false, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -384,8 +385,8 @@ func TestStatisticalDisclosureOverCapture(t *testing.T) {
 			batch++
 		}
 		for batch < 4 {
-			who := simnet.Addr(fmt.Sprintf("noise%d", net.Rand(12)))
-			dst := simnet.Addr(fmt.Sprintf("recv%d", 1+net.Rand(5)))
+			who := transport.Addr(fmt.Sprintf("noise%d", net.Rand(12)))
+			dst := transport.Addr(fmt.Sprintf("recv%d", 1+net.Rand(5)))
 			s := &Sender{Addr: who}
 			if err := s.Send(net, route, receivers[dst].Info(), []byte("noise")); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
-	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 // This file implements Chaum's untraceable return addresses (the
@@ -47,7 +47,7 @@ var ErrMalformedReply = errors.New("mixnet: malformed reply message")
 // FirstHop and the network routes the attached response back to its
 // builder.
 type ReplyAddress struct {
-	FirstHop simnet.Addr
+	FirstHop transport.Addr
 	Block    []byte
 }
 
@@ -76,7 +76,7 @@ func (rk *ReplyKeys) Decrypt(data []byte) []byte {
 // BuildReplyBlock constructs an anonymous return address routing
 // replies through route (first hop first) back to backAddr. It returns
 // the address to hand to the correspondent and the keys to keep.
-func BuildReplyBlock(route []NodeInfo, backAddr simnet.Addr) (*ReplyAddress, *ReplyKeys, error) {
+func BuildReplyBlock(route []NodeInfo, backAddr transport.Addr) (*ReplyAddress, *ReplyKeys, error) {
 	if len(route) == 0 {
 		return nil, nil, errors.New("mixnet: reply block needs at least one mix")
 	}
@@ -91,7 +91,7 @@ func BuildReplyBlock(route []NodeInfo, backAddr simnet.Addr) (*ReplyAddress, *Re
 	var inner []byte
 	for i := len(route) - 1; i >= 0; i-- {
 		typ := layerRelay
-		var addr simnet.Addr
+		var addr transport.Addr
 		if i == len(route)-1 {
 			typ = layerDeliver
 			addr = backAddr
@@ -115,7 +115,7 @@ func BuildReplyBlock(route []NodeInfo, backAddr simnet.Addr) (*ReplyAddress, *Re
 
 // SendReply attaches response to the reply address and injects it into
 // the mix network on behalf of from (typically a Receiver's address).
-func SendReply(net simnet.Transport, from simnet.Addr, ra *ReplyAddress, response []byte) error {
+func SendReply(net transport.Transport, from transport.Addr, ra *ReplyAddress, response []byte) error {
 	wire := make([]byte, 0, 1+4+len(ra.Block)+len(response))
 	wire = append(wire, tagReply)
 	wire = binary.BigEndian.AppendUint32(wire, uint32(len(ra.Block)))
@@ -128,7 +128,7 @@ func SendReply(net simnet.Transport, from simnet.Addr, ra *ReplyAddress, respons
 // layer, encrypt the response under the embedded key, forward (or
 // deliver to the builder). Reply traffic joins the same batch queue as
 // forward onions, so it enjoys the same batching defense.
-func (m *Mix) handleReply(net simnet.Transport, msg simnet.Message) {
+func (m *Mix) handleReply(net transport.Transport, msg transport.Message) {
 	hop := m.wire.Hop(m.Name, "mixnet.reply", msg.Trace, string(msg.Src), "")
 	defer hop.End()
 	payload := msg.Payload[1:]
@@ -160,7 +160,7 @@ func (m *Mix) handleReply(net simnet.Transport, msg simnet.Message) {
 		m.dropped++
 		return
 	}
-	addr := simnet.Addr(plain[19 : 19+n])
+	addr := transport.Addr(plain[19 : 19+n])
 	innerBlock := plain[19+n:]
 
 	enc := append([]byte(nil), response...)
@@ -208,27 +208,27 @@ func (m *Mix) handleReply(net simnet.Transport, msg simnet.Message) {
 
 // DeliveredReply is a reply that reached the original sender.
 type DeliveredReply struct {
-	From simnet.Addr // last-hop mix
-	Body []byte      // still wearing all per-hop layers; Decrypt with ReplyKeys
+	From transport.Addr // last-hop mix
+	Body []byte         // still wearing all per-hop layers; Decrypt with ReplyKeys
 	Time time.Duration
 }
 
 // ReplyCollector is the original sender's node: it collects encrypted
 // replies for later decryption with the matching ReplyKeys.
 type ReplyCollector struct {
-	Addr    simnet.Addr
+	Addr    transport.Addr
 	inbox   []DeliveredReply
 	dropped int
 }
 
 // NewReplyCollector registers a collector node at addr.
-func NewReplyCollector(net simnet.Transport, addr simnet.Addr) *ReplyCollector {
+func NewReplyCollector(net transport.Transport, addr transport.Addr) *ReplyCollector {
 	c := &ReplyCollector{Addr: addr}
 	net.Register(addr, c.handle)
 	return c
 }
 
-func (c *ReplyCollector) handle(net simnet.Transport, msg simnet.Message) {
+func (c *ReplyCollector) handle(net transport.Transport, msg transport.Message) {
 	if len(msg.Payload) < 1 || msg.Payload[0] != tagReplyDeliver {
 		c.dropped++
 		return

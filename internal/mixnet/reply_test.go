@@ -9,6 +9,7 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 func TestReplyRoundTrip(t *testing.T) {
@@ -185,7 +186,7 @@ func BenchmarkReplyRoundTrip(b *testing.B) {
 	net := simnet.New(1)
 	var route []NodeInfo
 	for i := 1; i <= 3; i++ {
-		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
+		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

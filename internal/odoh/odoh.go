@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -216,7 +217,7 @@ func (t *Target) Handled() int {
 // envelope.
 func (t *Target) HandleQuery(from string, raw []byte) ([]byte, error) {
 	sp := t.tel.Start("odoh.target.handle",
-		telemetry.A("target", t.Name), telemetry.A("bytes", telemetry.Itoa(len(raw))))
+		telemetry.A("target", t.Name), telemetry.A("bytes", strconv.Itoa(len(raw))))
 	defer sp.End()
 	hop := t.wire.Hop(t.Name, "odoh.target.handle", t.wire.TakeHandoff(raw), from, "")
 	defer hop.End()
@@ -331,7 +332,7 @@ func (p *Proxy) Forwarded() int {
 // the client's identity and two ciphertext blobs.
 func (p *Proxy) Forward(clientAddr string, raw []byte) ([]byte, error) {
 	sp := p.tel.Start("odoh.proxy.forward",
-		telemetry.A("proxy", p.Name), telemetry.A("bytes", telemetry.Itoa(len(raw))))
+		telemetry.A("proxy", p.Name), telemetry.A("bytes", strconv.Itoa(len(raw))))
 	defer sp.End()
 	hop := p.wire.Hop(p.Name, "odoh.proxy.forward", p.wire.TakeHandoff(raw), clientAddr, p.Target.Name)
 	defer hop.End()
@@ -373,10 +374,6 @@ type Client struct {
 	tel       *telemetry.Telemetry
 	wire      *wiretrace.Plane
 }
-
-// ClientVantage is the span-store vantage shared by all traced
-// clients.
-const ClientVantage = wiretrace.ClientVantage
 
 // Instrument attaches a telemetry sink: each Query opens the root span
 // of the client → proxy → target chain.
@@ -421,7 +418,7 @@ func (c *Client) Query(name string, qtype dnswire.Type, forward ForwardFunc) (*d
 	msg := &Message{Type: MessageTypeQuery, KeyID: c.keyID, Body: body}
 
 	raw := msg.Marshal()
-	root := c.wire.Root(ClientVantage, "odoh.client.query", c.ID, "")
+	root := c.wire.Root(wiretrace.ClientVantage, "odoh.client.query", c.ID, "")
 	defer root.End()
 	c.wire.Handoff(raw, root.Context())
 	rawResp, err := forward(c.ID, raw)

@@ -25,8 +25,8 @@ import (
 	"decoupling/internal/dcrypto/hpke"
 	"decoupling/internal/ledger"
 	"decoupling/internal/resilience"
-	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/transport"
 )
 
 // Cell geometry. Every cell on the wire is exactly CellSize bytes:
@@ -64,7 +64,7 @@ const setupInfo = "decoupling onion setup"
 // RelayInfo is a relay's directory entry.
 type RelayInfo struct {
 	Name   string
-	Addr   simnet.Addr
+	Addr   transport.Addr
 	PubKey []byte
 }
 
@@ -84,19 +84,19 @@ func applyLayer(key []byte, dir byte, seq uint64, body []byte) {
 type circuitEntry struct {
 	key      []byte
 	cidOut   uint32
-	next     simnet.Addr
-	prev     simnet.Addr
+	next     transport.Addr
+	prev     transport.Addr
 	exit     bool
 	backSeq  uint64
 	cidIn    uint32
-	originAd simnet.Addr // unused on non-exit relays
+	originAd transport.Addr // unused on non-exit relays
 }
 
 // Relay is an onion router. The same type serves as middle and exit
 // node depending on the circuit's setup layer.
 type Relay struct {
 	Name string
-	Addr simnet.Addr
+	Addr transport.Addr
 	kp   *hpke.KeyPair
 	lg   *ledger.Ledger
 	tel  *telemetry.Telemetry
@@ -109,7 +109,7 @@ type Relay struct {
 }
 
 // NewRelay creates a relay and registers it on the network.
-func NewRelay(net simnet.Transport, name string, addr simnet.Addr, lg *ledger.Ledger) (*Relay, error) {
+func NewRelay(net transport.Transport, name string, addr transport.Addr, lg *ledger.Ledger) (*Relay, error) {
 	kp, err := hpke.GenerateKeyPair()
 	if err != nil {
 		return nil, fmt.Errorf("onion: relay key: %w", err)
@@ -139,7 +139,7 @@ func (r *Relay) Instrument(tel *telemetry.Telemetry) { r.tel = tel }
 // circuits.
 func (r *Relay) Dropped() int { return r.dropped }
 
-// Message kinds on the wire, prefixed to every simnet payload.
+// Message kinds on the wire, prefixed to every transport payload.
 const (
 	wireSetup byte = 0
 	wireCell  byte = 1
@@ -147,7 +147,7 @@ const (
 	wireExitR byte = 3 // origin -> exit plaintext response
 )
 
-func (r *Relay) handle(net simnet.Transport, msg simnet.Message) {
+func (r *Relay) handle(net transport.Transport, msg transport.Message) {
 	if len(msg.Payload) == 0 {
 		r.dropped++
 		return
@@ -167,7 +167,7 @@ func (r *Relay) handle(net simnet.Transport, msg simnet.Message) {
 // Setup layer plaintext:
 //
 //	[key 16][cidIn 4][cidOut 4][exit 1][addrlen 2][next addr][inner setup bytes]
-func (r *Relay) handleSetup(net simnet.Transport, msg simnet.Message) {
+func (r *Relay) handleSetup(net transport.Transport, msg transport.Message) {
 	sp := r.tel.Start("onion.relay.setup", telemetry.A("relay", r.Name))
 	defer sp.End()
 	wire := msg.Payload[1:]
@@ -193,7 +193,7 @@ func (r *Relay) handleSetup(net simnet.Transport, msg simnet.Message) {
 		r.dropped++
 		return
 	}
-	next := simnet.Addr(plain[27 : 27+n])
+	next := transport.Addr(plain[27 : 27+n])
 	inner := plain[27+n:]
 
 	entry := &circuitEntry{
@@ -220,7 +220,7 @@ func cidHandle(cid uint32) string {
 	return fmt.Sprintf("circ:%08x", cid)
 }
 
-func (r *Relay) handleCell(net simnet.Transport, msg simnet.Message) {
+func (r *Relay) handleCell(net transport.Transport, msg transport.Message) {
 	sp := r.tel.Start("onion.relay.cell", telemetry.A("relay", r.Name))
 	defer sp.End()
 	r.tel.Count(telemetry.MetricOnionCells, "Onion cells processed per relay.", 1,
@@ -261,7 +261,7 @@ func (r *Relay) handleCell(net simnet.Transport, msg simnet.Message) {
 
 // deliverExit handles a fully unwrapped forward cell at the exit: parse
 // the framing and forward the plaintext request to the origin.
-func (r *Relay) deliverExit(net simnet.Transport, entry *circuitEntry, body []byte) {
+func (r *Relay) deliverExit(net transport.Transport, entry *circuitEntry, body []byte) {
 	sp := r.tel.Start("onion.relay.exit", telemetry.A("relay", r.Name))
 	defer sp.End()
 	cmd := body[0]
@@ -284,7 +284,7 @@ func (r *Relay) deliverExit(net simnet.Transport, entry *circuitEntry, body []by
 		r.dropped++
 		return
 	}
-	origin := simnet.Addr(req[2 : 2+an])
+	origin := transport.Addr(req[2 : 2+an])
 	payload := req[2+an:]
 	entry.originAd = origin
 	if r.lg != nil {
@@ -304,7 +304,7 @@ func (r *Relay) deliverExit(net simnet.Transport, entry *circuitEntry, body []by
 
 // handleOriginResponse wraps an origin's plaintext reply into backward
 // cells with this exit's layer applied.
-func (r *Relay) handleOriginResponse(net simnet.Transport, msg simnet.Message) {
+func (r *Relay) handleOriginResponse(net transport.Transport, msg transport.Message) {
 	if len(msg.Payload) < 5 {
 		r.dropped++
 		return
@@ -338,7 +338,7 @@ func (r *Relay) handleOriginResponse(net simnet.Transport, msg simnet.Message) {
 // address and the request content.
 type Origin struct {
 	Name         string
-	Addr         simnet.Addr
+	Addr         transport.Addr
 	ResponseSize int
 	lg           *ledger.Ledger
 	requests     []string
@@ -346,13 +346,13 @@ type Origin struct {
 }
 
 // NewOrigin creates an origin node.
-func NewOrigin(net simnet.Transport, name string, addr simnet.Addr, responseSize int, lg *ledger.Ledger) *Origin {
+func NewOrigin(net transport.Transport, name string, addr transport.Addr, responseSize int, lg *ledger.Ledger) *Origin {
 	o := &Origin{Name: name, Addr: addr, ResponseSize: responseSize, lg: lg}
 	net.Register(addr, o.handle)
 	return o
 }
 
-func (o *Origin) handle(net simnet.Transport, msg simnet.Message) {
+func (o *Origin) handle(net transport.Transport, msg transport.Message) {
 	if len(msg.Payload) < 5 || msg.Payload[0] != wireExitQ {
 		return
 	}
@@ -394,15 +394,15 @@ type Circuit struct {
 	client *Client
 	keys   [][]byte
 	cids   []uint32
-	entry  simnet.Addr
+	entry  transport.Addr
 	seq    uint64
 }
 
 // Client is an onion-routing client node; it owns circuits and collects
 // responses.
 type Client struct {
-	Addr simnet.Addr
-	net  simnet.Transport
+	Addr transport.Addr
+	net  transport.Transport
 
 	// mu guards the circuit table and response log: on the real
 	// transport, retry attempts build circuits from timer goroutines
@@ -415,7 +415,7 @@ type Client struct {
 }
 
 // NewClient creates a client node on the network.
-func NewClient(net simnet.Transport, addr simnet.Addr) *Client {
+func NewClient(net transport.Transport, addr transport.Addr) *Client {
 	c := &Client{Addr: addr, net: net, circuits: map[uint32]*Circuit{}}
 	net.Register(addr, c.handle)
 	return c
@@ -447,7 +447,7 @@ func (c *Client) BuildCircuit(relays []RelayInfo) (*Circuit, error) {
 	var inner []byte
 	for i := len(relays) - 1; i >= 0; i-- {
 		var cidOut uint32
-		var next simnet.Addr
+		var next transport.Addr
 		isExit := byte(0)
 		if i == len(relays)-1 {
 			isExit = 1
@@ -527,7 +527,7 @@ func (c *Client) BuildCircuitResilient(pool []RelayInfo, hops int, tel *telemetr
 // Request sends payload to origin through the circuit as a single
 // forward cell (the request must fit one cell; responses may span
 // several).
-func (circ *Circuit) Request(origin simnet.Addr, payload []byte) error {
+func (circ *Circuit) Request(origin transport.Addr, payload []byte) error {
 	framed := make([]byte, 0, 2+len(origin)+len(payload))
 	framed = binary.BigEndian.AppendUint16(framed, uint16(len(origin)))
 	framed = append(framed, origin...)
@@ -562,7 +562,7 @@ func (circ *Circuit) sendCell(cmd byte, data []byte) error {
 }
 
 // handle processes backward cells arriving at the client.
-func (c *Client) handle(net simnet.Transport, msg simnet.Message) {
+func (c *Client) handle(net transport.Transport, msg transport.Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(msg.Payload) != 1+CellSize || msg.Payload[0] != wireCell {

@@ -10,15 +10,16 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
-func buildPath(t testing.TB, net simnet.Transport, hops int, lg *ledger.Ledger) ([]RelayInfo, []*Relay, *Origin) {
+func buildPath(t testing.TB, net transport.Transport, hops int, lg *ledger.Ledger) ([]RelayInfo, []*Relay, *Origin) {
 	t.Helper()
 	var infos []RelayInfo
 	var relays []*Relay
 	for i := 1; i <= hops; i++ {
 		name := fmt.Sprintf("Relay %d", i)
-		r, err := NewRelay(net, name, simnet.Addr(fmt.Sprintf("relay%d", i)), lg)
+		r, err := NewRelay(net, name, transport.Addr(fmt.Sprintf("relay%d", i)), lg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestMultiCellResponse(t *testing.T) {
 	net := simnet.New(1)
 	var infos []RelayInfo
 	for i := 1; i <= 2; i++ {
-		r, err := NewRelay(net, fmt.Sprintf("Relay %d", i), simnet.Addr(fmt.Sprintf("relay%d", i)), nil)
+		r, err := NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,7 @@ func TestDecouplingStructure(t *testing.T) {
 		req := fmt.Sprintf("GET /secret/%d", i)
 		cls.RegisterIdentity(who, who, "", core.Sensitive)
 		cls.RegisterData(req, who, "", core.Sensitive)
-		client := NewClient(net, simnet.Addr(who))
+		client := NewClient(net, transport.Addr(who))
 		circ, err := client.BuildCircuit(infos)
 		if err != nil {
 			t.Fatal(err)

@@ -23,6 +23,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -202,8 +203,8 @@ func DoFailover(p Policy, tel *telemetry.Telemetry, seed uint64, sleep Sleeper, 
 			}
 		}
 		sp := tel.Start("resilience.attempt", proto,
-			telemetry.A("attempt", telemetry.Itoa(attempt)),
-			telemetry.A("endpoint", telemetry.Itoa(endpoint)))
+			telemetry.A("attempt", strconv.Itoa(attempt)),
+			telemetry.A("endpoint", strconv.Itoa(endpoint)))
 		err := op(attempt, endpoint)
 		sp.End()
 		if err == nil {
@@ -280,7 +281,7 @@ func RetryAsync(c Clock, tel *telemetry.Telemetry, p Policy, seed uint64, start 
 		if done() {
 			return
 		}
-		sp := tel.Start("resilience.attempt", proto, telemetry.A("attempt", telemetry.Itoa(attempt)))
+		sp := tel.Start("resilience.attempt", proto, telemetry.A("attempt", strconv.Itoa(attempt)))
 		err := start(attempt)
 		sp.End()
 		if err != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"decoupling/internal/faults"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 // --- Budget exhaustion mid-failover ------------------------------------
@@ -62,8 +64,8 @@ func TestBudgetExhaustionMidFailover(t *testing.T) {
 // disable exactly the timer meant to notice it.
 func TestWatchdogFiresDuringCrashWindow(t *testing.T) {
 	net := simnet.New(1)
-	net.Register("srv", func(n simnet.Transport, msg simnet.Message) {})
-	net.ApplyFaults(simnet.NewFaultPlan().Crash("srv", 0, 100*time.Millisecond))
+	net.Register("srv", func(n transport.Transport, msg transport.Message) {})
+	net.ApplyFaults(faults.NewPlan().Crash("srv", 0, 100*time.Millisecond))
 
 	var firedAt time.Duration
 	fired := 0

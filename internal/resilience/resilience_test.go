@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"decoupling/internal/faults"
 	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/transport"
 )
 
 // --- Backoff ----------------------------------------------------------
@@ -329,8 +331,8 @@ func TestResilienceMetricsRoundTrip(t *testing.T) {
 	net.Run()
 
 	// A fault drop.
-	net.Register("sink", func(n simnet.Transport, msg simnet.Message) {})
-	net.ApplyFaults(simnet.NewFaultPlan().Crash("sink", 0, 0))
+	net.Register("sink", func(n transport.Transport, msg transport.Message) {})
+	net.ApplyFaults(faults.NewPlan().Crash("sink", 0, 0))
 	net.Run()
 	net.Send("src", "sink", []byte("x"))
 

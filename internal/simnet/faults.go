@@ -2,11 +2,10 @@
 //
 // The fault-plan grammar (kinds, windows, the Spec round-trip, named
 // plans) lives in the transport-neutral internal/faults package; this
-// file keeps aliases so existing callers and specs are untouched, plus
-// the simulator-side enforcement that is genuinely simnet's: scheduling
-// crash transitions as queue events on the virtual clock, cancelling a
-// crashed node's timers, and dropping faulted datagrams with counted
-// reasons.
+// file holds only the simulator-side enforcement that is genuinely
+// simnet's: scheduling crash transitions as queue events on the
+// virtual clock, cancelling a crashed node's timers, and dropping
+// faulted datagrams with counted reasons.
 //
 // Determinism rules for fault plans on simnet:
 //
@@ -25,7 +24,7 @@
 //     draw and its separate accounting.
 //
 // Crashed nodes drop inbound datagrams (counted as fault drops), refuse
-// new sends with ErrNodeDown, and have their pending After timers
+// new sends with faults.ErrNodeDown, and have their pending After timers
 // cancelled — a mix's batch-timeout flush does not survive its crash.
 package simnet
 
@@ -34,53 +33,8 @@ import (
 	"sort"
 
 	"decoupling/internal/faults"
+	"decoupling/internal/transport"
 )
-
-// ErrNodeDown is wrapped into Send errors when the source or destination
-// node is inside a crash window (see faults.ErrNodeDown).
-var ErrNodeDown = faults.ErrNodeDown
-
-// ErrOverlappingCrash is wrapped into ParseFaultPlan errors when two
-// crash windows can cover the same node at the same instant (see
-// faults.ErrOverlappingCrash).
-var ErrOverlappingCrash = faults.ErrOverlappingCrash
-
-// Wildcard matches any node in a fault's Node/Src/Dst position.
-const Wildcard = faults.Wildcard
-
-// FaultKind enumerates the injectable failure modes.
-type FaultKind = faults.Kind
-
-const (
-	FaultCrash     = faults.FaultCrash
-	FaultPartition = faults.FaultPartition
-	FaultLoss      = faults.FaultLoss
-	FaultSpike     = faults.FaultSpike
-)
-
-// Fault is one scheduled failure. Src/Dst/Node may be Wildcard.
-type Fault = faults.Fault
-
-// FaultPlan is an immutable-once-applied schedule of faults.
-type FaultPlan = faults.Plan
-
-// NewFaultPlan returns an empty plan.
-func NewFaultPlan() *FaultPlan { return faults.NewPlan() }
-
-// ParseFaultPlan parses a compact spec string (see faults.ParsePlan for
-// the grammar).
-func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.ParsePlan(spec) }
-
-// namedFaultPlans mirrors the shared named-plan table (fuzz seeds range
-// over it).
-var namedFaultPlans = faults.NamedPlanSpecs()
-
-// NamedFaultPlans returns the selectable plan names, sorted.
-func NamedFaultPlans() []string { return faults.NamedPlans() }
-
-// FaultPlanFromSpec resolves a -faults argument: a registered plan name
-// or a ParseFaultPlan spec string. Empty means no plan (nil).
-func FaultPlanFromSpec(spec string) (*FaultPlan, error) { return faults.PlanFromSpec(spec) }
 
 // ApplyFaults overlays a plan on the network. Link faults take effect
 // immediately (window queries at Send time); crash/restart transitions
@@ -89,18 +43,18 @@ func FaultPlanFromSpec(spec string) (*FaultPlan, error) { return faults.PlanFrom
 // send precede it. Wildcard crashes expand over the currently
 // registered nodes in sorted order. May be called repeatedly; plans
 // merge.
-func (n *Network) ApplyFaults(p *FaultPlan) {
+func (n *Network) ApplyFaults(p *faults.Plan) {
 	if p.Empty() {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.plan == nil {
-		n.plan = NewFaultPlan()
+		n.plan = faults.NewPlan()
 	}
 	n.plan.Merge(p)
 	for _, f := range p.Faults() {
-		if f.Kind != FaultCrash {
+		if f.Kind != faults.FaultCrash {
 			continue
 		}
 		for _, node := range n.expandLocked(f.Node) {
@@ -119,11 +73,11 @@ func (n *Network) ApplyFaults(p *FaultPlan) {
 }
 
 // expandLocked resolves a node pattern against registered nodes.
-func (n *Network) expandLocked(pat Addr) []Addr {
-	if pat != Wildcard {
-		return []Addr{pat}
+func (n *Network) expandLocked(pat transport.Addr) []transport.Addr {
+	if pat != faults.Wildcard {
+		return []transport.Addr{pat}
 	}
-	nodes := make([]Addr, 0, len(n.nodes))
+	nodes := make([]transport.Addr, 0, len(n.nodes))
 	for a := range n.nodes {
 		nodes = append(nodes, a)
 	}
@@ -134,11 +88,11 @@ func (n *Network) expandLocked(pat Addr) []Addr {
 // setCrashed flips a node's crash state. Crashing cancels the node's
 // pending timers: a timer armed by a node that later dies must not fire
 // after its owner is gone (a crashed mix does not flush its batch).
-func (n *Network) setCrashed(node Addr, down bool) {
+func (n *Network) setCrashed(node transport.Addr, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.crashed == nil {
-		n.crashed = map[Addr]bool{}
+		n.crashed = map[transport.Addr]bool{}
 	}
 	n.crashed[node] = down
 	if down {
@@ -152,7 +106,7 @@ func (n *Network) setCrashed(node Addr, down bool) {
 
 // CrashedNow reports whether node is currently down (for tests and
 // example programs; protocols should just observe Send errors).
-func (n *Network) CrashedNow(node Addr) bool {
+func (n *Network) CrashedNow(node transport.Addr) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.crashed[node]

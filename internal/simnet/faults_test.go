@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"decoupling/internal/faults"
+	"decoupling/internal/transport"
 )
 
 // --- FaultPlan window queries ---------------------------------------
 
 func TestCrashWindowIsHalfOpen(t *testing.T) {
-	p := NewFaultPlan().Crash("m", 10*time.Millisecond, 20*time.Millisecond)
+	p := faults.NewPlan().Crash("m", 10*time.Millisecond, 20*time.Millisecond)
 	cases := []struct {
 		at   time.Duration
 		want bool
@@ -31,7 +34,7 @@ func TestCrashWindowIsHalfOpen(t *testing.T) {
 }
 
 func TestCrashWithoutRestartNeverClears(t *testing.T) {
-	p := NewFaultPlan().Crash("m", 5*time.Millisecond, 0)
+	p := faults.NewPlan().Crash("m", 5*time.Millisecond, 0)
 	if !p.CrashedAt("m", time.Hour) {
 		t.Error("until<=0 crash cleared")
 	}
@@ -41,9 +44,9 @@ func TestCrashWithoutRestartNeverClears(t *testing.T) {
 }
 
 func TestWildcardMatchesEveryNode(t *testing.T) {
-	p := NewFaultPlan().
-		Crash(Wildcard, 0, 0).
-		Loss(Wildcard, Wildcard, 0.5, 0, 0)
+	p := faults.NewPlan().
+		Crash(faults.Wildcard, 0, 0).
+		Loss(faults.Wildcard, faults.Wildcard, 0.5, 0, 0)
 	if !p.CrashedAt("anything", time.Second) {
 		t.Error("wildcard crash did not match")
 	}
@@ -53,9 +56,9 @@ func TestWildcardMatchesEveryNode(t *testing.T) {
 }
 
 func TestLossAtTakesMaximum(t *testing.T) {
-	p := NewFaultPlan().
+	p := faults.NewPlan().
 		Loss("a", "b", 0.2, 0, 0).
-		Loss(Wildcard, "b", 0.7, 0, 0).
+		Loss(faults.Wildcard, "b", 0.7, 0, 0).
 		Loss("a", "b", 0.4, 0, 0)
 	if got := p.LossAt("a", "b", 0); got != 0.7 {
 		t.Errorf("LossAt = %v, want max 0.7", got)
@@ -63,7 +66,7 @@ func TestLossAtTakesMaximum(t *testing.T) {
 }
 
 func TestSpikeAtSumsOverlaps(t *testing.T) {
-	p := NewFaultPlan().
+	p := faults.NewPlan().
 		LatencySpike("a", "b", 10*time.Millisecond, 0, 0).
 		LatencySpike("a", "b", 5*time.Millisecond, 0, 0)
 	if got := p.SpikeAt("a", "b", 0); got != 15*time.Millisecond {
@@ -72,7 +75,7 @@ func TestSpikeAtSumsOverlaps(t *testing.T) {
 }
 
 func TestNilPlanQueriesAreSafe(t *testing.T) {
-	var p *FaultPlan
+	var p *faults.Plan
 	if p.CrashedAt("a", 0) || p.PartitionedAt("a", "b", 0) ||
 		p.LossAt("a", "b", 0) != 0 || p.SpikeAt("a", "b", 0) != 0 {
 		t.Error("nil plan reported an active fault")
@@ -85,10 +88,10 @@ func TestNilPlanQueriesAreSafe(t *testing.T) {
 	}
 }
 
-// --- ParseFaultPlan --------------------------------------------------
+// --- faults.ParsePlan ---------------------------------------------
 
 func TestParseFaultPlanRoundTrip(t *testing.T) {
-	p, err := ParseFaultPlan("crash:mix2@25ms-120ms;loss:*>mix1:0.3@0-;spike:exit>origin:40ms@50ms-90ms;partition:a<>b@10ms-20ms")
+	p, err := faults.ParsePlan("crash:mix2@25ms-120ms;loss:*>mix1:0.3@0-;spike:exit>origin:40ms@50ms-90ms;partition:a<>b@10ms-20ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 }
 
 func TestParseFaultPlanOneWayPartition(t *testing.T) {
-	p, err := ParseFaultPlan("partition:a>b@0-")
+	p, err := faults.ParsePlan("partition:a>b@0-")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +145,14 @@ func TestParseFaultPlanRejectsBadSpecs(t *testing.T) {
 		"crash:m@0-;;loss:a>:x@0-", // second fault malformed
 	}
 	for _, spec := range bad {
-		if _, err := ParseFaultPlan(spec); err == nil {
-			t.Errorf("ParseFaultPlan(%q) accepted a bad spec", spec)
+		if _, err := faults.ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) accepted a bad spec", spec)
 		}
 	}
 }
 
 func TestParseFaultPlanSkipsEmptySegments(t *testing.T) {
-	p, err := ParseFaultPlan(" ; crash:m@0- ; ")
+	p, err := faults.ParsePlan(" ; crash:m@0- ; ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,16 +162,16 @@ func TestParseFaultPlanSkipsEmptySegments(t *testing.T) {
 }
 
 func TestFaultPlanFromSpec(t *testing.T) {
-	if p, err := FaultPlanFromSpec(""); err != nil || p != nil {
+	if p, err := faults.PlanFromSpec(""); err != nil || p != nil {
 		t.Errorf("empty spec = (%v, %v), want (nil, nil)", p, err)
 	}
-	for _, name := range NamedFaultPlans() {
-		p, err := FaultPlanFromSpec(name)
+	for _, name := range faults.NamedPlans() {
+		p, err := faults.PlanFromSpec(name)
 		if err != nil || p.Empty() {
 			t.Errorf("named plan %q = (%v, %v)", name, p, err)
 		}
 	}
-	if _, err := FaultPlanFromSpec("no-such-plan"); err == nil {
+	if _, err := faults.PlanFromSpec("no-such-plan"); err == nil {
 		t.Error("unknown name accepted")
 	}
 }
@@ -177,11 +180,11 @@ func TestFaultPlanFromSpec(t *testing.T) {
 
 func TestSendToCrashedNodeFailsFast(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
-	n.ApplyFaults(NewFaultPlan().Crash("b", 0, 0))
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
+	n.ApplyFaults(faults.NewPlan().Crash("b", 0, 0))
 	n.Run() // let the crash transition fire
 	err := n.Send("a", "b", []byte("x"))
-	if !errors.Is(err, ErrNodeDown) {
+	if !errors.Is(err, faults.ErrNodeDown) {
 		t.Fatalf("send to crashed node: %v, want ErrNodeDown", err)
 	}
 	if n.FaultDrops() != 1 {
@@ -191,11 +194,11 @@ func TestSendToCrashedNodeFailsFast(t *testing.T) {
 
 func TestSendFromCrashedNodeFailsFast(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
-	n.Register("down", func(n Transport, m Message) {})
-	n.ApplyFaults(NewFaultPlan().Crash("down", 0, 0))
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
+	n.Register("down", func(n transport.Transport, m transport.Message) {})
+	n.ApplyFaults(faults.NewPlan().Crash("down", 0, 0))
 	n.Run()
-	if err := n.Send("down", "b", nil); !errors.Is(err, ErrNodeDown) {
+	if err := n.Send("down", "b", nil); !errors.Is(err, faults.ErrNodeDown) {
 		t.Fatalf("send from crashed node: %v, want ErrNodeDown", err)
 	}
 }
@@ -203,12 +206,12 @@ func TestSendFromCrashedNodeFailsFast(t *testing.T) {
 func TestInFlightDatagramDroppedOnArrivalAtCrashedNode(t *testing.T) {
 	n := New(1)
 	delivered := 0
-	n.Register("b", func(n Transport, m Message) { delivered++ })
+	n.Register("b", func(n transport.Transport, m transport.Message) { delivered++ })
 	// Send at t=0 (arrives t=10ms); the node crashes at t=5ms, mid-flight.
 	if err := n.Send("a", "b", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	n.ApplyFaults(NewFaultPlan().Crash("b", 5*time.Millisecond, 0))
+	n.ApplyFaults(faults.NewPlan().Crash("b", 5*time.Millisecond, 0))
 	n.Run()
 	if delivered != 0 {
 		t.Error("datagram delivered to a crashed node")
@@ -221,8 +224,8 @@ func TestInFlightDatagramDroppedOnArrivalAtCrashedNode(t *testing.T) {
 func TestRestartRestoresDelivery(t *testing.T) {
 	n := New(1)
 	var deliveredAt []time.Duration
-	n.Register("b", func(n Transport, m Message) { deliveredAt = append(deliveredAt, n.Now()) })
-	n.ApplyFaults(NewFaultPlan().Crash("b", 0, 50*time.Millisecond))
+	n.Register("b", func(n transport.Transport, m transport.Message) { deliveredAt = append(deliveredAt, n.Now()) })
+	n.ApplyFaults(faults.NewPlan().Crash("b", 0, 50*time.Millisecond))
 	// Process the crash transition, then advance past the restart.
 	n.RunUntil(60 * time.Millisecond)
 	if n.CrashedNow("b") {
@@ -242,12 +245,12 @@ func TestCrashCancelsOwnedTimers(t *testing.T) {
 	fired := false
 	// A node arms a timer from inside its handler (the mix batch-flush
 	// pattern); crashing the node before the timer fires must cancel it.
-	n.Register("mix", func(n Transport, m Message) {
+	n.Register("mix", func(n transport.Transport, m transport.Message) {
 		n.After(100*time.Millisecond, func() { fired = true })
 	})
 	n.Send("a", "mix", []byte("x")) // handler runs at 10ms, timer due 110ms
 	n.RunUntil(20 * time.Millisecond)
-	n.ApplyFaults(NewFaultPlan().Crash("mix", 30*time.Millisecond, 0))
+	n.ApplyFaults(faults.NewPlan().Crash("mix", 30*time.Millisecond, 0))
 	n.Run()
 	if fired {
 		t.Error("timer owned by a crashed node fired")
@@ -257,10 +260,10 @@ func TestCrashCancelsOwnedTimers(t *testing.T) {
 func TestExternalTimersSurviveCrashes(t *testing.T) {
 	n := New(1)
 	fired := false
-	n.Register("mix", func(n Transport, m Message) {})
+	n.Register("mix", func(n transport.Transport, m transport.Message) {})
 	// Armed from outside any handler: no owner, survives every crash.
 	n.After(100*time.Millisecond, func() { fired = true })
-	n.ApplyFaults(NewFaultPlan().Crash("mix", 0, 0))
+	n.ApplyFaults(faults.NewPlan().Crash("mix", 0, 0))
 	n.Run()
 	if !fired {
 		t.Error("ownerless timer was cancelled by an unrelated crash")
@@ -277,8 +280,8 @@ func TestCrashEventFIFOAgainstSameTimestampDelivery(t *testing.T) {
 	// precedes the delivery at t=10ms, so the datagram is dropped.
 	n := New(1)
 	got := 0
-	n.Register("b", func(n Transport, m Message) { got++ })
-	n.ApplyFaults(NewFaultPlan().Crash("b", at, 0))
+	n.Register("b", func(n transport.Transport, m transport.Message) { got++ })
+	n.ApplyFaults(faults.NewPlan().Crash("b", at, 0))
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +293,11 @@ func TestCrashEventFIFOAgainstSameTimestampDelivery(t *testing.T) {
 	// Send BEFORE the plan: the in-flight delivery was enqueued first
 	// and lands before the crash transition.
 	n = New(1)
-	n.Register("b", func(n Transport, m Message) { got++ })
+	n.Register("b", func(n transport.Transport, m transport.Message) { got++ })
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatal(err)
 	}
-	n.ApplyFaults(NewFaultPlan().Crash("b", at, 0))
+	n.ApplyFaults(faults.NewPlan().Crash("b", at, 0))
 	n.Run()
 	if got != 1 {
 		t.Error("send-before-plan: same-timestamp crash beat the in-flight delivery")
@@ -306,10 +309,10 @@ func TestCrashEventFIFOAgainstSameTimestampDelivery(t *testing.T) {
 // transition fires now.
 func TestApplyFaultsClampsPastWindows(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	n.After(50*time.Millisecond, func() {})
 	n.Run() // clock now at 50ms
-	n.ApplyFaults(NewFaultPlan().Crash("b", 10*time.Millisecond, 0))
+	n.ApplyFaults(faults.NewPlan().Crash("b", 10*time.Millisecond, 0))
 	n.Run()
 	if n.Now() != 50*time.Millisecond {
 		t.Errorf("clock rewound to %v", n.Now())
@@ -321,9 +324,9 @@ func TestApplyFaultsClampsPastWindows(t *testing.T) {
 
 func TestWildcardCrashExpandsOverRegisteredNodes(t *testing.T) {
 	n := New(1)
-	n.Register("x", func(n Transport, m Message) {})
-	n.Register("y", func(n Transport, m Message) {})
-	n.ApplyFaults(NewFaultPlan().Crash(Wildcard, 0, 0))
+	n.Register("x", func(n transport.Transport, m transport.Message) {})
+	n.Register("y", func(n transport.Transport, m transport.Message) {})
+	n.ApplyFaults(faults.NewPlan().Crash(faults.Wildcard, 0, 0))
 	n.Run()
 	if !n.CrashedNow("x") || !n.CrashedNow("y") {
 		t.Error("wildcard crash missed a registered node")
@@ -335,8 +338,8 @@ func TestWildcardCrashExpandsOverRegisteredNodes(t *testing.T) {
 func TestPartitionDropsSilently(t *testing.T) {
 	n := New(1)
 	got := 0
-	n.Register("b", func(n Transport, m Message) { got++ })
-	n.ApplyFaults(NewFaultPlan().PartitionOneWay("a", "b", 0, 0))
+	n.Register("b", func(n transport.Transport, m transport.Message) { got++ })
+	n.ApplyFaults(faults.NewPlan().PartitionOneWay("a", "b", 0, 0))
 	// The wire gives no error — only timeouts notice.
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatalf("partitioned send returned error: %v", err)
@@ -356,8 +359,8 @@ func TestPartitionDropsSilently(t *testing.T) {
 func TestBurstLossRaisesDropProbability(t *testing.T) {
 	n := New(7)
 	n.SetDefaultLink(Link{Latency: time.Millisecond}) // no baseline loss
-	n.Register("b", func(n Transport, m Message) {})
-	n.ApplyFaults(NewFaultPlan().Loss("a", "b", 1.0, 0, 0))
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
+	n.ApplyFaults(faults.NewPlan().Loss("a", "b", 1.0, 0, 0))
 	for i := 0; i < 20; i++ {
 		n.Send("a", "b", nil)
 	}
@@ -373,10 +376,10 @@ func TestBurstLossRaisesDropProbability(t *testing.T) {
 func TestBaselineLossWinsWhenHigher(t *testing.T) {
 	n := New(7)
 	n.SetDefaultLink(Link{Latency: time.Millisecond, Loss: 1.0})
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	// Injected burst loss is LOWER than the link's own loss; the link
 	// loss still applies (LossAt only raises, never lowers).
-	n.ApplyFaults(NewFaultPlan().Loss("a", "b", 0.1, 0, 0))
+	n.ApplyFaults(faults.NewPlan().Loss("a", "b", 0.1, 0, 0))
 	n.Send("a", "b", nil)
 	n.Run()
 	if n.Delivered() != 0 {
@@ -387,8 +390,8 @@ func TestBaselineLossWinsWhenHigher(t *testing.T) {
 func TestLatencySpikeDelaysDelivery(t *testing.T) {
 	n := New(1)
 	var at time.Duration
-	n.Register("b", func(n Transport, m Message) { at = n.Now() })
-	n.ApplyFaults(NewFaultPlan().LatencySpike("a", "b", 40*time.Millisecond, 0, time.Second))
+	n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
+	n.ApplyFaults(faults.NewPlan().LatencySpike("a", "b", 40*time.Millisecond, 0, time.Second))
 	n.Send("a", "b", nil)
 	n.Run()
 	if at != 50*time.Millisecond { // 10ms default + 40ms spike
@@ -399,8 +402,8 @@ func TestLatencySpikeDelaysDelivery(t *testing.T) {
 func TestSpikeOutsideWindowIsFree(t *testing.T) {
 	n := New(1)
 	var at time.Duration
-	n.Register("b", func(n Transport, m Message) { at = n.Now() })
-	n.ApplyFaults(NewFaultPlan().LatencySpike("a", "b", 40*time.Millisecond, time.Second, 2*time.Second))
+	n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
+	n.ApplyFaults(faults.NewPlan().LatencySpike("a", "b", 40*time.Millisecond, time.Second, 2*time.Second))
 	n.Send("a", "b", nil) // sent at t=0, before the spike window
 	n.Run()
 	if at != 10*time.Millisecond {
@@ -411,16 +414,16 @@ func TestSpikeOutsideWindowIsFree(t *testing.T) {
 // --- Determinism under faults -----------------------------------------
 
 func TestChaosRunIsDeterministic(t *testing.T) {
-	run := func() ([]PacketRecord, uint64) {
+	run := func() ([]transport.PacketRecord, uint64) {
 		n := New(42)
 		n.SetDefaultLink(Link{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond})
-		n.Register("sink", func(n Transport, m Message) {})
-		n.ApplyFaults(NewFaultPlan().
-			Loss(Wildcard, "sink", 0.4, 0, 0).
+		n.Register("sink", func(n transport.Transport, m transport.Message) {})
+		n.ApplyFaults(faults.NewPlan().
+			Loss(faults.Wildcard, "sink", 0.4, 0, 0).
 			Crash("sink", 200*time.Millisecond, 300*time.Millisecond))
 		for i := 0; i < 100; i++ {
 			at := time.Duration(i) * 4 * time.Millisecond
-			n.After(at, func() { n.Send(Addr(fmt.Sprintf("n%d", i%5)), "sink", make([]byte, 16)) })
+			n.After(at, func() { n.Send(transport.Addr(fmt.Sprintf("n%d", i%5)), "sink", make([]byte, 16)) })
 		}
 		n.Run()
 		return n.Capture(), n.FaultDrops()
@@ -470,7 +473,7 @@ func TestRunUntilLeavesTimersPastDeadline(t *testing.T) {
 func TestZeroJitterBoundary(t *testing.T) {
 	n := New(1)
 	var at time.Duration
-	n.Register("b", func(n Transport, m Message) { at = n.Now() })
+	n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
 	n.SetLink("a", "b", Link{Latency: 7 * time.Millisecond, Jitter: 0})
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatal(err)

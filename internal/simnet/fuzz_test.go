@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"decoupling/internal/faults"
 )
 
 // FuzzParseFaultPlan checks that the fault-plan grammar never panics
@@ -21,7 +23,7 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Add("loss:a>b:1@1ms-2ms")
 	f.Add("spike:exit>origin:40ms@50ms-90ms")
 	f.Add("crash:mix2@25ms-120ms;loss:*>mix1:0.3@0-;spike:exit>origin:40ms@50ms-90ms")
-	for _, spec := range namedFaultPlans {
+	for _, spec := range faults.NamedPlanSpecs() {
 		f.Add(spec)
 	}
 	f.Add(";;;")
@@ -29,15 +31,15 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Add("loss:a>b:NaN@0-")
 	f.Add("crash:a@1ms-;crash:a@0-5ms") // overlapping windows
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParseFaultPlan(spec)
+		p, err := faults.ParsePlan(spec)
 		if err != nil {
 			if p != nil {
-				t.Fatalf("ParseFaultPlan(%q) returned plan AND error %v", spec, err)
+				t.Fatalf("ParsePlan(%q) returned plan AND error %v", spec, err)
 			}
 			return
 		}
 		canon := p.Spec()
-		p2, err := ParseFaultPlan(canon)
+		p2, err := faults.ParsePlan(canon)
 		if err != nil {
 			t.Fatalf("canonical spec %q (from %q) does not re-parse: %v", canon, spec, err)
 		}
@@ -58,21 +60,21 @@ func FuzzFaultWindowQueries(f *testing.F) {
 	f.Add("loss:*>*:0.5@0-", int64(0))
 	f.Add("spike:a>b:5ms@1ms-", int64(1_000_000))
 	f.Fuzz(func(t *testing.T, spec string, at int64) {
-		p, err := ParseFaultPlan(spec)
+		p, err := faults.ParsePlan(spec)
 		if err != nil {
 			return
 		}
 		tm := time.Duration(at)
-		faults := p.Faults()
-		for _, fl := range faults {
-			if fl.Kind != FaultCrash {
+		all := p.Faults()
+		for _, fl := range all {
+			if fl.Kind != faults.FaultCrash {
 				continue
 			}
 			// CrashedAt(node) must be the union of every crash window that
 			// matches node (wildcard either side).
 			want := false
-			for _, g := range faults {
-				match := g.Kind == FaultCrash && (g.Node == Wildcard || g.Node == fl.Node)
+			for _, g := range all {
+				match := g.Kind == faults.FaultCrash && (g.Node == faults.Wildcard || g.Node == fl.Node)
 				if match && tm >= g.From && (g.Until <= 0 || tm < g.Until) {
 					want = true
 				}
@@ -107,10 +109,10 @@ func TestParseFaultPlanRejectsOverlappingCrashWindows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := ParseFaultPlan(tc.spec)
+			p, err := faults.ParsePlan(tc.spec)
 			if tc.want {
-				if !errors.Is(err, ErrOverlappingCrash) {
-					t.Fatalf("ParseFaultPlan(%q) err = %v, want ErrOverlappingCrash", tc.spec, err)
+				if !errors.Is(err, faults.ErrOverlappingCrash) {
+					t.Fatalf("ParsePlan(%q) err = %v, want ErrOverlappingCrash", tc.spec, err)
 				}
 				if p != nil {
 					t.Fatalf("rejected plan should be nil, got %v", p.Faults())
@@ -118,7 +120,7 @@ func TestParseFaultPlanRejectsOverlappingCrashWindows(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("ParseFaultPlan(%q) unexpected error: %v", tc.spec, err)
+				t.Fatalf("ParsePlan(%q) unexpected error: %v", tc.spec, err)
 			}
 		})
 	}
@@ -154,12 +156,12 @@ func TestParseFaultPlanErrorPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := ParseFaultPlan(tc.spec)
+			p, err := faults.ParsePlan(tc.spec)
 			if err == nil {
-				t.Fatalf("ParseFaultPlan(%q) accepted, plan %v", tc.spec, p.Faults())
+				t.Fatalf("ParsePlan(%q) accepted, plan %v", tc.spec, p.Faults())
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("ParseFaultPlan(%q) err %q, want substring %q", tc.spec, err, tc.wantSub)
+				t.Errorf("ParsePlan(%q) err %q, want substring %q", tc.spec, err, tc.wantSub)
 			}
 		})
 	}
@@ -173,20 +175,20 @@ func TestFaultPlanSpecCanonicalRoundTrip(t *testing.T) {
 		"partition:a>b@30ms-80ms;partition:b>a@30ms-80ms",
 		"crash:mix2@25ms-120ms;loss:*>mix1:0.3@0s-;spike:exit>origin:40ms@50ms-90ms",
 	} {
-		p, err := ParseFaultPlan(spec)
+		p, err := faults.ParsePlan(spec)
 		if err != nil {
-			t.Fatalf("ParseFaultPlan(%q): %v", spec, err)
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
 		}
 		if got := p.Spec(); got != spec {
 			t.Errorf("Spec() = %q, want canonical %q", got, spec)
 		}
 	}
 	// The builder's both-way Partition flattens to two one-way clauses.
-	p := NewFaultPlan().Partition("a", "b", 0, 1*time.Millisecond)
+	p := faults.NewPlan().Partition("a", "b", 0, 1*time.Millisecond)
 	if got, want := p.Spec(), "partition:a>b@0s-1ms;partition:b>a@0s-1ms"; got != want {
 		t.Errorf("both-way Partition Spec() = %q, want %q", got, want)
 	}
-	if _, err := ParseFaultPlan(p.Spec()); err != nil {
+	if _, err := faults.ParsePlan(p.Spec()); err != nil {
 		t.Errorf("builder Spec does not re-parse: %v", err)
 	}
 }

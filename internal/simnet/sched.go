@@ -31,6 +31,8 @@ package simnet
 
 import (
 	"math/rand"
+
+	"decoupling/internal/transport"
 )
 
 // EventMeta describes one ready event to a Scheduler. Payload bytes are
@@ -44,9 +46,9 @@ type EventMeta struct {
 	Timer bool
 	// Owner is the timer's owning node ("" for timers armed outside the
 	// event loop); empty for deliveries.
-	Owner Addr
+	Owner transport.Addr
 	// Src and Dst are the delivery endpoints; empty for timers.
-	Src, Dst Addr
+	Src, Dst transport.Addr
 	// Size is the delivery's payload length in bytes (0 for timers).
 	Size int
 }
@@ -128,7 +130,7 @@ func (e *event) meta() EventMeta {
 // fifoKey is the FIFO class an event must stay ordered within.
 type fifoKey struct {
 	timer bool
-	a, b  Addr
+	a, b  transport.Addr
 }
 
 func (e *event) fifoClass() fifoKey {

@@ -5,19 +5,22 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"decoupling/internal/faults"
+	"decoupling/internal/transport"
 )
 
 // sendBurst enqueues n same-timestamp deliveries from distinct sources,
 // so every one of them is admissible at the decision point.
-func sendBurst(n *Network, dst Addr, count int) {
+func sendBurst(n *Network, dst transport.Addr, count int) {
 	for i := 0; i < count; i++ {
-		n.Send(Addr(fmt.Sprintf("s%02d", i)), dst, []byte(fmt.Sprintf("%d", i)))
+		n.Send(transport.Addr(fmt.Sprintf("s%02d", i)), dst, []byte(fmt.Sprintf("%d", i)))
 	}
 }
 
-func deliveryOrder(n *Network, dst Addr) *[]string {
+func deliveryOrder(n *Network, dst transport.Addr) *[]string {
 	order := &[]string{}
-	n.Register(dst, func(n Transport, m Message) { *order = append(*order, string(m.Payload)) })
+	n.Register(dst, func(n transport.Transport, m transport.Message) { *order = append(*order, string(m.Payload)) })
 	return order
 }
 
@@ -71,7 +74,7 @@ func TestSeededSchedulerIsDeterministicPerSeed(t *testing.T) {
 func TestSchedulerPreservesPerLinkFIFO(t *testing.T) {
 	n := New(1)
 	var fromA, fromB []string
-	n.Register("dst", func(n Transport, m Message) {
+	n.Register("dst", func(n transport.Transport, m transport.Message) {
 		if m.Src == "a" {
 			fromA = append(fromA, string(m.Payload))
 		} else {
@@ -94,7 +97,7 @@ func TestSchedulerPreservesPerLinkFIFO(t *testing.T) {
 func TestSchedulerPreservesPerOwnerTimerOrder(t *testing.T) {
 	n := New(1)
 	var fired []string
-	n.Register("node", func(n Transport, m Message) {
+	n.Register("node", func(n transport.Transport, m transport.Message) {
 		// Two timers armed by the same node at the same deadline must
 		// keep arming order under any scheduler.
 		n.After(5*time.Millisecond, func() { fired = append(fired, "first") })
@@ -168,8 +171,8 @@ func TestSchedulerSeesCrashDeliveryRace(t *testing.T) {
 	// delivery-first lands the message, crash-first drops it.
 	run := func(tr ScheduleTrace) (delivered uint64) {
 		n := New(1)
-		n.Register("b", func(n Transport, m Message) {})
-		n.ApplyFaults(NewFaultPlan().Crash("b", 10*time.Millisecond, 0))
+		n.Register("b", func(n transport.Transport, m transport.Message) {})
+		n.ApplyFaults(faults.NewPlan().Crash("b", 10*time.Millisecond, 0))
 		n.Send("a", "b", []byte("race")) // arrives at exactly 10ms
 		n.ReplaySchedule(tr)
 		return n.Run()
@@ -185,7 +188,7 @@ func TestSchedulerSeesCrashDeliveryRace(t *testing.T) {
 func TestSchedulerKeepsVirtualTimeMonotone(t *testing.T) {
 	n := New(1)
 	var times []time.Duration
-	n.Register("b", func(n Transport, m Message) { times = append(times, n.Now()) })
+	n.Register("b", func(n transport.Transport, m transport.Message) { times = append(times, n.Now()) })
 	n.SetLink("fast", "b", Link{Latency: 1 * time.Millisecond})
 	n.SetScheduler(NewSeededScheduler(5))
 	sendBurst(n, "b", 8)

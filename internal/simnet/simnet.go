@@ -30,27 +30,9 @@ import (
 	"decoupling/internal/transport"
 )
 
-// The wire-level vocabulary is shared with every other transport
-// implementation through internal/transport; the aliases keep simnet's
-// historical names working while making Network just one implementation
-// of the Transport contract.
-
-// Addr names a node on the simulated network.
-type Addr = transport.Addr
-
-// Message is a datagram in flight.
-type Message = transport.Message
-
-// Handler processes a delivered message on behalf of a node. Handlers
-// run on the event loop goroutine; they may call Send/After freely but
-// must not block.
-type Handler = transport.Handler
-
-// Transport is the node-facing interface Network implements; protocol
-// packages take this so the same handlers run over real sockets.
-type Transport = transport.Transport
-
-// Network implements the full experiment-facing transport contract.
+// Network implements the full experiment-facing transport contract,
+// in the vocabulary (transport.Addr, Message, Handler, PacketRecord)
+// every transport implementation shares.
 var _ transport.Runner = (*Network)(nil)
 var _ transport.ContextSender = (*Network)(nil)
 
@@ -64,21 +46,16 @@ type Link struct {
 	Loss float64
 }
 
-// PacketRecord is one captured delivery, as seen by a passive global
-// observer: metadata only, no payload bytes (encrypted payloads leak
-// size and timing, which is precisely what traffic analysis exploits).
-type PacketRecord = transport.PacketRecord
-
 type event struct {
 	at      time.Duration
 	seq     uint64 // FIFO tiebreak for equal timestamps
-	deliver *Message
+	deliver *transport.Message
 	fire    func()
 
 	// owner is the node whose handler armed this timer ("" for timers
 	// set from outside the event loop); cancelled marks timers whose
 	// owner crashed before they fired.
-	owner     Addr
+	owner     transport.Addr
 	cancelled bool
 
 	// Telemetry context, populated only when the network is
@@ -118,22 +95,22 @@ type Network struct {
 	seq         uint64
 	seed        int64
 	rng         *rand.Rand
-	nodes       map[Addr]Handler
-	links       map[[2]Addr]Link
+	nodes       map[transport.Addr]transport.Handler
+	links       map[[2]transport.Addr]Link
 	defaultLink Link
 	queue       eventQueue
-	capture     []PacketRecord
+	capture     []transport.PacketRecord
 	delivered   uint64
 	lost        uint64
 
 	// Fault-injection state (see faults.go): the merged plan, the set of
 	// currently crashed nodes, drops attributable to faults, and the
 	// node whose handler is executing (so After can attribute timers).
-	plan       *FaultPlan
-	crashed    map[Addr]bool
+	plan       *faults.Plan
+	crashed    map[transport.Addr]bool
 	faultDrops uint64
-	lossSeq    map[[2]Addr]uint64
-	running    Addr
+	lossSeq    map[[2]transport.Addr]uint64
+	running    transport.Addr
 
 	// tel is the optional telemetry sink. When nil (the default) the
 	// hot paths pay exactly one pointer check.
@@ -160,8 +137,8 @@ func New(seed int64) *Network {
 	return &Network{
 		seed:        seed,
 		rng:         rand.New(rand.NewSource(seed)),
-		nodes:       map[Addr]Handler{},
-		links:       map[[2]Addr]Link{},
+		nodes:       map[transport.Addr]transport.Handler{},
+		links:       map[[2]transport.Addr]Link{},
 		defaultLink: Link{Latency: 10 * time.Millisecond},
 	}
 }
@@ -187,15 +164,15 @@ func (n *Network) SetDefaultLink(l Link) {
 }
 
 // SetLink sets the link profile for the directed pair (src, dst).
-func (n *Network) SetLink(src, dst Addr, l Link) {
+func (n *Network) SetLink(src, dst transport.Addr, l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.links[[2]Addr{src, dst}] = l
+	n.links[[2]transport.Addr{src, dst}] = l
 }
 
 // Register attaches a handler to addr, creating the node. Registering
 // an existing address replaces its handler.
-func (n *Network) Register(addr Addr, h Handler) {
+func (n *Network) Register(addr transport.Addr, h transport.Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nodes[addr] = h
@@ -221,7 +198,7 @@ func (n *Network) Rand(max int) int {
 // link's latency (+ jitter, + any active latency spike). Sends to or
 // from a crashed node fail fast with an error wrapping ErrNodeDown;
 // partitions and loss drop silently, as the wire would.
-func (n *Network) Send(src, dst Addr, payload []byte) error {
+func (n *Network) Send(src, dst transport.Addr, payload []byte) error {
 	return n.SendTraced(src, dst, payload, wiretrace.Context{})
 }
 
@@ -229,7 +206,7 @@ func (n *Network) Send(src, dst Addr, payload []byte) error {
 // datagram — the simulator's equivalent of the real transport's frame
 // trace extension. The context is out-of-band: payload bytes, link
 // faults, and scheduling are identical whether or not it is present.
-func (n *Network) SendTraced(src, dst Addr, payload []byte, ctx wiretrace.Context) error {
+func (n *Network) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.Context) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.nodes[dst]; !ok {
@@ -237,16 +214,16 @@ func (n *Network) SendTraced(src, dst Addr, payload []byte, ctx wiretrace.Contex
 	}
 	if n.crashed[dst] {
 		n.dropLocked("crash", src, dst)
-		return fmt.Errorf("simnet: send %s->%s: %w", src, dst, ErrNodeDown)
+		return fmt.Errorf("simnet: send %s->%s: %w", src, dst, faults.ErrNodeDown)
 	}
 	if n.crashed[src] {
-		return fmt.Errorf("simnet: send %s->%s: source %w", src, dst, ErrNodeDown)
+		return fmt.Errorf("simnet: send %s->%s: source %w", src, dst, faults.ErrNodeDown)
 	}
 	if n.plan.PartitionedAt(src, dst, n.now) {
 		n.dropLocked("partition", src, dst)
 		return nil // partitions are silent: only timeouts notice
 	}
-	l, ok := n.links[[2]Addr{src, dst}]
+	l, ok := n.links[[2]transport.Addr{src, dst}]
 	if !ok {
 		l = n.defaultLink
 	}
@@ -258,10 +235,10 @@ func (n *Network) SendTraced(src, dst Addr, payload []byte, ctx wiretrace.Contex
 	// probability is positive.
 	if burst := n.plan.LossAt(src, dst, n.now); burst > 0 {
 		if n.lossSeq == nil {
-			n.lossSeq = map[[2]Addr]uint64{}
+			n.lossSeq = map[[2]transport.Addr]uint64{}
 		}
-		seq := n.lossSeq[[2]Addr{src, dst}]
-		n.lossSeq[[2]Addr{src, dst}] = seq + 1
+		seq := n.lossSeq[[2]transport.Addr{src, dst}]
+		n.lossSeq[[2]transport.Addr{src, dst}] = seq + 1
 		if faults.LossDraw(n.seed, src, dst, seq) < burst {
 			n.lost++
 			if n.tel != nil {
@@ -283,7 +260,7 @@ func (n *Network) SendTraced(src, dst Addr, payload []byte, ctx wiretrace.Contex
 	if l.Jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(l.Jitter)))
 	}
-	msg := &Message{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), Trace: ctx}
+	msg := &transport.Message{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), Trace: ctx}
 	n.seq++
 	e := &event{at: n.now + delay, seq: n.seq, deliver: msg}
 	if n.tel != nil {
@@ -300,7 +277,7 @@ func (n *Network) SendTraced(src, dst Addr, payload []byte, ctx wiretrace.Contex
 // dropLocked accounts one fault-caused drop. Fault drops also count
 // under lost so the simnet_lost counter and retry logic agree on what
 // the network ate.
-func (n *Network) dropLocked(reason string, src, dst Addr) {
+func (n *Network) dropLocked(reason string, src, dst transport.Addr) {
 	n.lost++
 	n.faultDrops++
 	if n.tel != nil {
@@ -344,8 +321,8 @@ func (n *Network) RunUntil(deadline time.Duration) uint64 {
 		}
 		e := n.popNextLocked()
 		n.now = e.at
-		var h Handler
-		var msg Message
+		var h transport.Handler
+		var msg transport.Message
 		tel := n.tel
 		fire := e.fire
 		if fire != nil && e.cancelled {
@@ -361,7 +338,7 @@ func (n *Network) RunUntil(deadline time.Duration) uint64 {
 				continue
 			}
 			h = n.nodes[msg.Dst]
-			n.capture = append(n.capture, PacketRecord{
+			n.capture = append(n.capture, transport.PacketRecord{
 				Time: e.at, Src: msg.Src, Dst: msg.Dst, Size: len(msg.Payload),
 			})
 			n.delivered++
@@ -396,10 +373,10 @@ func (n *Network) RunUntil(deadline time.Duration) uint64 {
 }
 
 // Capture returns a copy of the global observer's packet records.
-func (n *Network) Capture() []PacketRecord {
+func (n *Network) Capture() []transport.PacketRecord {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]PacketRecord(nil), n.capture...)
+	return append([]transport.PacketRecord(nil), n.capture...)
 }
 
 // Delivered returns the all-time count of delivered messages.

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"decoupling/internal/transport"
 )
 
 func TestDeliveryAndLatency(t *testing.T) {
 	n := New(1)
 	var got []string
 	var at time.Duration
-	n.Register("b", func(n Transport, m Message) {
+	n.Register("b", func(n transport.Transport, m transport.Message) {
 		got = append(got, string(m.Payload))
 		at = n.Now()
 	})
@@ -38,7 +40,7 @@ func TestSendToUnregisteredFails(t *testing.T) {
 func TestPerLinkLatency(t *testing.T) {
 	n := New(1)
 	var times []time.Duration
-	n.Register("b", func(n Transport, m Message) { times = append(times, n.Now()) })
+	n.Register("b", func(n transport.Transport, m transport.Message) { times = append(times, n.Now()) })
 	n.SetLink("slow", "b", Link{Latency: 100 * time.Millisecond})
 	n.SetLink("fast", "b", Link{Latency: 1 * time.Millisecond})
 	n.Send("slow", "b", []byte("s"))
@@ -52,7 +54,7 @@ func TestPerLinkLatency(t *testing.T) {
 func TestFIFOForEqualTimestamps(t *testing.T) {
 	n := New(1)
 	var order []string
-	n.Register("b", func(n Transport, m Message) { order = append(order, string(m.Payload)) })
+	n.Register("b", func(n transport.Transport, m transport.Message) { order = append(order, string(m.Payload)) })
 	for i := 0; i < 10; i++ {
 		n.Send("a", "b", []byte(fmt.Sprintf("%d", i)))
 	}
@@ -67,10 +69,10 @@ func TestFIFOForEqualTimestamps(t *testing.T) {
 func TestHandlersCanSend(t *testing.T) {
 	n := New(1)
 	var final string
-	n.Register("relay", func(n Transport, m Message) {
+	n.Register("relay", func(n transport.Transport, m transport.Message) {
 		n.Send("relay", "sink", append([]byte("via-relay:"), m.Payload...))
 	})
-	n.Register("sink", func(n Transport, m Message) { final = string(m.Payload) })
+	n.Register("sink", func(n transport.Transport, m transport.Message) { final = string(m.Payload) })
 	n.Send("src", "relay", []byte("x"))
 	n.Run()
 	if final != "via-relay:x" {
@@ -90,7 +92,7 @@ func TestAfterTimer(t *testing.T) {
 
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	n.SetLink("a", "b", Link{Latency: time.Second})
 	n.Send("a", "b", nil)
 	if d := n.RunUntil(500 * time.Millisecond); d != 0 {
@@ -109,7 +111,7 @@ func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 
 func TestCaptureRecordsMetadataOnly(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	n.Send("a", "b", []byte("0123456789"))
 	n.Run()
 	cap := n.Capture()
@@ -123,12 +125,12 @@ func TestCaptureRecordsMetadataOnly(t *testing.T) {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() []PacketRecord {
+	run := func() []transport.PacketRecord {
 		n := New(42)
 		n.SetDefaultLink(Link{Latency: 5 * time.Millisecond, Jitter: 20 * time.Millisecond})
-		n.Register("sink", func(n Transport, m Message) {})
+		n.Register("sink", func(n transport.Transport, m transport.Message) {})
 		for i := 0; i < 50; i++ {
-			n.Send(Addr(fmt.Sprintf("n%d", i%7)), "sink", make([]byte, i))
+			n.Send(transport.Addr(fmt.Sprintf("n%d", i%7)), "sink", make([]byte, i))
 		}
 		n.Run()
 		return n.Capture()
@@ -149,7 +151,7 @@ func TestDifferentSeedsDifferentJitter(t *testing.T) {
 		n := New(seed)
 		n.SetDefaultLink(Link{Latency: time.Millisecond, Jitter: time.Second})
 		var at time.Duration
-		n.Register("b", func(n Transport, m Message) { at = n.Now() })
+		n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
 		n.Send("a", "b", nil)
 		n.Run()
 		return at
@@ -163,7 +165,7 @@ func TestPayloadIsolation(t *testing.T) {
 	n := New(1)
 	buf := []byte("original")
 	var got string
-	n.Register("b", func(n Transport, m Message) { got = string(m.Payload) })
+	n.Register("b", func(n transport.Transport, m transport.Message) { got = string(m.Payload) })
 	n.Send("a", "b", buf)
 	buf[0] = 'X' // mutate after send; delivery must see the original
 	n.Run()
@@ -174,7 +176,7 @@ func TestPayloadIsolation(t *testing.T) {
 
 func TestDeliveredCounter(t *testing.T) {
 	n := New(1)
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	for i := 0; i < 5; i++ {
 		n.Send("a", "b", nil)
 	}
@@ -187,7 +189,7 @@ func TestDeliveredCounter(t *testing.T) {
 
 func BenchmarkSendRun(b *testing.B) {
 	n := New(1)
-	n.Register("sink", func(n Transport, m Message) {})
+	n.Register("sink", func(n transport.Transport, m transport.Message) {})
 	payload := make([]byte, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -202,7 +204,7 @@ func BenchmarkSendRun(b *testing.B) {
 func TestLinkLossDropsStatistically(t *testing.T) {
 	n := New(11)
 	n.SetDefaultLink(Link{Latency: time.Millisecond, Loss: 0.5})
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	const total = 2000
 	for i := 0; i < total; i++ {
 		n.Send("a", "b", nil)
@@ -220,7 +222,7 @@ func TestLinkLossDropsStatistically(t *testing.T) {
 func TestZeroLossDeliversAll(t *testing.T) {
 	n := New(1)
 	n.SetDefaultLink(Link{Latency: time.Millisecond})
-	n.Register("b", func(n Transport, m Message) {})
+	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	for i := 0; i < 100; i++ {
 		n.Send("a", "b", nil)
 	}
@@ -234,7 +236,7 @@ func TestLossIsDeterministicPerSeed(t *testing.T) {
 	run := func() uint64 {
 		n := New(99)
 		n.SetDefaultLink(Link{Latency: time.Millisecond, Loss: 0.3})
-		n.Register("b", func(n Transport, m Message) {})
+		n.Register("b", func(n transport.Transport, m transport.Message) {})
 		for i := 0; i < 500; i++ {
 			n.Send("a", "b", nil)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"decoupling/internal/telemetry"
+	"decoupling/internal/transport"
 )
 
 // TestInstrumentedDelivery checks the simulator's telemetry contract:
@@ -19,12 +20,12 @@ func TestInstrumentedDelivery(t *testing.T) {
 	n.Instrument(tel)
 
 	// b relays everything it receives to c: a → b → c is a 2-hop chain.
-	n.Register("b", func(n Transport, msg Message) {
+	n.Register("b", func(n transport.Transport, msg transport.Message) {
 		if err := n.Send("b", "c", msg.Payload); err != nil {
 			t.Error(err)
 		}
 	})
-	n.Register("c", func(Transport, Message) {})
+	n.Register("c", func(transport.Transport, transport.Message) {})
 	if err := n.Send("a", "b", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestInstrumentedLoss(t *testing.T) {
 	m := telemetry.NewMetrics()
 	tel := telemetry.New("T", true, m)
 	n.Instrument(tel)
-	n.Register("b", func(Transport, Message) {})
+	n.Register("b", func(transport.Transport, transport.Message) {})
 	n.SetLink("a", "b", Link{Loss: 1})
 	for i := 0; i < 5; i++ {
 		if err := n.Send("a", "b", []byte("x")); err != nil {
@@ -108,7 +109,7 @@ func TestInstrumentedLoss(t *testing.T) {
 func TestUninstrumentedRunUnchanged(t *testing.T) {
 	n := New(1)
 	got := 0
-	n.Register("b", func(Transport, Message) { got++ })
+	n.Register("b", func(transport.Transport, transport.Message) { got++ })
 	for i := 0; i < 3; i++ {
 		n.Send("a", "b", []byte("x"))
 	}
@@ -133,7 +134,7 @@ func benchDelivery(b *testing.B, tel *telemetry.Telemetry) {
 	n := New(1)
 	n.SetDefaultLink(Link{})
 	n.Instrument(tel)
-	n.Register("b", func(Transport, Message) {})
+	n.Register("b", func(transport.Transport, transport.Message) {})
 	payload := make([]byte, 128)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -455,10 +454,6 @@ func (t *Telemetry) merge(labels []Attr) []Attr {
 	out = append(out, t.base...)
 	return append(out, labels...)
 }
-
-// Itoa is strconv.Itoa re-exported so instrumentation sites do not need
-// an extra import for size attributes.
-func Itoa(n int) string { return strconv.Itoa(n) }
 
 // SortAttrs sorts attributes by key (stable for equal keys).
 func SortAttrs(attrs []Attr) {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -196,7 +197,7 @@ func buildTrace(t *testing.T) *Tracer {
 	phase := tr.Start("phase:forward")
 	now = 2 * time.Millisecond
 	hop := tr.StartAt(phase, "simnet.deliver", time.Millisecond,
-		A("src", "alice"), A("dst", `mix"1`), A("bytes", Itoa(146)))
+		A("src", "alice"), A("dst", `mix"1`), A("bytes", strconv.Itoa(146)))
 	hop.Annotate(A("late", "value\nwith newline"))
 	hop.End()
 	phase.End()
@@ -428,10 +429,10 @@ func TestConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr := NewTracer(Itoa(g)) // tracers are per-goroutine, like per-experiment
+			tr := NewTracer(strconv.Itoa(g)) // tracers are per-goroutine, like per-experiment
 			for i := 0; i < 200; i++ {
-				sp := tr.Start("op", A("i", Itoa(i)))
-				m.Counter("ops_total", "Ops.", A("g", Itoa(g))).Add(1)
+				sp := tr.Start("op", A("i", strconv.Itoa(i)))
+				m.Counter("ops_total", "Ops.", A("g", strconv.Itoa(g))).Add(1)
 				m.Histogram("op_size", "Sizes.", SizeBuckets).Observe(float64(i))
 				sp.End()
 			}

@@ -11,6 +11,7 @@ import (
 	"decoupling/internal/mixnet"
 	"decoupling/internal/ppm"
 	"decoupling/internal/simnet"
+	"decoupling/internal/transport"
 )
 
 // Scale tests: the systems at one order of magnitude beyond the
@@ -24,7 +25,7 @@ func TestScaleMixnet(t *testing.T) {
 	net := simnet.New(31)
 	var route []mixnet.NodeInfo
 	for i := 1; i <= 3; i++ {
-		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), simnet.Addr(fmt.Sprintf("mix%d", i)), 64, time.Second, nil)
+		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), 64, time.Second, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestScaleMixnet(t *testing.T) {
 	for i := 0; i < msgs; i++ {
 		body := fmt.Sprintf("message-%04d", i)
 		want[body] = true
-		s := &mixnet.Sender{Addr: simnet.Addr(fmt.Sprintf("sender%04d", i))}
+		s := &mixnet.Sender{Addr: transport.Addr(fmt.Sprintf("sender%04d", i))}
 		if err := s.Send(net, route, rcv.Info(), []byte(body)); err != nil {
 			t.Fatal(err)
 		}
