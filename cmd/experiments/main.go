@@ -23,9 +23,12 @@
 // across -parallel settings and transports.
 //
 // Experiments execute on a worker pool (-parallel N, default
-// GOMAXPROCS); results are always reported in id order, so the report
-// bytes do not depend on the parallelism. Exit status is nonzero if any
-// experiment fails to reproduce.
+// GOMAXPROCS) that also runs the independent parts an experiment splits
+// its work into (E5's seven PGPP simulations), so N bounds the
+// goroutines running experiment code and -parallel 1 is sequential.
+// Results are always reported in id order, so the report bytes do not
+// depend on the parallelism. Exit status is nonzero if any experiment
+// fails to reproduce.
 //
 // Observability flags (all off by default; the report on stdout is
 // byte-identical with or without them):
@@ -93,7 +96,7 @@ func run(out, errw io.Writer, args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"number of experiments to run concurrently (1 = sequential)")
+		"number of goroutines running experiments and their parts (1 = sequential)")
 	faultSpec := fs.String("faults", "",
 		"overlay a fault `plan` on the chaos experiments' simulators (E14-E16): a named plan or a spec string; see faults.ParsePlan")
 	doStatic := fs.Bool("static", false,

@@ -12,9 +12,10 @@ import (
 // Ctx is the execution context threaded through every experiment: the
 // telemetry handle plus an optional hook over simulated-network
 // construction. The zero value is valid (no telemetry, no hook) and is
-// what tests use; the runner passes Ctx{Tel: tel}; the schedule
-// explorer passes WithNetHook to install schedulers on each net an
-// experiment builds and harvest their recorded schedules afterwards.
+// what tests use; the runner passes its telemetry, wire plane and
+// worker pool; the schedule explorer passes WithNetHook to install
+// schedulers on each net an experiment builds and harvest their
+// recorded schedules afterwards.
 type Ctx struct {
 	// Tel is the experiment's telemetry handle (nil when observability
 	// is off; all telemetry methods are nil-receiver safe).
@@ -33,6 +34,36 @@ type Ctx struct {
 	// same experiment over real loopback sockets instead of the
 	// simulator.
 	transport func(seed int64) transport.Runner
+
+	// pool, when set, is the Runner's worker pool, on which Each queues
+	// its parts.
+	pool *pool
+}
+
+// Each runs fn(0) … fn(n-1) as independent parts of the experiment and
+// waits for all of them. Under a Runner the parts are queued on its
+// worker pool: a free worker takes a queued part before the next
+// experiment, and the calling experiment runs its still-queued parts
+// itself while it waits, so Runner.Workers still bounds the goroutines
+// running experiment code. Outside a Runner the parts run in index
+// order on the caller. A panic in a part becomes that part's error.
+// Each returns the error with the lowest index, or nil.
+//
+// Parts may run concurrently, so each must touch only state it owns or
+// that is safe for concurrent use: a part may bump counters and write
+// a ledger that no other part writes. A part must not record spans,
+// build networks through the Ctx, or write the wire plane: all three
+// number their records per experiment in call order, and those
+// numbers must not depend on the worker count.
+func (c Ctx) Each(n int, fn func(i int) error) error {
+	if c.pool != nil {
+		return c.pool.each(n, fn)
+	}
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = callPart(fn, i)
+	}
+	return firstError(errs)
 }
 
 // netHooks is the shared hook state behind a Ctx. It lives behind a

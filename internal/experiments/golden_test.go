@@ -105,3 +105,20 @@ func TestE8RenderGolden(t *testing.T) {
 	}
 	checkGolden(t, "e8_render", r.Render())
 }
+
+// TestE5RenderGolden pins E5 (PGPP), whose seven mobility simulations
+// run as runner parts: the report must be the same bytes whether the
+// parts run inline under a zero Ctx or on a runner's workers.
+func TestE5RenderGolden(t *testing.T) {
+	t.Parallel()
+	r, err := E5PGPP(Ctx{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "e5_render", r.Render())
+	rr := (&Runner{Workers: 3}).Run([]Experiment{{"E5", E5PGPP}})[0]
+	if rr.Err != nil {
+		t.Fatal(rr.Err)
+	}
+	checkGolden(t, "e5_render", rr.Result.Render())
+}

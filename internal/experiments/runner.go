@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 // real-loopback systems bind ephemeral 127.0.0.1:0 ports. The runner
 // therefore only has to order the collection, not the execution — the
 // report produced from its results is byte-identical whether Workers is
-// 1 or GOMAXPROCS.
+// 1 or GOMAXPROCS. An experiment may split its own work into parts
+// (Ctx.Each), which the same workers run; parts go before experiments
+// still waiting, so one long experiment does not leave workers idle.
 //
 // Telemetry preserves that property: each experiment gets its own
 // Tracer (span ids and virtual timestamps are per-experiment state), so
@@ -28,8 +31,8 @@ import (
 // parallelism. The Metrics registry is shared, but counter and
 // histogram updates commute and exposition output is sorted.
 type Runner struct {
-	// Workers bounds concurrent experiment executions. Values < 1 mean
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds the goroutines running experiments and their
+	// parts. Values < 1 mean runtime.GOMAXPROCS(0).
 	Workers int
 	// Trace enables span recording: each experiment runs with its own
 	// tracer, returned in its RunnerResult.
@@ -70,67 +73,173 @@ func (r *Runner) Run(exps []Experiment) []RunnerResult {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
 	out := make([]RunnerResult, len(exps))
 	if len(exps) == 0 {
 		return out
 	}
-
-	type job struct {
-		idx      int
-		enqueued time.Time
-	}
-	jobs := make(chan job)
+	// Every experiment is queued from the start, so its queue wait is
+	// its pickup time minus this.
+	queued := time.Now()
+	p := &pool{experiments: len(exps)}
+	p.wake.L = &p.mu
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				exp := exps[j.idx]
-				tel := telemetry.New(exp.ID, r.Trace, r.Metrics, telemetry.A("experiment", exp.ID))
-				tel.Observe(telemetry.MetricRunnerQueueWait,
-					"Wall-clock wait between experiment enqueue and worker pickup.",
-					telemetry.WaitBuckets, time.Since(j.enqueued).Seconds())
-				start := time.Now()
-				// The root span: children are protocol phases and, under
-				// those, per-hop deliveries. Its end is stamped with the
-				// experiment's virtual elapsed time so the exported trace
-				// stays wall-clock free.
-				root := tel.Start("experiment", telemetry.A("id", exp.ID))
-				// Seeded by slot so a plane's ids depend on the input
-				// order, never on which worker picked the job up.
-				wire := wiretrace.New(r.WireMode, int64(1000+j.idx))
-				res, err := runOne(exp, tel, wire, r.Transport)
-				if res != nil {
-					res.WallElapsed = time.Since(start)
-					root.EndAt(res.VirtualElapsed)
-				} else {
-					root.EndAt(0)
-				}
-				out[j.idx] = RunnerResult{ID: exp.ID, Result: res, Err: err, Trace: tel.Tracer(), Wire: wire}
-			}
+			p.work(func(idx int) { out[idx] = r.runExperiment(exps[idx], idx, p, queued) })
 		}()
 	}
-	for i := range exps {
-		jobs <- job{idx: i, enqueued: time.Now()}
-	}
-	close(jobs)
 	wg.Wait()
 	return out
 }
 
+// runExperiment runs one experiment on the calling worker with its own
+// telemetry and wire plane.
+func (r *Runner) runExperiment(exp Experiment, idx int, p *pool, queued time.Time) RunnerResult {
+	tel := telemetry.New(exp.ID, r.Trace, r.Metrics, telemetry.A("experiment", exp.ID))
+	tel.Observe(telemetry.MetricRunnerQueueWait,
+		"Wall-clock wait between experiment enqueue and worker pickup.",
+		telemetry.WaitBuckets, time.Since(queued).Seconds())
+	start := time.Now()
+	// The root span: children are protocol phases and, under those,
+	// per-hop deliveries. Its end is stamped with the experiment's
+	// virtual elapsed time so the exported trace stays wall-clock free.
+	root := tel.Start("experiment", telemetry.A("id", exp.ID))
+	// Seeded by slot so a plane's ids depend on the input order, never
+	// on which worker picked the experiment up.
+	wire := wiretrace.New(r.WireMode, int64(1000+idx))
+	res, err := runOne(exp, Ctx{Tel: tel, Wire: wire, transport: r.Transport, pool: p})
+	if res != nil {
+		res.WallElapsed = time.Since(start)
+		root.EndAt(res.VirtualElapsed)
+	} else {
+		root.EndAt(0)
+	}
+	return RunnerResult{ID: exp.ID, Result: res, Err: err, Trace: tel.Tracer(), Wire: wire}
+}
+
 // runOne executes a single experiment, converting panics into errors so
 // one faulty experiment cannot take down a parallel run.
-func runOne(exp Experiment, tel *telemetry.Telemetry, wire *wiretrace.Plane, tr func(seed int64) transport.Runner) (res *Result, err error) {
+func runOne(exp Experiment, ctx Ctx) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%s: panic: %v", exp.ID, p)
 		}
 	}()
-	return exp.Run(Ctx{Tel: tel, Wire: wire, transport: tr})
+	return exp.Run(ctx)
+}
+
+// pool is the one queue a Runner's workers serve: the experiments not
+// yet started, in input order, and the parts that running experiments
+// queued through Ctx.Each. A free worker takes a queued part before
+// the next experiment. mu is never held while experiment or part code
+// runs.
+type pool struct {
+	mu sync.Mutex
+	// wake, on mu, is broadcast when parts are queued, when an Each's
+	// parts have all finished, and when the last experiment returns.
+	wake sync.Cond
+	// groups holds the Each calls with parts no goroutine has taken
+	// yet, oldest first.
+	groups      []*group
+	next        int // the next experiment to start
+	experiments int
+	running     int // experiments started and not yet returned
+}
+
+// group is one Each call's parts.
+type group struct {
+	fn   func(i int) error
+	errs []error
+	next int // the next part to take
+	left int // parts not yet finished
+}
+
+// work serves the pool until every experiment has returned; run
+// executes the experiment with the given index.
+func (p *pool) work(run func(idx int)) {
+	p.mu.Lock()
+	for {
+		switch {
+		case len(p.groups) > 0:
+			p.runPart(p.groups[0])
+		case p.next < p.experiments:
+			idx := p.next
+			p.next++
+			p.running++
+			p.mu.Unlock()
+			run(idx)
+			p.mu.Lock()
+			p.running--
+			if p.running == 0 && p.next == p.experiments {
+				p.wake.Broadcast()
+			}
+		case p.running == 0:
+			p.mu.Unlock()
+			return
+		default:
+			p.wake.Wait()
+		}
+	}
+}
+
+// each queues n parts for the workers, runs the ones no worker has
+// taken on the caller, and waits for the rest.
+func (p *pool) each(n int, fn func(i int) error) error {
+	g := &group{fn: fn, errs: make([]error, n), left: n}
+	p.mu.Lock()
+	if n > 0 {
+		p.groups = append(p.groups, g)
+		p.wake.Broadcast()
+	}
+	for g.left > 0 {
+		if g.next < n {
+			p.runPart(g)
+		} else {
+			p.wake.Wait()
+		}
+	}
+	p.mu.Unlock()
+	return firstError(g.errs)
+}
+
+// runPart takes g's next part and runs it with p.mu released. p.mu
+// must be held.
+func (p *pool) runPart(g *group) {
+	i := g.next
+	g.next++
+	if g.next == len(g.errs) {
+		p.groups = slices.DeleteFunc(p.groups, func(q *group) bool { return q == g })
+	}
+	p.mu.Unlock()
+	err := callPart(g.fn, i)
+	p.mu.Lock()
+	g.errs[i] = err
+	g.left--
+	if g.left == 0 {
+		p.wake.Broadcast()
+	}
+}
+
+// callPart runs part i of fn, returning a panic as the part's error.
+func callPart(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("part %d: panic: %v", i, p)
+		}
+	}()
+	return fn(i)
+}
+
+// firstError returns the lowest-index non-nil error.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunAll is shorthand for running every registered experiment with the

@@ -1,12 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"decoupling/internal/telemetry"
 )
 
 // TestRunnerOrdersResults checks that results come back in input order
@@ -35,35 +42,180 @@ func TestRunnerOrdersResults(t *testing.T) {
 }
 
 // TestRunnerBoundsWorkers checks the pool never runs more than Workers
-// experiments at once.
+// experiment and part bodies at once. An experiment waiting in Each
+// counts only through the parts it runs itself.
 func TestRunnerBoundsWorkers(t *testing.T) {
 	t.Parallel()
 	const workers = 3
-	var inFlight, peak atomic.Int64
+	var inFlight, peak, parts atomic.Int64
 	var mu sync.Mutex
+	enter := func() {
+		cur := inFlight.Add(1)
+		mu.Lock()
+		if cur > peak.Load() {
+			peak.Store(cur)
+		}
+		mu.Unlock()
+		runtime.Gosched()
+	}
+	leave := func() { inFlight.Add(-1) }
 	var exps []Experiment
 	for i := 0; i < 12; i++ {
-		exps = append(exps, Experiment{ID: fmt.Sprintf("X%d", i), Run: func(Ctx) (*Result, error) {
-			cur := inFlight.Add(1)
-			mu.Lock()
-			if cur > peak.Load() {
-				peak.Store(cur)
+		split := i%3 == 0
+		exps = append(exps, Experiment{ID: fmt.Sprintf("X%d", i), Run: func(ctx Ctx) (*Result, error) {
+			enter()
+			defer leave()
+			if split {
+				leave()
+				err := ctx.Each(5, func(int) error {
+					enter()
+					defer leave()
+					parts.Add(1)
+					return nil
+				})
+				enter()
+				if err != nil {
+					return nil, err
+				}
 			}
-			mu.Unlock()
-			runtime.Gosched()
-			inFlight.Add(-1)
 			return &Result{Pass: true}, nil
 		}})
 	}
 	r := Runner{Workers: workers}
-	r.Run(exps)
+	for _, rr := range r.Run(exps) {
+		if rr.Err != nil {
+			t.Errorf("%s: %v", rr.ID, rr.Err)
+		}
+	}
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency = %d, want <= %d", p, workers)
+	}
+	if n := parts.Load(); n != 4*5 {
+		t.Errorf("parts run = %d, want 20", n)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack
+// header ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestRunnerPartsInlineAtOneWorker checks that with one worker an
+// experiment's parts run in index order on the experiment's own
+// goroutine, and that the experiments still run one after another.
+func TestRunnerPartsInlineAtOneWorker(t *testing.T) {
+	t.Parallel()
+	var active atomic.Int64
+	var exps []Experiment
+	for i := 0; i < 3; i++ {
+		exps = append(exps, Experiment{ID: fmt.Sprintf("X%d", i), Run: func(ctx Ctx) (*Result, error) {
+			if n := active.Add(1); n != 1 {
+				return nil, fmt.Errorf("%d experiments running at once", n)
+			}
+			defer active.Add(-1)
+			caller := goid()
+			var order []int
+			err := ctx.Each(4, func(i int) error {
+				if g := goid(); g != caller {
+					return fmt.Errorf("part %d ran on goroutine %s, experiment on %s", i, g, caller)
+				}
+				order = append(order, i)
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			if !slices.Equal(order, []int{0, 1, 2, 3}) {
+				return nil, fmt.Errorf("parts ran in order %v", order)
+			}
+			return &Result{Pass: true}, nil
+		}})
+	}
+	r := Runner{Workers: 1}
+	for _, rr := range r.Run(exps) {
+		if rr.Err != nil {
+			t.Errorf("%s: %v", rr.ID, rr.Err)
+		}
+	}
+}
+
+// TestRunnerLoneExperimentSpreadsParts checks that a lone experiment
+// gets every worker for its parts: at Workers 2 its two parts must be
+// in flight together, each waiting for the other to arrive.
+func TestRunnerLoneExperimentSpreadsParts(t *testing.T) {
+	t.Parallel()
+	var arrived atomic.Int64
+	both := make(chan struct{})
+	exp := Experiment{ID: "X", Run: func(ctx Ctx) (*Result, error) {
+		err := ctx.Each(2, func(i int) error {
+			if arrived.Add(1) == 2 {
+				close(both)
+			}
+			select {
+			case <-both:
+				return nil
+			case <-time.After(time.Minute):
+				return fmt.Errorf("part %d: the other part never started", i)
+			}
+		})
+		return &Result{Pass: err == nil}, err
+	}}
+	r := Runner{Workers: 2}
+	if rr := r.Run([]Experiment{exp})[0]; rr.Err != nil {
+		t.Error(rr.Err)
+	}
+}
+
+// TestRunnerPartsBeforeExperiments checks the queue's order: a worker
+// that frees up takes a queued part before the next experiment. A's
+// part 0 holds one worker until part 1 starts; B holds the other until
+// A's parts are queued, and C must not start before part 1.
+func TestRunnerPartsBeforeExperiments(t *testing.T) {
+	t.Parallel()
+	queued, partOne := make(chan struct{}), make(chan struct{})
+	exps := []Experiment{
+		{ID: "A", Run: func(ctx Ctx) (*Result, error) {
+			err := ctx.Each(2, func(i int) error {
+				if i == 1 {
+					close(partOne)
+					return nil
+				}
+				close(queued)
+				select {
+				case <-partOne:
+					return nil
+				case <-time.After(time.Minute):
+					return errors.New("part 1 never started")
+				}
+			})
+			return &Result{Pass: err == nil}, err
+		}},
+		{ID: "B", Run: func(Ctx) (*Result, error) {
+			<-queued
+			return &Result{Pass: true}, nil
+		}},
+		{ID: "C", Run: func(Ctx) (*Result, error) {
+			select {
+			case <-partOne:
+				return &Result{Pass: true}, nil
+			default:
+				return nil, errors.New("C started before A's queued part 1")
+			}
+		}},
+	}
+	r := Runner{Workers: 2}
+	for _, rr := range r.Run(exps) {
+		if rr.Err != nil {
+			t.Errorf("%s: %v", rr.ID, rr.Err)
+		}
 	}
 }
 
 // TestRunnerErrorsAndPanicsIsolated checks that one failing or
-// panicking experiment fills only its own slot.
+// panicking experiment, or a panicking part, fills only its own slot,
+// and that Each still waits for the experiment's other parts.
 func TestRunnerErrorsAndPanicsIsolated(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
@@ -71,11 +223,41 @@ func TestRunnerErrorsAndPanicsIsolated(t *testing.T) {
 		{ID: "ok", Run: func(Ctx) (*Result, error) { return &Result{ID: "ok", Pass: true}, nil }},
 		{ID: "err", Run: func(Ctx) (*Result, error) { return nil, boom }},
 		{ID: "panic", Run: func(Ctx) (*Result, error) { panic("kaboom") }},
+		{ID: "part-panic", Run: func(ctx Ctx) (*Result, error) {
+			// Part 0 holds its goroutine until part 2 has started on
+			// another, so Each has a running part to wait for.
+			started := make(chan struct{})
+			var others atomic.Int64
+			err := ctx.Each(4, func(i int) error {
+				switch i {
+				case 0:
+					select {
+					case <-started:
+					case <-time.After(time.Minute):
+						return errors.New("part 2 never started")
+					}
+				case 1:
+					panic("part kaboom")
+				case 2:
+					close(started)
+					time.Sleep(20 * time.Millisecond)
+				}
+				others.Add(1)
+				return nil
+			})
+			if n := others.Load(); n != 3 {
+				return nil, fmt.Errorf("Each returned with %d of 3 other parts done", n)
+			}
+			return nil, err
+		}},
+		{ID: "ok2", Run: func(Ctx) (*Result, error) { return &Result{ID: "ok2", Pass: true}, nil }},
 	}
 	r := Runner{Workers: 2}
 	out := r.Run(exps)
-	if out[0].Err != nil || out[0].Result == nil || !out[0].Result.Pass {
-		t.Errorf("ok slot corrupted: %+v", out[0])
+	for _, i := range []int{0, 4} {
+		if out[i].Err != nil || out[i].Result == nil || !out[i].Result.Pass {
+			t.Errorf("%s slot corrupted: %+v", exps[i].ID, out[i])
+		}
 	}
 	if !errors.Is(out[1].Err, boom) {
 		t.Errorf("err slot: got %v, want %v", out[1].Err, boom)
@@ -83,6 +265,73 @@ func TestRunnerErrorsAndPanicsIsolated(t *testing.T) {
 	if out[2].Err == nil || out[2].Result != nil {
 		t.Errorf("panic slot: got %+v", out[2])
 	}
+	if err := out[3].Err; err == nil || err.Error() != "part 1: panic: part kaboom" {
+		t.Errorf("part-panic slot: got %v, want part 1's panic", err)
+	}
+}
+
+// TestRunnerEachInlineOutsideRunner checks Each under a zero Ctx: the
+// parts run in index order on the caller, every part runs even after
+// one fails, and the lowest-index error wins.
+func TestRunnerEachInlineOutsideRunner(t *testing.T) {
+	t.Parallel()
+	caller := goid()
+	var order []int
+	err := Ctx{}.Each(5, func(i int) error {
+		if g := goid(); g != caller {
+			t.Errorf("part %d ran on goroutine %s, caller on %s", i, g, caller)
+		}
+		order = append(order, i)
+		switch i {
+		case 1:
+			panic("inline kaboom")
+		case 3:
+			return errors.New("part 3 failed")
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "part 1: panic: inline kaboom" {
+		t.Errorf("Each = %v, want part 1's panic", err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("parts ran in order %v, want 0..4", order)
+	}
+}
+
+// TestRunnerQueueWaitCountsWholeQueue checks runner_queue_wait: every
+// experiment is queued when Run starts, so at one worker the third of
+// three 40 ms experiments waits for both before it, at least 80 ms.
+func TestRunnerQueueWaitCountsWholeQueue(t *testing.T) {
+	t.Parallel()
+	const each = 40 * time.Millisecond
+	var exps []Experiment
+	for i := 0; i < 3; i++ {
+		exps = append(exps, Experiment{ID: fmt.Sprintf("Q%d", i), Run: func(Ctx) (*Result, error) {
+			time.Sleep(each)
+			return &Result{Pass: true}, nil
+		}})
+	}
+	m := telemetry.NewMetrics()
+	r := Runner{Workers: 1, Metrics: m}
+	r.Run(exps)
+	var b bytes.Buffer
+	if err := m.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	prefix := telemetry.MetricRunnerQueueWait + `_sum{experiment="Q2"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			wait, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (2 * each).Seconds(); wait < want {
+				t.Errorf("Q2 queue wait = %.3fs, want >= %.3fs", wait, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %q line in the exposition:\n%s", prefix, b.String())
 }
 
 // TestRunnerParallelMatchesSequential is the determinism guarantee for

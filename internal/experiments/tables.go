@@ -246,9 +246,62 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 	lg := ledger.New(cls, nil)
 	lg.Instrument(tel)
 	cfg := pgpp.DefaultSimConfig()
-	if _, err := pgpp.RunSim(cfg, lg); err != nil {
+
+	policies := []struct {
+		label  string
+		pgppOn bool
+		policy pgpp.ShufflePolicy
+	}{
+		{"baseline cellular", false, pgpp.ShuffleNever},
+		{"PGPP", true, pgpp.ShuffleNever},
+		{"PGPP", true, pgpp.ShuffleDaily},
+		{"PGPP", true, pgpp.ShufflePerAttach},
+	}
+	deployments := []struct {
+		label        string
+		users, cells int
+	}{
+		{"sparse (4 users / 50 cells)", 4, 50},
+		{"dense (30 users / 6 cells)", 30, 6},
+	}
+	// The seven simulations are independent, so they run as parts:
+	// part 0 fills the ledger for the table, parts 1-4 score the
+	// shuffle policies and parts 5-6 the continuity attack. Each keeps
+	// only the accuracies its row prints.
+	sims := []pgpp.SimConfig{cfg}
+	for _, p := range policies {
+		c := cfg
+		c.PGPP, c.Policy = p.pgppOn, p.policy
+		sims = append(sims, c)
+	}
+	for _, d := range deployments {
+		c := cfg
+		c.Users, c.Cells = d.users, d.cells
+		c.Policy = pgpp.ShufflePerAttach
+		sims = append(sims, c)
+	}
+	naive := make([]float64, len(sims))
+	chained := make([]float64, len(sims))
+	err := ctx.Each(len(sims), func(i int) error {
+		if i == 0 {
+			_, err := pgpp.RunSim(sims[0], lg)
+			return err
+		}
+		res, err := pgpp.RunSim(sims[i], nil)
+		if err != nil {
+			return err
+		}
+		log := res.Core.Log()
+		naive[i] = pgpp.TrackingAccuracy(log, res.NetIDOwner)
+		if i > len(policies) {
+			chained[i] = pgpp.ContinuityAttack(log, res.NetIDOwner, sims[i].Cells, 1)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
+
 	r.Expected = core.PGPP()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
@@ -262,31 +315,14 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 		Title:   "Core-log tracking accuracy by identifier policy",
 		Columns: []string{"architecture", "shuffle policy", "tracking accuracy"},
 	}
-	runs := []struct {
-		label  string
-		pgppOn bool
-		policy pgpp.ShufflePolicy
-	}{
-		{"baseline cellular", false, pgpp.ShuffleNever},
-		{"PGPP", true, pgpp.ShuffleNever},
-		{"PGPP", true, pgpp.ShuffleDaily},
-		{"PGPP", true, pgpp.ShufflePerAttach},
-	}
 	var prev float64 = 2
-	for _, run := range runs {
-		c := cfg
-		c.PGPP = run.pgppOn
-		c.Policy = run.policy
-		res, err := pgpp.RunSim(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		acc := pgpp.TrackingAccuracy(res.Core.Log(), res.NetIDOwner)
-		ablation.Rows = append(ablation.Rows, []string{run.label, run.policy.String(), fmt.Sprintf("%.3f", acc)})
+	for k, p := range policies {
+		acc := naive[1+k]
+		ablation.Rows = append(ablation.Rows, []string{p.label, p.policy.String(), fmt.Sprintf("%.3f", acc)})
 		if acc > prev+1e-9 {
 			r.Pass = false
 			r.Diffs = append(r.Diffs, fmt.Sprintf("tracking accuracy not monotone: %s/%s = %.3f > previous %.3f",
-				run.label, run.policy, acc, prev))
+				p.label, p.policy, acc, prev))
 		}
 		prev = acc
 	}
@@ -300,24 +336,10 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 		Title:   "Continuity attack on per-attach shuffling: density matters",
 		Columns: []string{"deployment", "naive tracking", "continuity-chained tracking"},
 	}
-	for _, d := range []struct {
-		label        string
-		users, cells int
-	}{
-		{"sparse (4 users / 50 cells)", 4, 50},
-		{"dense (30 users / 6 cells)", 30, 6},
-	} {
-		c := cfg
-		c.Users, c.Cells = d.users, d.cells
-		c.Policy = pgpp.ShufflePerAttach
-		res, err := pgpp.RunSim(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		naive := pgpp.TrackingAccuracy(res.Core.Log(), res.NetIDOwner)
-		chained := pgpp.ContinuityAttack(res.Core.Log(), res.NetIDOwner, c.Cells, 1)
+	for k, d := range deployments {
+		i := 1 + len(policies) + k
 		continuity.Rows = append(continuity.Rows, []string{
-			d.label, fmt.Sprintf("%.3f", naive), fmt.Sprintf("%.3f", chained),
+			d.label, fmt.Sprintf("%.3f", naive[i]), fmt.Sprintf("%.3f", chained[i]),
 		})
 	}
 	r.Tables = append(r.Tables, continuity)

@@ -282,7 +282,7 @@ type Device struct {
 
 // NewDevice provisions a device. In PGPP mode it pre-purchases tokens
 // from the gateway; in baseline mode it registers its IMSI with the
-// core.
+// core, and gw may be nil.
 func NewDevice(account string, policy ShufflePolicy, gw *Gateway, c *Core, rng *mrand.Rand, prepaid int) (*Device, error) {
 	imsiBuf := make([]byte, 8)
 	if _, err := rand.Read(imsiBuf); err != nil {

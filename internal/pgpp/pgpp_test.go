@@ -18,14 +18,12 @@ func smallConfig(pgppMode bool, policy ShufflePolicy) SimConfig {
 	}
 }
 
+// TestBaselineAttachAndPage runs the baseline with no gateway: devices
+// authenticate by IMSI alone.
 func TestBaselineAttachAndPage(t *testing.T) {
-	gw, err := NewGateway(testKeyBits, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := NewCore(false, gw.PublicKey(), nil)
+	nc := NewCore(false, nil, nil)
 	rng := mrand.New(mrand.NewSource(1))
-	d, err := NewDevice("alice", ShuffleNever, gw, nc, rng, 0)
+	d, err := NewDevice("alice", ShuffleNever, nil, nc, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +269,20 @@ func TestAnonymitySetGrowsWithShuffling(t *testing.T) {
 	}
 	if len(res.NetIDOwner) < 3*res.Config.Users {
 		t.Errorf("pseudonym count %d too small for %d users", len(res.NetIDOwner), res.Config.Users)
+	}
+}
+
+// TestBaselineSimGeneratesNoKey: a baseline run builds no gateway, so
+// it needs no signing key and runs even with an unusable KeyBits.
+func TestBaselineSimGeneratesNoKey(t *testing.T) {
+	cfg := smallConfig(false, ShuffleNever)
+	cfg.KeyBits = 0
+	if _, err := RunSim(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg.PGPP = true
+	if _, err := RunSim(cfg, nil); err == nil {
+		t.Error("PGPP run with KeyBits 0 built a gateway")
 	}
 }
 

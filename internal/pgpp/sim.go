@@ -1,6 +1,7 @@
 package pgpp
 
 import (
+	"crypto/rsa"
 	"fmt"
 	mrand "math/rand"
 
@@ -38,13 +39,14 @@ type SimResult struct {
 	// NetIDOwner is the scoring ground truth: pseudonym -> user.
 	NetIDOwner map[string]string
 	Core       *Core
-	Gateway    *Gateway
 	Devices    []*Device
 }
 
 // RunSim provisions cfg.Users devices, walks them over the cell grid
 // for cfg.Steps steps, re-attaching every cfg.SessionLen steps, and
-// returns the ground truth plus the instrumented core and gateway.
+// returns the ground truth plus the instrumented core. Only a PGPP run
+// has a gateway: baseline devices authenticate by IMSI, so no signing
+// key is generated for them.
 //
 // If lg is non-nil, the run also registers classification ground truth:
 // accounts are sensitive H-identities, permanent IMSIs sensitive
@@ -59,18 +61,22 @@ func RunSim(cfg SimConfig, lg *ledger.Ledger) (*SimResult, error) {
 	}
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 
-	gw, err := NewGateway(cfg.KeyBits, lg)
-	if err != nil {
-		return nil, err
+	var gw *Gateway
+	var gwKey *rsa.PublicKey
+	if cfg.PGPP {
+		var err error
+		if gw, err = NewGateway(cfg.KeyBits, lg); err != nil {
+			return nil, err
+		}
+		gwKey = gw.PublicKey()
 	}
-	nc := NewCore(cfg.PGPP, gw.PublicKey(), lg)
+	nc := NewCore(cfg.PGPP, gwKey, lg)
 
 	res := &SimResult{
 		Config:     cfg,
 		Traces:     map[string][]int{},
 		NetIDOwner: map[string]string{},
 		Core:       nc,
-		Gateway:    gw,
 	}
 
 	var cls *ledger.Classifier
