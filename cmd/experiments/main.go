@@ -149,7 +149,7 @@ func run(out, errw io.Writer, args []string) int {
 		// in-process simnet transport.
 	case "tcp":
 		transportFactory = func(seed int64) transport.Runner {
-			return nettransport.New(nettransport.Options{Mode: nettransport.ModeTCP, Seed: seed})
+			return nettransport.New(nettransport.Options{Seed: seed})
 		}
 	default:
 		fmt.Fprintf(errw, "experiments: unknown -transport %q (want simnet or tcp)\n", *transportName)

@@ -864,7 +864,6 @@ func runMixnetLeg(clients, relays, workers int, seed int64, obs *liveObs, plane 
 	}
 
 	opts := nettransport.Options{
-		Mode:           nettransport.ModeTCP,
 		Seed:           seed,
 		DisableCapture: true,
 		InboxDepth:     16_384,

@@ -7,9 +7,10 @@
 //	tracecheck -spans w.jsonl              # wall-clock wire-span validation
 //	tracecheck -trace t.jsonl -metrics m.prom
 //
-// A trace file passes when every line decodes as a span record, span
-// ids are unique per trace, parents precede children, and no span ends
-// before it starts. A metrics file passes when it parses under the
+// A trace file passes when it holds at least one span, every line
+// decodes as a span record, span ids are unique per trace, parents
+// precede children, and no span ends before it starts. A metrics file
+// passes when it holds at least one metric family, parses under the
 // strict exposition grammar AND re-renders byte-identically — the
 // writer and parser keep each other honest. A samples file (from
 // `loadgen -sample`) passes when every line is a flat numeric JSON
@@ -21,11 +22,12 @@
 // children nesting inside same-vantage parents, and the mode's
 // rotation discipline — rotate artifacts must rotate at boundaries
 // and never let a trace id span more than two vantages; naive
-// artifacts must never record a rotation. An empty spans artifact is
-// an error unless -allow-empty is given, because "no spans" usually
-// means a silently broken pipeline, not a healthy one. CI runs this
-// against the artifacts of real runs, including a /metrics scrape
-// taken mid-run.
+// artifacts must never record a rotation. An empty artifact of any
+// kind is an error, because "nothing recorded" usually means a
+// silently broken pipeline, not a healthy one; only -spans accepts
+// one, with -allow-empty, since a run with wire tracing off exports no
+// spans. CI runs this against the artifacts of real runs, including a
+// /metrics scrape taken mid-run.
 package main
 
 import (
@@ -142,6 +144,9 @@ func checkTrace(out io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	if len(recs) == 0 {
+		return fmt.Errorf("%s: no spans — the trace exporter wrote nothing", path)
+	}
 	traces := map[string]int{}
 	roots := 0
 	for _, r := range recs {
@@ -163,6 +168,9 @@ func checkMetrics(out io.Writer, path string) error {
 	fams, err := telemetry.ParseExposition(bytes.NewReader(raw))
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(fams) == 0 {
+		return fmt.Errorf("%s: no metric families — the metrics exporter wrote nothing", path)
 	}
 	var rendered bytes.Buffer
 	if err := telemetry.WriteExpFamilies(&rendered, fams); err != nil {

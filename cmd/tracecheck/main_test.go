@@ -64,6 +64,27 @@ func TestInvalidTrace(t *testing.T) {
 	}
 }
 
+// TestEmptyArtifacts: an empty -trace or -metrics file means the
+// exporter wrote nothing, and must fail like an empty -samples file.
+func TestEmptyArtifacts(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ flag, want string }{
+		{"trace", "no spans"},
+		{"metrics", "no metric families"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			ep := write(t, "empty", "")
+			var out, errw bytes.Buffer
+			if code := run(&out, &errw, []string{"-" + tc.flag, ep}); code != 1 {
+				t.Fatalf("exit %d, want 1 (stdout: %s)", code, out.String())
+			}
+			if !strings.Contains(errw.String(), tc.want) {
+				t.Errorf("error did not explain itself: %s", errw.String())
+			}
+		})
+	}
+}
+
 func TestNonCanonicalMetrics(t *testing.T) {
 	t.Parallel()
 	// Parses fine but has a trailing blank line the canonical writer

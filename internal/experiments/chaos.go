@@ -146,7 +146,7 @@ func mixnetChaosRun(ctx Ctx, rate float64, retry bool) (delivered, retries int, 
 	net := ctx.NewRunner(14)
 	defer net.Close()
 	net.Instrument(tel)
-	c, err := newCascade(net, nil, 1, tel, nil)
+	c, err := newCascade(net, nil, 3, 1, false, tel, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -199,15 +199,11 @@ func onionChaosRun(ctx Ctx, retry bool) (delivered int, err error) {
 	net := ctx.NewRunner(15)
 	defer net.Close()
 	net.Instrument(tel)
-	var pool []onion.RelayInfo
-	for i := 1; i <= 4; i++ {
-		r, rerr := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
-		if rerr != nil {
-			return 0, rerr
-		}
-		pool = append(pool, r.Info())
+	// nil telemetry: E14's trace carries no relay spans.
+	pool, err := newOnion(net, nil, 4, 0, nil)
+	if err != nil {
+		return 0, err
 	}
-	onion.NewOrigin(net, "Origin", "origin", 0, nil)
 	client := onion.NewClient(net, "alice")
 
 	// Circuit setup completes by 30ms virtually (3 hops) and within a

@@ -25,11 +25,10 @@ import (
 // either the real transport leaks observations the simulator doesn't
 // model, or the analysis was quietly depending on simulator scheduling.
 
-// realTransport is the factory the suite injects: TCP mode, because the
-// equivalence contract requires reliable delivery (UDP's kernel-level
-// drops are a property of the wire, not of the protocols under test).
+// realTransport is the factory the suite injects: real loopback TCP,
+// whose reliable delivery the equivalence contract requires.
 func realTransport(seed int64) transport.Runner {
-	return nettransport.New(nettransport.Options{Mode: nettransport.ModeTCP, Seed: seed})
+	return nettransport.New(nettransport.Options{Seed: seed})
 }
 
 // tuplesEqual compares two measured systems symmetrically: each is
@@ -99,7 +98,7 @@ func equivalenceScenario(t *testing.T, net transport.Runner) *ledger.Ledger {
 	for i := 1; i <= 3; i++ {
 		cls.RegisterIdentity(fmt.Sprintf("mix%d", i), "", "", core.NonSensitive)
 	}
-	c, err := newCascade(net, lg, 4, nil, nil)
+	c, err := newCascade(net, lg, 3, 4, false, nil, nil)
 	if err != nil {
 		t.Fatalf("cascade: %v", err)
 	}

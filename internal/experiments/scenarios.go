@@ -199,7 +199,7 @@ func newMixnetScenario(ctx Ctx, net transport.Runner) (*ledger.Ledger, *cascade,
 	for i := 1; i <= 3; i++ {
 		lg.Classifier().RegisterIdentity(fmt.Sprintf("mix%d", i), "", "", core.NonSensitive)
 	}
-	c, err := newCascade(net, lg, 4, ctx.Tel, ctx.Wire)
+	c, err := newCascade(net, lg, 3, 4, false, ctx.Tel, ctx.Wire)
 	return lg, c, err
 }
 

@@ -105,16 +105,10 @@ func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 	net := ctx.NewNet(int64(hops))
 	net.Instrument(tel)
 
-	var infos []onion.RelayInfo
-	for i := 1; i <= hops; i++ {
-		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), lg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		rl.Instrument(tel)
-		infos = append(infos, rl.Info())
+	infos, err := newOnion(net, lg, hops, 128, tel)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	onion.NewOrigin(net, "Origin", "origin", 128, lg)
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	cls.RegisterData("GET /secret", "alice", "", core.Sensitive)
 
@@ -397,17 +391,10 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 	defer phase.End()
 	net := ctx.NewNet(int64(batch) + 100)
 	net.Instrument(tel)
-	m, err := mixnet.NewMix(net, "Mix 1", "mix1", batch, 0, nil)
+	c, err := newCascade(net, nil, 1, batch, padded, tel, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m.Instrument(tel)
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", padded, nil)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rcv.Instrument(tel)
-	route := []mixnet.NodeInfo{m.Info()}
 	var entries []adversary.Event
 	var sendTimes []time.Duration
 	var sendErrs []error
@@ -420,7 +407,7 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 		}
 		msg := []byte(who)
 		net.After(at, func() {
-			if serr := s.Send(net, route, rcv.Info(), msg); serr != nil {
+			if serr := s.Send(net, c.route, c.rcv.Info(), msg); serr != nil {
 				sendErrs = append(sendErrs, fmt.Errorf("mixTimingRun: send %s: %w", who, serr))
 			}
 		})
@@ -431,7 +418,7 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 	if len(sendErrs) > 0 {
 		return 0, 0, 0, sendErrs[0]
 	}
-	inbox := rcv.Inbox()
+	inbox := c.rcv.Inbox()
 	if len(inbox) != senders {
 		return 0, 0, 0, fmt.Errorf("mixTimingRun: delivered %d of %d", len(inbox), senders)
 	}
@@ -453,17 +440,10 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 	defer phase.End()
 	net := ctx.NewNet(7)
 	net.Instrument(tel)
-	m, err := mixnet.NewMix(net, "Mix 1", "mix1", senders, 0, nil)
+	c, err := newCascade(net, nil, 1, senders, padded, tel, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	m.Instrument(tel)
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", padded, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	rcv.Instrument(tel)
-	route := []mixnet.NodeInfo{m.Info()}
 	for i := 0; i < senders; i++ {
 		who := fmt.Sprintf("s%02d", i)
 		s := &mixnet.Sender{Addr: transport.Addr(who)}
@@ -473,7 +453,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 		// Distinct sizes: message length 10 + 7i, under the pad budget.
 		msg := make([]byte, 10+7*i)
 		copy(msg, who)
-		if err := s.Send(net, route, rcv.Info(), msg); err != nil {
+		if err := s.Send(net, c.route, c.rcv.Info(), msg); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -493,7 +473,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 			exitRecords = append(exitRecords, rec)
 		}
 	}
-	inbox := rcv.Inbox()
+	inbox := c.rcv.Inbox()
 	if len(inbox) != len(exitRecords) {
 		return 0, 0, fmt.Errorf("mixSizeRun: %d inbox vs %d exit records", len(inbox), len(exitRecords))
 	}
@@ -513,16 +493,10 @@ func onionChaffRun(ctx Ctx, rate int) (cells int, err error) {
 	defer phase.End()
 	net := ctx.NewNet(int64(rate) + 5)
 	net.Instrument(tel)
-	var infos []onion.RelayInfo
-	for i := 1; i <= 3; i++ {
-		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), nil)
-		if err != nil {
-			return 0, err
-		}
-		rl.Instrument(tel)
-		infos = append(infos, rl.Info())
+	infos, err := newOnion(net, nil, 3, 64, tel)
+	if err != nil {
+		return 0, err
 	}
-	onion.NewOrigin(net, "Origin", "origin", 64, nil)
 	client := onion.NewClient(net, "alice")
 	circ, err := client.BuildCircuit(infos)
 	if err != nil {

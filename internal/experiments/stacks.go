@@ -10,6 +10,7 @@ import (
 	"decoupling/internal/mixnet"
 	"decoupling/internal/odns"
 	"decoupling/internal/odoh"
+	"decoupling/internal/onion"
 	"decoupling/internal/resilience"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
@@ -17,10 +18,10 @@ import (
 )
 
 // The protocol stacks every experiment, scenario and probe shares: the
-// §3.2.2 ODoH and ODNS deployments and the §3.1.2 mix cascade, each
-// built and instrumented in one place so every run that measures a
-// stack audits the same thing. Callers inject faults around a stack,
-// on the hop their experiment exercises, never inside it.
+// §3.2.2 ODoH and ODNS deployments, the §3.1.2 mix cascade and onion
+// relays, each built and instrumented in one place so every run that
+// measures a stack audits the same thing. Callers inject faults around
+// a stack, on the hop their experiment exercises, never inside it.
 
 // auditDNSNames is the query workload shared by the DNS stacks.
 var auditDNSNames = []string{"www.example.com", "mail.example.com", "secret.example.com", "api.example.com"}
@@ -178,16 +179,19 @@ func (d *downAuthority) Handle(from string, q *dnswire.Message) *dnswire.Message
 	return d.Authority.Handle(from, q)
 }
 
-// cascade is the mix cascade: Mix 1..3 at mix1..mix3, each flushing
+// cascade is the mix cascade: Mix 1..n at mix1..mixN, each flushing
 // at a batch threshold, in front of the receiver.
 type cascade struct {
 	route []mixnet.NodeInfo
 	rcv   *mixnet.Receiver
 }
 
-func newCascade(net transport.Transport, lg *ledger.Ledger, batch int, tel *telemetry.Telemetry, wire *wiretrace.Plane) (*cascade, error) {
+// newCascade registers the cascade on lg with the given number of
+// mixes. A padded receiver strips the padding senders add
+// (mixnet.Sender.PadTo).
+func newCascade(net transport.Transport, lg *ledger.Ledger, mixes, batch int, padded bool, tel *telemetry.Telemetry, wire *wiretrace.Plane) (*cascade, error) {
 	c := &cascade{}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= mixes; i++ {
 		m, err := mixnet.NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), batch, 0, lg)
 		if err != nil {
 			return nil, err
@@ -196,7 +200,7 @@ func newCascade(net transport.Transport, lg *ledger.Ledger, batch int, tel *tele
 		m.InstrumentWire(wire)
 		c.route = append(c.route, m.Info())
 	}
-	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", false, lg)
+	rcv, err := mixnet.NewReceiver(net, "Receiver", "receiver", padded, lg)
 	if err != nil {
 		return nil, err
 	}
@@ -221,6 +225,24 @@ func (c *cascade) delivered(msg string) bool {
 		}
 	}
 	return false
+}
+
+// newOnion registers the onion deployment on lg: Relay 1..n at
+// relay1..relayN and the origin, which answers every request with
+// respSize bytes. It returns the relays' descriptors for circuit
+// building; a nil tel leaves the relays uninstrumented.
+func newOnion(net transport.Transport, lg *ledger.Ledger, hops, respSize int, tel *telemetry.Telemetry) ([]onion.RelayInfo, error) {
+	var relays []onion.RelayInfo
+	for i := 1; i <= hops; i++ {
+		rl, err := onion.NewRelay(net, fmt.Sprintf("Relay %d", i), transport.Addr(fmt.Sprintf("relay%d", i)), lg)
+		if err != nil {
+			return nil, err
+		}
+		rl.Instrument(tel)
+		relays = append(relays, rl.Info())
+	}
+	onion.NewOrigin(net, "Origin", "origin", respSize, lg)
+	return relays, nil
 }
 
 // registerSender registers mix sender i and its message as sensitive

@@ -15,7 +15,7 @@ import (
 )
 
 func tcpFactory(seed int64) transport.Runner {
-	return nettransport.New(nettransport.Options{Mode: nettransport.ModeTCP, Seed: seed})
+	return nettransport.New(nettransport.Options{Seed: seed})
 }
 
 // TestStaticCoversMeasured is the tentpole invariant sweep: for every

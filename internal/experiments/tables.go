@@ -80,7 +80,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	defer net.Close()
 	net.Instrument(tel)
 	ctx.Wire.SetClock(net.Now)
-	c, err := newCascade(net, lg, 8, tel, ctx.Wire)
+	c, err := newCascade(net, lg, 3, 8, false, tel, ctx.Wire)
 	if err != nil {
 		return nil, err
 	}

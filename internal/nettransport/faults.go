@@ -7,10 +7,10 @@
 // lock-free. Crash windows become wall-clock timers that take the node's
 // endpoint down and bring it back up:
 //
-//   - Down: the listener (or server, or socket) closes, so new dials and
-//     datagrams find a dead port; the inbox is drained with every queued
-//     message counted as an injected "crash" drop; the node's crash
-//     epoch advances, cancelling owned timers armed before the crash.
+//   - Down: the listener closes, so new dials find a dead port; the
+//     inbox is drained with every queued message counted as an
+//     injected "crash" drop; the node's crash epoch advances,
+//     cancelling owned timers armed before the crash.
 //     Already-accepted TCP streams stay open — in-flight frames on them
 //     die at delivery time instead, which keeps the pending-work
 //     accounting exact (the simulator's analogue is dropping inbound to
@@ -82,7 +82,7 @@ func (t *Net) expandNodes(pat transport.Addr) []transport.Addr {
 
 // transition flips one node's crash state. Serialized under transMu
 // against other transitions and against Close, which is what lets a
-// restart add reader goroutines without racing wg.Wait.
+// restart add an acceptor goroutine without racing wg.Wait.
 func (t *Net) transition(addr transport.Addr, down bool) {
 	t.transMu.Lock()
 	defer t.transMu.Unlock()
@@ -101,22 +101,9 @@ func (t *Net) transition(addr transport.Addr, down bool) {
 		n.epoch.Add(1)
 		n.down.Store(true)
 		n.endpointMu.Lock()
-		switch t.opts.Mode {
-		case ModeUDP:
-			if n.udpConn != nil {
-				n.udpConn.Close()
-				n.udpConn = nil
-			}
-		case ModeHTTP:
-			if n.httpSrv != nil {
-				n.httpSrv.Close()
-				n.httpSrv = nil
-			}
-		default:
-			if n.tcpLn != nil {
-				n.tcpLn.Close()
-				n.tcpLn = nil
-			}
+		if n.tcpLn != nil {
+			n.tcpLn.Close()
+			n.tcpLn = nil
 		}
 		n.endpointMu.Unlock()
 		t.drainInbox(n)
@@ -126,9 +113,6 @@ func (t *Net) transition(addr transport.Addr, down bool) {
 	// valid, with backoff for ports the kernel has not released yet.
 	n.endpointMu.Lock()
 	target := n.dialTo
-	if t.opts.Mode == ModeUDP && n.udpAddr != nil {
-		target = n.udpAddr.String()
-	}
 	n.endpointMu.Unlock()
 	seed := uint64(t.opts.Seed) ^ 0xbd // decorrelate from writer dials
 	for attempt := 0; attempt < dialRetry.MaxAttempts; attempt++ {

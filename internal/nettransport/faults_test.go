@@ -34,65 +34,56 @@ func (s *countSink) count() int {
 }
 
 func TestCrashWindowRefusesAndRestarts(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"tcp", ModeTCP},
-		{"udp", ModeUDP},
-		{"http", ModeHTTP},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := newTest(t, Options{Mode: tc.mode, Seed: 7})
-			var s countSink
-			net.Register("srv", s.handle)
-			net.Register("cli", nil)
-			if err := net.Send("cli", "srv", []byte("before")); err != nil {
-				t.Fatalf("pre-crash send: %v", err)
+	t.Run("tcp", func(t *testing.T) {
+		net := newTest(t, Options{Seed: 7})
+		var s countSink
+		net.Register("srv", s.handle)
+		net.Register("cli", nil)
+		if err := net.Send("cli", "srv", []byte("before")); err != nil {
+			t.Fatalf("pre-crash send: %v", err)
+		}
+		net.Run()
+		if s.count() != 1 {
+			t.Fatalf("pre-crash delivered %d, want 1", s.count())
+		}
+
+		// Crash now, restart 60ms later.
+		now := net.Now()
+		net.ApplyFaults(faults.NewPlan().Crash("srv", now, now+60*time.Millisecond))
+		deadline := time.Now().Add(2 * time.Second)
+		for !net.CrashedNow("srv") {
+			if time.Now().After(deadline) {
+				t.Fatal("srv never went down")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		err := net.Send("cli", "srv", []byte("during"))
+		if !errors.Is(err, faults.ErrNodeDown) {
+			t.Fatalf("send to crashed node: err = %v, want ErrNodeDown", err)
+		}
+		if net.FaultDrops() == 0 {
+			t.Fatal("crashed-node send not counted as fault drop")
+		}
+
+		for net.CrashedNow("srv") {
+			if time.Now().After(deadline) {
+				t.Fatal("srv never restarted")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Writers re-dial with backoff; a post-restart send must land.
+		var delivered bool
+		for i := 0; i < 20 && !delivered; i++ {
+			if err := net.Send("cli", "srv", []byte("after")); err != nil {
+				t.Fatalf("post-restart send: %v", err)
 			}
 			net.Run()
-			if s.count() != 1 {
-				t.Fatalf("pre-crash delivered %d, want 1", s.count())
-			}
-
-			// Crash now, restart 60ms later.
-			now := net.Now()
-			net.ApplyFaults(faults.NewPlan().Crash("srv", now, now+60*time.Millisecond))
-			deadline := time.Now().Add(2 * time.Second)
-			for !net.CrashedNow("srv") {
-				if time.Now().After(deadline) {
-					t.Fatal("srv never went down")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			err := net.Send("cli", "srv", []byte("during"))
-			if !errors.Is(err, faults.ErrNodeDown) {
-				t.Fatalf("send to crashed node: err = %v, want ErrNodeDown", err)
-			}
-			if net.FaultDrops() == 0 {
-				t.Fatal("crashed-node send not counted as fault drop")
-			}
-
-			for net.CrashedNow("srv") {
-				if time.Now().After(deadline) {
-					t.Fatal("srv never restarted")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			// Writers re-dial with backoff; a post-restart send must land.
-			var delivered bool
-			for i := 0; i < 20 && !delivered; i++ {
-				if err := net.Send("cli", "srv", []byte("after")); err != nil {
-					t.Fatalf("post-restart send: %v", err)
-				}
-				net.Run()
-				delivered = s.count() >= 2
-			}
-			if !delivered {
-				t.Fatalf("no delivery after restart (delivered %d)", s.count())
-			}
-		})
-	}
+			delivered = s.count() >= 2
+		}
+		if !delivered {
+			t.Fatalf("no delivery after restart (delivered %d)", s.count())
+		}
+	})
 }
 
 // TestTCPWriterReconnectsAfterReset drives the canonical reconnect
@@ -100,7 +91,7 @@ func TestCrashWindowRefusesAndRestarts(t *testing.T) {
 // writer re-dials with backoff, and the reconnect is counted.
 func TestTCPWriterReconnectsAfterReset(t *testing.T) {
 	const seed = int64(5)
-	net := newTest(t, Options{Mode: ModeTCP, Seed: seed})
+	net := newTest(t, Options{Seed: seed})
 	var s countSink
 	net.Register("srv", s.handle)
 	net.Register("cli", nil)
@@ -141,7 +132,7 @@ func TestTCPWriterReconnectsAfterReset(t *testing.T) {
 }
 
 func TestCrashCancelsOwnedTimers(t *testing.T) {
-	net := newTest(t, Options{Mode: ModeTCP, Seed: 7})
+	net := newTest(t, Options{Seed: 7})
 	var fired sync.Map
 	var s countSink
 	net.Register("srv", func(view transport.Transport, _ transport.Message) {
@@ -171,7 +162,7 @@ func TestCrashCancelsOwnedTimers(t *testing.T) {
 }
 
 func TestPartitionDropsSilently(t *testing.T) {
-	net := newTest(t, Options{Mode: ModeTCP, Seed: 7})
+	net := newTest(t, Options{Seed: 7})
 	var s countSink
 	net.Register("srv", s.handle)
 	net.Register("a", nil)
@@ -196,45 +187,36 @@ func TestPartitionDropsSilently(t *testing.T) {
 
 // TestInjectedLossMatchesLossDraw pins the cross-transport determinism
 // contract: which of N sends die under burst loss is exactly the
-// LossDraw stream, per directed link, regardless of mode.
+// LossDraw stream, per directed link.
 func TestInjectedLossMatchesLossDraw(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"tcp", ModeTCP},
-		{"udp", ModeUDP},
-		{"http", ModeHTTP},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n, rate, seed = 64, 0.3, int64(14)
-			net := newTest(t, Options{Mode: tc.mode, Seed: seed})
-			var s countSink
-			net.Register("srv", s.handle)
-			net.Register("cli", nil)
-			net.ApplyFaults(faults.NewPlan().Loss("cli", "srv", rate, 0, 0))
-			want := 0
-			for i := 0; i < n; i++ {
-				if faults.LossDraw(seed, "cli", "srv", uint64(i)) >= rate {
-					want++
-				}
-				if err := net.Send("cli", "srv", []byte(fmt.Sprintf("m%02d", i))); err != nil {
-					t.Fatalf("send %d: %v", i, err)
-				}
+	t.Run("tcp", func(t *testing.T) {
+		const n, rate, seed = 64, 0.3, int64(14)
+		net := newTest(t, Options{Seed: seed})
+		var s countSink
+		net.Register("srv", s.handle)
+		net.Register("cli", nil)
+		net.ApplyFaults(faults.NewPlan().Loss("cli", "srv", rate, 0, 0))
+		want := 0
+		for i := 0; i < n; i++ {
+			if faults.LossDraw(seed, "cli", "srv", uint64(i)) >= rate {
+				want++
 			}
-			net.Run()
-			if got := s.count(); got != want {
-				t.Fatalf("delivered %d, want %d (deterministic loss draw)", got, want)
+			if err := net.Send("cli", "srv", []byte(fmt.Sprintf("m%02d", i))); err != nil {
+				t.Fatalf("send %d: %v", i, err)
 			}
-			if net.FaultDrops() != uint64(n-want) {
-				t.Fatalf("fault drops %d, want %d", net.FaultDrops(), n-want)
-			}
-		})
-	}
+		}
+		net.Run()
+		if got := s.count(); got != want {
+			t.Fatalf("delivered %d, want %d (deterministic loss draw)", got, want)
+		}
+		if net.FaultDrops() != uint64(n-want) {
+			t.Fatalf("fault drops %d, want %d", net.FaultDrops(), n-want)
+		}
+	})
 }
 
 func TestInjectedLossLabeledApartFromOrganic(t *testing.T) {
-	net := newTest(t, Options{Mode: ModeTCP, Seed: 1})
+	net := newTest(t, Options{Seed: 1})
 	reg := telemetry.NewMetrics()
 	tel := telemetry.New("nettransport-faults", false, reg)
 	net.Instrument(tel)
@@ -264,7 +246,7 @@ func TestInjectedLossLabeledApartFromOrganic(t *testing.T) {
 }
 
 func TestLatencySpikeDelaysDelivery(t *testing.T) {
-	net := newTest(t, Options{Mode: ModeTCP, Seed: 1})
+	net := newTest(t, Options{Seed: 1})
 	var s countSink
 	net.Register("srv", s.handle)
 	net.Register("cli", nil)
@@ -288,7 +270,7 @@ func TestSendShedsUnderOverloadTyped(t *testing.T) {
 	// from t=0 is not usable here — crashed sends fail fast — so instead
 	// partition the writer's wire by pointing at a spiked, depth-1
 	// queue).
-	net := newTest(t, Options{Mode: ModeTCP, Seed: 1, OutDepth: 1, ShedAfter: 5 * time.Millisecond})
+	net := newTest(t, Options{Seed: 1, OutDepth: 1, ShedAfter: 5 * time.Millisecond})
 	var s countSink
 	net.Register("srv", s.handle)
 	net.Register("cli", nil)
@@ -319,47 +301,38 @@ func TestSendShedsUnderOverloadTyped(t *testing.T) {
 // and subsequent sends failing typed with ErrClosed.
 func TestCloseNoGoroutineLeakMidFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"tcp", ModeTCP},
-		{"udp", ModeUDP},
-		{"http", ModeHTTP},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := New(Options{Mode: tc.mode, Seed: 3, Workers: 4, OutDepth: 64, ShedAfter: 2 * time.Millisecond})
-			net.Register("srv", func(view transport.Transport, _ transport.Message) {
-				view.After(10*time.Millisecond, func() {})
-			})
-			for i := 0; i < 8; i++ {
-				net.Register(transport.Addr(fmt.Sprintf("c%d", i)), nil)
-			}
-			net.ApplyFaults(faults.NewPlan().
-				Loss("c0", "srv", 0.5, 0, 0).
-				LatencySpike("c1", "srv", 20*time.Millisecond, 0, 0).
-				Crash("srv", 30*time.Millisecond, 60*time.Millisecond))
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for i := 0; i < 400; i++ {
-					src := transport.Addr(fmt.Sprintf("c%d", i%8))
-					if err := net.Send(src, "srv", []byte("mid-flight")); err != nil {
-						// Shed, crashed, closed: all fine — typed, never a hang.
-						continue
-					}
-				}
-			}()
-			time.Sleep(15 * time.Millisecond) // mid-storm
-			if err := net.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			<-done
-			if err := net.Send("c0", "srv", []byte("late")); !errors.Is(err, ErrClosed) {
-				t.Fatalf("send after Close: err = %v, want ErrClosed", err)
-			}
+	t.Run("tcp", func(t *testing.T) {
+		net := New(Options{Seed: 3, OutDepth: 64, ShedAfter: 2 * time.Millisecond})
+		net.Register("srv", func(view transport.Transport, _ transport.Message) {
+			view.After(10*time.Millisecond, func() {})
 		})
-	}
+		for i := 0; i < 8; i++ {
+			net.Register(transport.Addr(fmt.Sprintf("c%d", i)), nil)
+		}
+		net.ApplyFaults(faults.NewPlan().
+			Loss("c0", "srv", 0.5, 0, 0).
+			LatencySpike("c1", "srv", 20*time.Millisecond, 0, 0).
+			Crash("srv", 30*time.Millisecond, 60*time.Millisecond))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 400; i++ {
+				src := transport.Addr(fmt.Sprintf("c%d", i%8))
+				if err := net.Send(src, "srv", []byte("mid-flight")); err != nil {
+					// Shed, crashed, closed: all fine — typed, never a hang.
+					continue
+				}
+			}
+		}()
+		time.Sleep(15 * time.Millisecond) // mid-storm
+		if err := net.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		<-done
+		if err := net.Send("c0", "srv", []byte("late")); !errors.Is(err, ErrClosed) {
+			t.Fatalf("send after Close: err = %v, want ErrClosed", err)
+		}
+	})
 	// Crash timers may still be parked in the runtime; give transitions
 	// (which see closed and bail) a moment, then require the goroutine
 	// count back at baseline.

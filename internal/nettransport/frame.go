@@ -8,9 +8,8 @@ import (
 	"decoupling/internal/transport"
 )
 
-// Wire framing. Every datagram the real transport moves — whether as a
-// UDP payload, a span of a TCP stream, or an HTTP POST body — is a
-// sequence of length-prefixed frames:
+// Wire framing. Every datagram the real transport moves crosses its TCP
+// stream as a length-prefixed frame:
 //
 //	v1: [magic 1][version=1][srcLen 1][dstLen 1][payloadLen 4 BE]
 //	    [src srcLen][dst dstLen][payload payloadLen]

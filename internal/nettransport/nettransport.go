@@ -1,8 +1,8 @@
 // Package nettransport implements the transport.Transport contract
-// over real loopback sockets: UDP datagrams, persistent TCP streams,
-// or net/http POSTs. It is the production-shaped counterpart to
-// internal/simnet — concurrent handler dispatch, per-endpoint worker
-// pools, batched writes, wall clocks — carrying the same ledger
+// over real loopback sockets: one persistent TCP stream per
+// destination. It is the production-shaped counterpart to
+// internal/simnet — concurrent handler dispatch, a writer goroutine per
+// destination, batched writes, wall clocks — carrying the same ledger
 // observation and telemetry hooks, so knowledge-tuple derivation and
 // provenance audits run unchanged over real sockets.
 //
@@ -12,11 +12,10 @@
 //     dispatcher goroutine, so a node's handler (and the timers it arms
 //     through its Transport) never races itself. Protocol state like a
 //     mix's batch queue stays lock-free on both transports.
-//   - Per-destination FIFO holds in TCP mode (one stream, one writer
-//     per destination). UDP and HTTP modes may reorder.
-//   - Delivery is reliable in TCP and HTTP modes; UDP inherits the
-//     kernel's silent-drop behavior under pressure, which Run bounds
-//     with a stall timeout.
+//   - Per-destination FIFO holds: one stream, one writer per
+//     destination.
+//   - Delivery is reliable: a frame the wire or an injected fault eats
+//     is counted as lost, and Run bounds its wait with a stall timeout.
 //   - Nothing is deterministic: scheduling, latencies, and Rand
 //     interleavings vary run to run. Equivalence with the simulator is
 //     semantic — identical knowledge tuples, verdicts, and canonical
@@ -25,13 +24,11 @@
 package nettransport
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,53 +40,37 @@ import (
 	"decoupling/internal/transport"
 )
 
-// Mode selects the wire the transport moves frames over.
+// Mode names the wire the transport moves frames over. TCP is the only
+// wire; the type and its one value remain so that callers which name
+// the wire explicitly (Options{Mode: ModeTCP}) keep compiling.
 type Mode int
 
-const (
-	// ModeTCP uses one persistent loopback TCP stream per destination:
-	// reliable, per-destination FIFO. The default, and what the
-	// equivalence suite and loadgen mixnet leg run on.
-	ModeTCP Mode = iota
-	// ModeUDP uses loopback UDP datagrams: lossy under pressure,
-	// unordered — the closest shape to simnet's datagram model.
-	ModeUDP
-	// ModeHTTP runs one net/http server per node and POSTs frame
-	// batches: the shape of the deployed ODoH/OHTTP services.
-	ModeHTTP
-)
+// ModeTCP uses one persistent loopback TCP stream per destination:
+// reliable, per-destination FIFO. It is the zero value.
+const ModeTCP Mode = 0
 
-// String names the mode for metric labels and diagnostics.
-func (m Mode) String() string {
-	switch m {
-	case ModeUDP:
-		return "udp"
-	case ModeHTTP:
-		return "http"
-	default:
-		return "tcp"
-	}
-}
+// Writer and quiescence bounds.
+const (
+	// batchBytes caps how many queued frames a writer coalesces into a
+	// single socket write.
+	batchBytes = 32 << 10
+	// stallTimeout bounds how long Run waits without any delivery or
+	// loss progress before giving up on in-flight work.
+	stallTimeout = 5 * time.Second
+)
 
 // ErrClosed is returned by Send after Close: the transport fails
 // closed — traffic is refused, never rerouted around the dead network.
 var ErrClosed = errors.New("nettransport: transport closed")
 
-// Options configures a Net. The zero value is usable: TCP mode,
-// seed 0, one writer per destination, capture on.
+// Options configures a Net. The zero value is usable: TCP, seed 0,
+// capture on.
 type Options struct {
+	// Mode is the wire; ModeTCP, the zero value, is the only one.
 	Mode Mode
 	// Seed feeds the Rand stream protocol code draws shuffles and
 	// route picks from.
 	Seed int64
-	// Workers is the writer-pool size per destination endpoint for UDP
-	// and HTTP modes (TCP keeps one writer per destination to preserve
-	// FIFO). 0 means 1.
-	Workers int
-	// BatchBytes caps how many queued frames a writer coalesces into a
-	// single socket write or POST body. 0 means 32 KiB (UDP caps at a
-	// safe datagram size regardless).
-	BatchBytes int
 	// InboxDepth is each node's dispatch-queue depth; senders feel
 	// backpressure beyond it. 0 means 4096.
 	InboxDepth int
@@ -97,10 +78,6 @@ type Options struct {
 	// million-client loadgen sweep sets it; everything audit-shaped
 	// leaves it on.
 	DisableCapture bool
-	// StallTimeout bounds how long Run waits without any delivery or
-	// loss progress before giving up on in-flight work (UDP kernel
-	// drops leave no other signal). 0 means 5s.
-	StallTimeout time.Duration
 	// OutDepth is each destination's writer-queue depth. 0 means 4096.
 	// Chaos runs shrink it to make overload reachable at test scale.
 	OutDepth int
@@ -134,16 +111,12 @@ type node struct {
 	hmu sync.Mutex
 	h   transport.Handler
 
-	// Endpoint state, by mode. lnErr records a failed listener setup;
-	// sends to the node surface it. endpointMu guards the mutable
-	// fields across crash/restart transitions.
+	// Endpoint state. lnErr records a failed listener setup; sends to
+	// the node surface it. endpointMu guards the mutable fields across
+	// crash/restart transitions.
 	endpointMu sync.Mutex
 	tcpLn      net.Listener
-	udpConn    *net.UDPConn
-	httpSrv    *http.Server
-	baseURL    string
 	dialTo     string
-	udpAddr    *net.UDPAddr
 	lnErr      error
 
 	// Crash-window state: down refuses sends and drops deliveries;
@@ -169,20 +142,18 @@ func (n *node) setHandler(h transport.Handler) {
 
 // wireItem is one unit of writer work: an encoded frame, plus any
 // fault flavoring decided at the codec boundary — a writer-side delay
-// (latency spike), a TCP poison (write a partial header then reset the
-// stream), or an HTTP chaos marker (POST that the server answers with
-// a hung 5xx). Poison and chaos items carry frames already accounted
-// as injected drops; they exist to make the loss observable on the
-// wire, not to deliver.
+// (latency spike) or a poison (write a partial header then reset the
+// stream). A poison item carries a frame already accounted as an
+// injected drop; it exists to make the loss observable on the wire,
+// not to deliver.
 type wireItem struct {
 	frame  []byte
 	delay  time.Duration
 	poison bool
-	chaos  bool
 }
 
 // outQueue is the writer side of one destination endpoint: a frame
-// queue drained by a worker pool that batches frames per write.
+// queue drained by one writer goroutine that batches frames per write.
 type outQueue struct {
 	ch chan wireItem
 }
@@ -238,8 +209,6 @@ type Net struct {
 	// atomic pointer load.
 	instr atomic.Pointer[netInstr]
 
-	httpClient *http.Client
-
 	wg sync.WaitGroup
 }
 
@@ -248,22 +217,13 @@ var _ transport.Runner = (*Net)(nil)
 // New creates a transport with the given options. Nodes come into
 // existence on Register.
 func New(opts Options) *Net {
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	if opts.BatchBytes <= 0 {
-		opts.BatchBytes = 32 << 10
-	}
 	if opts.InboxDepth <= 0 {
 		opts.InboxDepth = 4096
-	}
-	if opts.StallTimeout <= 0 {
-		opts.StallTimeout = 5 * time.Second
 	}
 	if opts.OutDepth <= 0 {
 		opts.OutDepth = 4096
 	}
-	t := &Net{
+	return &Net{
 		opts:  opts,
 		start: time.Now(),
 		stop:  make(chan struct{}),
@@ -271,16 +231,11 @@ func New(opts Options) *Net {
 		nodes: map[transport.Addr]*node{},
 		out:   map[transport.Addr]*outQueue{},
 	}
-	t.httpClient = &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 64,
-	}}
-	return t
 }
 
 // netInstr is the cached-handle bundle behind the live transport
-// metrics: frames/bytes queued per mode, writer-queue stalls, timer
-// fires, and the pending-work level.
+// metrics: frames/bytes queued, writer-queue stalls, timer fires, and
+// the pending-work level.
 type netInstr struct {
 	tel        *telemetry.Telemetry
 	framesSent *telemetry.Counter
@@ -306,8 +261,9 @@ func (t *Net) Instrument(tel *telemetry.Telemetry) {
 		return
 	}
 	m := tel.Metrics()
-	mode := telemetry.A("mode", t.opts.Mode.String())
-	labels := append(tel.BaseLabels(), mode)
+	// The series keep a mode="tcp" label so existing scrapes and
+	// dashboards keep matching them.
+	labels := append(tel.BaseLabels(), telemetry.A("mode", "tcp"))
 	t.instr.Store(&netInstr{
 		tel:        tel,
 		framesSent: m.Counter(telemetry.MetricTransportFramesSent, "Frames queued for the wire per mode.", labels...),
@@ -358,93 +314,34 @@ func (t *Net) Register(addr transport.Addr, h transport.Handler) {
 	go t.dispatch(n)
 }
 
-// listen opens the node's endpoint for the configured mode and starts
-// its readers. Loopback listen failures are environmental; they are
-// recorded and surfaced by sends to this node.
+// listen opens the node's endpoint and starts its acceptor. Loopback
+// listen failures are environmental; they are recorded and surfaced by
+// sends to this node.
 func (t *Net) listen(n *node) {
 	if err := t.bind(n, ""); err != nil {
 		n.lnErr = err
 	}
 }
 
-// chaosHeader marks a POST carrying a frame the fault plan decided to
-// lose: the receiving server hangs briefly and answers 5xx without
-// delivering, so HTTP-mode injected loss looks like a failing upstream,
-// not a silent gap.
-const chaosHeader = "X-Decoupling-Chaos"
-
-// bind opens (or, for a crash restart, re-opens) the node's endpoint
-// and starts its readers. An empty addr binds an ephemeral loopback
+// bind opens (or, for a crash restart, re-opens) the node's listener
+// and starts its acceptor. An empty addr binds an ephemeral loopback
 // port and records it; a non-empty addr rebinds the recorded port so
 // peers' dial targets survive the restart. The caller holds no lock;
-// reader goroutines are wg-tracked.
+// the acceptor and its readers are wg-tracked.
 func (t *Net) bind(n *node, addr string) error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	switch t.opts.Mode {
-	case ModeUDP:
-		ua, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			return err
-		}
-		conn, err := net.ListenUDP("udp", ua)
-		if err != nil {
-			return err
-		}
-		_ = conn.SetReadBuffer(4 << 20)
-		n.endpointMu.Lock()
-		n.udpConn = conn
-		n.udpAddr = conn.LocalAddr().(*net.UDPAddr)
-		n.endpointMu.Unlock()
-		t.wg.Add(1)
-		go t.readUDP(n, conn)
-	case ModeHTTP:
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return err
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /frames", func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get(chaosHeader) != "" {
-				// Injected loss, HTTP flavor: a hung then failing
-				// response. The frame was already accounted at the
-				// codec boundary; it must not be delivered.
-				time.Sleep(2 * time.Millisecond)
-				http.Error(w, "injected fault", http.StatusServiceUnavailable)
-				return
-			}
-			body, err := io.ReadAll(io.LimitReader(r.Body, 2*MaxFramePayload))
-			if err != nil {
-				http.Error(w, "read error", http.StatusBadRequest)
-				return
-			}
-			t.deliverBatch(body)
-			w.WriteHeader(http.StatusOK)
-		})
-		srv := &http.Server{Handler: mux}
-		n.endpointMu.Lock()
-		n.httpSrv = srv
-		n.baseURL = "http://" + ln.Addr().String()
-		n.dialTo = ln.Addr().String()
-		n.endpointMu.Unlock()
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			_ = srv.Serve(ln)
-		}()
-	default: // ModeTCP
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return err
-		}
-		n.endpointMu.Lock()
-		n.tcpLn = ln
-		n.dialTo = ln.Addr().String()
-		n.endpointMu.Unlock()
-		t.wg.Add(1)
-		go t.acceptTCP(n, ln)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
 	}
+	n.endpointMu.Lock()
+	n.tcpLn = ln
+	n.dialTo = ln.Addr().String()
+	n.endpointMu.Unlock()
+	t.wg.Add(1)
+	go t.acceptTCP(n, ln)
 	return nil
 }
 
@@ -522,11 +419,11 @@ func (t *Net) recordDelivery(msg transport.Message) {
 }
 
 // countLost accounts n lost frames without touching pending. Organic
-// losses (the wire ate it: write errors, closed transport, kernel
-// drops) and injected ones (the fault plan ate it) land under the same
-// lost total — retry logic cares only that the message is gone — but
-// carry distinct metric labels, so a chaos run never masquerades as
-// wire flakiness in /metrics.
+// losses (the wire ate it: write errors, failed dials, closed
+// transport) and injected ones (the fault plan ate it) land under the
+// same lost total — retry logic cares only that the message is gone —
+// but carry distinct metric labels, so a chaos run never masquerades
+// as wire flakiness in /metrics.
 func (t *Net) countLost(n int, reason string, injected bool) {
 	t.lost.Add(uint64(n))
 	tel := t.telemetrySink()
@@ -577,10 +474,10 @@ func (t *Net) shedFrame(where string) {
 	t.dropFrames(1, "shed")
 }
 
-// Send encodes a frame and queues it on the destination endpoint's
-// writer pool. It fails fast on unregistered destinations and fails
-// closed (ErrClosed) after Close; queued frames travel the real wire
-// and are delivered by the destination node's dispatcher.
+// Send encodes a frame and queues it on the destination's writer. It
+// fails fast on unregistered destinations and fails closed (ErrClosed)
+// after Close; queued frames travel the real wire and are delivered by
+// the destination node's dispatcher.
 func (t *Net) Send(src, dst transport.Addr, payload []byte) error {
 	return t.SendTraced(src, dst, payload, wiretrace.Context{})
 }
@@ -608,7 +505,7 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 	// The frame exists; the fault plan now decides its fate at the
 	// codec boundary, mirroring simnet's Send-time order: crashed
 	// destination fails fast, crashed source fails fast, partitions
-	// drop silently, burst loss drops with a mode-flavored wire symptom,
+	// drop silently, burst loss drops with a stream reset on the wire,
 	// spikes ride on the writer.
 	it := wireItem{frame: frame}
 	if n.isDown() {
@@ -638,15 +535,10 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 			if faults.LossDraw(t.opts.Seed, src, dst, seq) < burst {
 				// Injected drop. Deterministic (same draw stream as
 				// simnet), accounted here; the writer then makes it
-				// hurt the way this wire fails: TCP resets the stream
-				// mid-frame, HTTP gets a hung 5xx, UDP just loses it.
+				// hurt the way a TCP wire fails: the stream resets
+				// mid-frame.
 				t.countLost(1, "loss", true)
-				switch t.opts.Mode {
-				case ModeTCP:
-					t.offerSpecial(dst, n, wireItem{frame: frame, poison: true})
-				case ModeHTTP:
-					t.offerSpecial(dst, n, wireItem{frame: frame, chaos: true})
-				}
+				t.offerPoison(dst, n, frame)
 				return nil // silently dropped, as the wire would
 			}
 		}
@@ -661,8 +553,8 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 		ih.pending.Set(float64(level))
 	}
 	// Fast path: queue has room. Falling through to the blocking wait is
-	// a writer-queue stall — the wire (or its writer pool) is not
-	// keeping up with producers — which the live plane counts.
+	// a writer-queue stall — the wire (or its writer) is not keeping up
+	// with producers — which the live plane counts.
 	select {
 	case q.ch <- it:
 		return nil
@@ -694,20 +586,20 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 	}
 }
 
-// offerSpecial best-effort enqueues a poison/chaos item so an injected
-// drop is visible on the wire. The loss is already accounted; if the
-// writer queue is saturated the wire symptom is skipped, never the
-// accounting.
-func (t *Net) offerSpecial(dst transport.Addr, n *node, it wireItem) {
+// offerPoison best-effort enqueues a poison item for frame so an
+// injected drop is visible on the wire. The loss is already accounted;
+// if the writer queue is saturated the wire symptom is skipped, never
+// the accounting.
+func (t *Net) offerPoison(dst transport.Addr, n *node, frame []byte) {
 	q := t.queueFor(dst, n)
 	select {
-	case q.ch <- it:
+	case q.ch <- wireItem{frame: frame, poison: true}:
 	default:
 	}
 }
 
-// queueFor returns the destination's writer queue, starting its worker
-// pool on first use.
+// queueFor returns the destination's writer queue, starting its writer
+// on first use. One writer per stream preserves per-destination FIFO.
 func (t *Net) queueFor(dst transport.Addr, n *node) *outQueue {
 	t.outMu.Lock()
 	defer t.outMu.Unlock()
@@ -716,43 +608,28 @@ func (t *Net) queueFor(dst transport.Addr, n *node) *outQueue {
 	}
 	q := &outQueue{ch: make(chan wireItem, t.opts.OutDepth)}
 	t.out[dst] = q
-	workers := t.opts.Workers
-	if t.opts.Mode == ModeTCP {
-		workers = 1 // one writer per stream preserves per-destination FIFO
-	}
-	for i := 0; i < workers; i++ {
-		t.wg.Add(1)
-		switch t.opts.Mode {
-		case ModeUDP:
-			go t.udpWriter(q, n)
-		case ModeHTTP:
-			go t.httpWriter(q, n)
-		default:
-			go t.tcpWriter(q, n)
-		}
-	}
+	t.wg.Add(1)
+	go t.tcpWriter(q, n)
 	return q
 }
 
 // work is one drained unit of writer work: either a coalesced batch of
 // plain frames (optionally delayed by a latency spike — the delay is
-// head-of-line, as a slow stream would be) or a single poison/chaos
-// item making an injected drop observable on the wire.
+// head-of-line, as a slow stream would be) or a single poison item
+// making an injected drop observable on the wire.
 type work struct {
 	batch  []byte
 	count  int
 	delay  time.Duration
 	poison bool
-	chaos  bool
-	frame  []byte // victim frame for poison/chaos wire symptoms
+	frame  []byte // victim frame for the poison's wire symptom
 }
 
 // nextWork blocks for one item then coalesces whatever plain frames
-// are queued, up to limit bytes, into a single write. Special items
-// (poison, chaos, delayed) never coalesce: one pulled mid-batch is
-// stashed for the next call so nothing reorders. ok is false on
-// shutdown.
-func (t *Net) nextWork(q *outQueue, limit int, stash *wireItem, stashed *bool) (w work, ok bool) {
+// are queued, up to batchBytes, into a single write. Special items
+// (poison, delayed) never coalesce: one pulled mid-batch is stashed
+// for the next call so nothing reorders. ok is false on shutdown.
+func (t *Net) nextWork(q *outQueue, stash *wireItem, stashed *bool) (w work, ok bool) {
 	var first wireItem
 	if *stashed {
 		first, *stashed = *stash, false
@@ -763,17 +640,17 @@ func (t *Net) nextWork(q *outQueue, limit int, stash *wireItem, stashed *bool) (
 		case first = <-q.ch:
 		}
 	}
-	if first.poison || first.chaos {
-		return work{poison: first.poison, chaos: first.chaos, frame: first.frame}, true
+	if first.poison {
+		return work{poison: true, frame: first.frame}, true
 	}
 	w = work{batch: first.frame, count: 1, delay: first.delay}
 	if w.delay > 0 {
 		return w, true
 	}
-	for len(w.batch) < limit {
+	for len(w.batch) < batchBytes {
 		select {
 		case f := <-q.ch:
-			if f.poison || f.chaos || f.delay > 0 {
+			if f.poison || f.delay > 0 {
 				*stash, *stashed = f, true
 				return w, true
 			}
@@ -824,7 +701,7 @@ func (t *Net) tcpWriter(q *outQueue, n *node) {
 		}
 	}()
 	for {
-		w, ok := t.nextWork(q, t.opts.BatchBytes, &stash, &stashed)
+		w, ok := t.nextWork(q, &stash, &stashed)
 		if !ok {
 			return
 		}
@@ -903,100 +780,6 @@ func (t *Net) noteReconnect(n *node) {
 	}
 }
 
-// maxUDPBatch keeps batched datagrams under the loopback UDP payload
-// ceiling.
-const maxUDPBatch = 60000
-
-func (t *Net) udpWriter(q *outQueue, n *node) {
-	defer t.wg.Done()
-	var stash wireItem
-	var stashed bool
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		// Without a send socket this worker can only drain and drop.
-		for {
-			w, ok := t.nextWork(q, maxUDPBatch, &stash, &stashed)
-			if !ok {
-				return
-			}
-			t.dropFrames(w.count, "socket")
-		}
-	}
-	defer conn.Close()
-	_ = conn.SetWriteBuffer(4 << 20)
-	for {
-		w, ok := t.nextWork(q, maxUDPBatch, &stash, &stashed)
-		if !ok {
-			return
-		}
-		if w.count == 0 {
-			continue // UDP injected drops never enqueue wire symptoms
-		}
-		if n.isDown() {
-			t.dropInjected(w.count, "crash")
-			continue
-		}
-		if !t.sleepOrStop(w.delay) {
-			t.dropFrames(w.count, "closed")
-			return
-		}
-		n.endpointMu.Lock()
-		dst := n.udpAddr
-		n.endpointMu.Unlock()
-		if _, err := conn.WriteToUDP(w.batch, dst); err != nil {
-			t.dropFrames(w.count, "write")
-		}
-	}
-}
-
-func (t *Net) httpWriter(q *outQueue, n *node) {
-	defer t.wg.Done()
-	var stash wireItem
-	var stashed bool
-	for {
-		w, ok := t.nextWork(q, t.opts.BatchBytes, &stash, &stashed)
-		if !ok {
-			return
-		}
-		n.endpointMu.Lock()
-		base := n.baseURL
-		n.endpointMu.Unlock()
-		if w.chaos {
-			// Injected loss, HTTP flavor: a marked POST the server
-			// answers with a hung 5xx. Accounting happened at the codec
-			// boundary; a transport error here changes nothing.
-			req, rerr := http.NewRequest("POST", base+"/frames", bytes.NewReader(w.frame))
-			if rerr == nil {
-				req.Header.Set("Content-Type", "application/octet-stream")
-				req.Header.Set(chaosHeader, "drop")
-				if resp, perr := t.httpClient.Do(req); perr == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
-			continue
-		}
-		if n.isDown() {
-			t.dropInjected(w.count, "crash")
-			continue
-		}
-		if !t.sleepOrStop(w.delay) {
-			t.dropFrames(w.count, "closed")
-			return
-		}
-		resp, err := t.httpClient.Post(base+"/frames", "application/octet-stream", bytes.NewReader(w.batch))
-		if err != nil {
-			t.dropFrames(w.count, "post")
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.dropFrames(w.count, "status")
-		}
-	}
-}
-
 func (t *Net) acceptTCP(n *node, ln net.Listener) {
 	defer t.wg.Done()
 	for {
@@ -1041,30 +824,6 @@ func (t *Net) readTCP(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		t.deliver(msg)
-	}
-}
-
-func (t *Net) readUDP(n *node, conn *net.UDPConn) {
-	defer t.wg.Done()
-	buf := make([]byte, 64<<10)
-	for {
-		nr, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed
-		}
-		t.deliverBatch(append([]byte(nil), buf[:nr]...))
-	}
-}
-
-// deliverBatch decodes a concatenation of frames and delivers each.
-func (t *Net) deliverBatch(b []byte) {
-	for len(b) > 0 {
-		msg, rest, err := DecodeFrame(b)
-		if err != nil {
-			return // trailing corruption: the valid prefix was delivered
-		}
-		b = rest
 		t.deliver(msg)
 	}
 }
@@ -1144,9 +903,9 @@ func (t *Net) After(delay time.Duration, fn func()) {
 // where nothing moves before Run, a real wire delivers concurrently
 // with sending: messages handled before Run is entered are not in its
 // return value, so callers wanting totals read Delivered, not Run's
-// delta. If in-flight work
-// makes no progress for StallTimeout (possible only where the wire
-// itself drops silently, i.e. UDP), Run stops waiting and returns.
+// delta. If in-flight work makes no progress for stallTimeout, Run stops
+// waiting and returns, so a frame lost without being counted cannot
+// hang the caller.
 func (t *Net) Run() uint64 {
 	startDelivered := t.delivered.Load()
 	lastSeen := startDelivered + t.lost.Load()
@@ -1161,7 +920,7 @@ func (t *Net) Run() uint64 {
 			lastProgress = time.Now()
 			continue
 		}
-		if time.Since(lastProgress) > t.opts.StallTimeout {
+		if time.Since(lastProgress) > stallTimeout {
 			break
 		}
 	}
@@ -1210,15 +969,8 @@ func (t *Net) Close() error {
 		if n.tcpLn != nil {
 			n.tcpLn.Close()
 		}
-		if n.udpConn != nil {
-			n.udpConn.Close()
-		}
-		if n.httpSrv != nil {
-			n.httpSrv.Close()
-		}
 		n.endpointMu.Unlock()
 	}
-	t.httpClient.CloseIdleConnections()
 	t.wg.Wait()
 	return nil
 }

@@ -31,53 +31,43 @@ func (s *sink) handle(_ transport.Transport, msg transport.Message) {
 
 func TestModesDeliver(t *testing.T) {
 	const n = 200
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{
-		{"tcp", ModeTCP},
-		{"udp", ModeUDP},
-		{"http", ModeHTTP},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := newTest(t, Options{Mode: tc.mode, Workers: 4})
-			var s sink
-			net.Register("sink", s.handle)
-			for i := 0; i < n; i++ {
-				payload := []byte(fmt.Sprintf("msg-%03d", i))
-				if err := net.Send(transport.Addr(fmt.Sprintf("c%03d", i)), "sink", payload); err != nil {
-					t.Fatalf("Send %d: %v", i, err)
-				}
+	t.Run("tcp", func(t *testing.T) {
+		net := newTest(t, Options{})
+		var s sink
+		net.Register("sink", s.handle)
+		for i := 0; i < n; i++ {
+			payload := []byte(fmt.Sprintf("msg-%03d", i))
+			if err := net.Send(transport.Addr(fmt.Sprintf("c%03d", i)), "sink", payload); err != nil {
+				t.Fatalf("Send %d: %v", i, err)
 			}
-			// Deliveries run concurrently with sends on a real wire, so
-			// Run's during-call delta undercounts; totals are the contract.
-			net.Run()
-			if net.Delivered()+net.Lost() != n {
-				t.Fatalf("delivered %d + lost %d, want %d accounted", net.Delivered(), net.Lost(), n)
+		}
+		// Deliveries run concurrently with sends on a real wire, so
+		// Run's during-call delta undercounts; totals are the contract.
+		net.Run()
+		if net.Delivered()+net.Lost() != n {
+			t.Fatalf("delivered %d + lost %d, want %d accounted", net.Delivered(), net.Lost(), n)
+		}
+		if net.Delivered() != n {
+			t.Fatalf("delivered %d of %d (lost %d)", net.Delivered(), n, net.Lost())
+		}
+		if len(s.msgs) != n {
+			t.Fatalf("sink saw %d messages, want %d", len(s.msgs), n)
+		}
+		seen := map[transport.Addr]bool{}
+		for _, m := range s.msgs {
+			if m.Dst != "sink" {
+				t.Fatalf("message routed to %q", m.Dst)
 			}
-			// Loopback at this scale should not drop, even on UDP.
-			if net.Delivered() != n {
-				t.Fatalf("delivered %d of %d (lost %d)", net.Delivered(), n, net.Lost())
-			}
-			if len(s.msgs) != n {
-				t.Fatalf("sink saw %d messages, want %d", len(s.msgs), n)
-			}
-			seen := map[transport.Addr]bool{}
-			for _, m := range s.msgs {
-				if m.Dst != "sink" {
-					t.Fatalf("message routed to %q", m.Dst)
-				}
-				seen[m.Src] = true
-			}
-			if len(seen) != n {
-				t.Fatalf("distinct sources %d, want %d", len(seen), n)
-			}
-		})
-	}
+			seen[m.Src] = true
+		}
+		if len(seen) != n {
+			t.Fatalf("distinct sources %d, want %d", len(seen), n)
+		}
+	})
 }
 
 func TestTCPPerDestinationFIFO(t *testing.T) {
-	net := newTest(t, Options{Mode: ModeTCP})
+	net := newTest(t, Options{})
 	var s sink
 	net.Register("sink", s.handle)
 	const n = 500
@@ -230,9 +220,10 @@ func TestCaptureAndTelemetry(t *testing.T) {
 }
 
 // TestLiveInstrumentation covers the wall-clock side of Instrument:
-// frames/bytes queued per mode, timer fires, per-node inbox depth, and
-// the pending gauge must all report through cached handles, and the
-// resulting registry must satisfy the strict exposition round-trip.
+// frames/bytes queued (labelled mode="tcp"), timer fires, per-node
+// inbox depth, and the pending gauge must all report through cached
+// handles, and the resulting registry must satisfy the strict
+// exposition round-trip.
 func TestLiveInstrumentation(t *testing.T) {
 	net := newTest(t, Options{})
 	m := telemetry.NewMetrics()

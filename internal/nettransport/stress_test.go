@@ -26,7 +26,7 @@ func TestConcurrentClientsLedgerInvariants(t *testing.T) {
 		clients    = 10_000
 		goroutines = 50
 	)
-	net := newTest(t, Options{Mode: ModeTCP, DisableCapture: true})
+	net := newTest(t, Options{DisableCapture: true})
 	lg := ledger.New(ledger.NewClassifier(), nil)
 	net.Register("server", func(_ transport.Transport, msg transport.Message) {
 		lg.SawBatch("server", []ledger.Entry{
@@ -96,7 +96,7 @@ func TestConcurrentClientsLedgerInvariants(t *testing.T) {
 // deliveries that never ran a handler.
 func TestShutdownMidFlightFailsClosed(t *testing.T) {
 	const clients = 2_000
-	net := New(Options{Mode: ModeTCP, DisableCapture: true})
+	net := New(Options{DisableCapture: true})
 	var mu sync.Mutex
 	handled := 0
 	net.Register("server", func(_ transport.Transport, msg transport.Message) {

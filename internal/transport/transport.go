@@ -8,8 +8,8 @@
 //   - internal/simnet.Network — the deterministic in-process simulator
 //     (virtual clock, seeded RNG, single event loop). Same seed, same
 //     schedule, bit-for-bit.
-//   - internal/nettransport.Net — real loopback sockets (UDP, TCP, or
-//     net/http), worker pools, and wall clocks. Concurrent and
+//   - internal/nettransport.Net — real loopback TCP streams, a writer
+//     per destination, and wall clocks. Concurrent and
 //     non-deterministic, as production infrastructure is.
 //
 // Protocol code takes the interface, so the same mix, relay, and
