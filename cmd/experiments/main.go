@@ -500,10 +500,10 @@ func writeMetrics(path string, m *telemetry.Metrics) error {
 func printStats(w io.Writer, results []experiments.RunnerResult) {
 	fmt.Fprintln(w, "ledger stats:")
 	for _, rr := range results {
-		if rr.Result == nil || rr.Result.LedgerStats == nil {
+		if rr.Result == nil || rr.Result.Ledger == nil {
 			continue
 		}
-		st := rr.Result.LedgerStats
+		st := rr.Result.Ledger.Stats()
 		fmt.Fprintf(w, "  %s: %d observations\n", rr.ID, st.Total)
 		for _, o := range st.Observers {
 			fmt.Fprintf(w, "    %-24s %6d obs %6d handles\n", o.Observer, o.Observations, o.Handles)

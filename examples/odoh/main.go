@@ -63,7 +63,7 @@ func main() {
 		// bad for ground truth).
 		forward := proxy.Forward
 		if i == 0 {
-			forward = odoh.HTTPForward(http.DefaultClient, proxySrv.URL)
+			forward = odoh.HTTPForward(http.DefaultClient, proxySrv.URL, nil)
 		}
 		resp, err := client.Query(q.name, dnswire.TypeA, forward)
 		if err != nil {

@@ -3,9 +3,11 @@
 // experiments measure what the resilience layer buys (availability)
 // and what it must never spend (privacy):
 //
-//   - E14: availability and latency vs. injected fault rate, per
-//     protocol, with and without retries. Retries may leak counts
-//     (more ciphertexts on the wire), never names.
+//   - E14: availability and retry counts vs. injected fault rate,
+//     per protocol, with and without retries. Retries may leak counts
+//     (more ciphertexts on the wire), never names. The retried mixnet
+//     runs' elapsed time goes to Result.VirtualElapsed, not the table,
+//     so the report is the same on both transports.
 //   - E15: failover across N interchangeable proxies — the
 //     availability side of the §4.2 degrees-of-decoupling cost. The
 //     coalition degree does not move.
@@ -42,6 +44,7 @@ import (
 	"decoupling/internal/onion"
 	"decoupling/internal/provenance"
 	"decoupling/internal/resilience"
+	"decoupling/internal/telemetry"
 	"decoupling/internal/transport"
 )
 
@@ -85,19 +88,9 @@ func applyChaos(net transport.Runner, own *faults.Plan) {
 	}
 }
 
-// chaosMix64 is the splitmix64 finalizer (same construction the
-// resilience package uses for jitter): a cheap bijection hashing a
-// fixed seed and a call index into a deterministic "random" stream.
-func chaosMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // chaosFrac maps (seed, n) to a uniform float in [0, 1).
 func chaosFrac(seed, n uint64) float64 {
-	return float64(chaosMix64(seed^n)%(1<<20)) / (1 << 20)
+	return float64(telemetry.Mix64(seed^n)%(1<<20)) / (1 << 20)
 }
 
 // flakyLink injects deterministic failures into an HTTP-shaped hop: the
@@ -318,7 +311,7 @@ func E14ChaosAvailability(ctx Ctx) (*Result, error) {
 	// Mixnet: burst loss on the entry link.
 	mixT := Table{
 		Title:   "mixnet: 16 messages, 3-mix cascade, burst loss on the entry link",
-		Columns: []string{"loss rate", "delivered (no retry)", "delivered (retry)", "retries", "elapsed (retry)"},
+		Columns: []string{"loss rate", "delivered (no retry)", "delivered (retry)", "retries"},
 	}
 	for _, rate := range chaosRates {
 		d0, _, _, err := mixnetChaosRun(ctx, rate, false)
@@ -333,7 +326,7 @@ func E14ChaosAvailability(ctx Ctx) (*Result, error) {
 		mixT.Rows = append(mixT.Rows, []string{
 			fmt.Sprintf("%.1f", rate),
 			fmt.Sprintf("%d/16", d0), fmt.Sprintf("%d/16", d1),
-			fmt.Sprint(retries), fmt.Sprint(elapsed),
+			fmt.Sprint(retries),
 		})
 		if rate == 0 && (d0 != 16 || d1 != 16) {
 			r.Diffs = append(r.Diffs, fmt.Sprintf("mixnet: lossless run dropped messages (%d/%d of 16)", d0, d1))
@@ -396,7 +389,6 @@ func E14ChaosAvailability(ctx Ctx) (*Result, error) {
 			r.Expected = expected
 			r.Measured = lg1.DeriveSystem(expected)
 			r.Ledger = lg1
-			r.LedgerStats = ledgerStats(lg1)
 			st := lg1.Stats()
 			r.Notes = append(r.Notes, fmt.Sprintf(
 				"odoh rate %.1f retry run: %d total observations for 20 queries — retries inflate counts; names and tuples are unchanged",
@@ -505,7 +497,6 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 			r.Measured = measured
 			r.Verdict = &v
 			r.Ledger = s.lg
-			r.LedgerStats = ledgerStats(s.lg)
 		}
 	}
 	r.Tables = append(r.Tables, t)
@@ -640,7 +631,6 @@ func E16ChaosFailOpen(ctx Ctx) (*Result, error) {
 	r.Measured = measuredOpen
 	r.Verdict = &vOpen
 	r.Ledger = lgOpen
-	r.LedgerStats = ledgerStats(lgOpen)
 	r.Pass = len(r.Diffs) == 0
 	return r, nil
 }

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
-	"time"
 )
 
 // The chaos half of the differential transport-equivalence suite:
@@ -14,45 +12,11 @@ import (
 // shared per-link LossDraw stream and crash windows leave wide margins
 // against timer skew, so everything semantic — availability tables,
 // retry counts, knowledge tuples, coalition verdicts, the E16 fail-open
-// conviction — must be identical. Only wall time may differ, and it
-// shows up in exactly one table column.
+// conviction — must be identical. No table carries wall time, so the
+// tables compare verbatim.
 
 // chaosIDs are the experiments the suite compares.
 var chaosIDs = map[string]bool{"E14": true, "E15": true, "E16": true}
-
-// normalizeElapsed blanks cells in columns whose header mentions
-// elapsed time — the one legitimately transport-dependent field (wall
-// time on sockets, virtual time on the simulator). Everything else in
-// every table must match verbatim.
-func normalizeElapsed(tables []Table) []Table {
-	out := make([]Table, len(tables))
-	for ti, tab := range tables {
-		norm := Table{Title: tab.Title, Columns: tab.Columns}
-		elapsed := map[int]bool{}
-		for ci, col := range tab.Columns {
-			if strings.Contains(col, "elapsed") {
-				elapsed[ci] = true
-			}
-		}
-		for _, row := range tab.Rows {
-			r := append([]string(nil), row...)
-			for ci := range r {
-				if !elapsed[ci] {
-					continue
-				}
-				if _, err := time.ParseDuration(r[ci]); err != nil {
-					// An elapsed cell should at least parse; surface
-					// garbage instead of silently blanking it.
-					continue
-				}
-				r[ci] = "·"
-			}
-			norm.Rows = append(norm.Rows, r)
-		}
-		out[ti] = norm
-	}
-	return out
-}
 
 func TestChaosTransportEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -79,20 +43,17 @@ func TestChaosTransportEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(simRes.Diffs, realRes.Diffs) {
 				t.Errorf("%s: expected-vs-measured diffs disagree:\n  sim:  %v\n  real: %v", exp.ID, simRes.Diffs, realRes.Diffs)
 			}
-			simTab := normalizeElapsed(simRes.Tables)
-			realTab := normalizeElapsed(realRes.Tables)
-			if !reflect.DeepEqual(simTab, realTab) {
-				t.Errorf("%s: availability tables disagree after elapsed normalization:\n  sim:  %+v\n  real: %+v",
-					exp.ID, simTab, realTab)
+			if !reflect.DeepEqual(simRes.Tables, realRes.Tables) {
+				t.Errorf("%s: availability tables disagree:\n  sim:  %+v\n  real: %+v",
+					exp.ID, simRes.Tables, realRes.Tables)
 			}
 			tuplesEqual(t, exp.ID, simRes.Measured, realRes.Measured)
 			if !reflect.DeepEqual(simRes.Verdict, realRes.Verdict) {
 				t.Errorf("%s: coalition verdict disagrees:\n  sim:  %+v\n  real: %+v", exp.ID, simRes.Verdict, realRes.Verdict)
 			}
-			if simRes.LedgerStats != nil && realRes.LedgerStats != nil {
-				if simRes.LedgerStats.Total != realRes.LedgerStats.Total {
-					t.Errorf("%s: ledger admitted %d observations on sim, %d on real",
-						exp.ID, simRes.LedgerStats.Total, realRes.LedgerStats.Total)
+			if simRes.Ledger != nil && realRes.Ledger != nil {
+				if simN, realN := simRes.Ledger.Stats().Total, realRes.Ledger.Stats().Total; simN != realN {
+					t.Errorf("%s: ledger admitted %d observations on sim, %d on real", exp.ID, simN, realN)
 				}
 			}
 

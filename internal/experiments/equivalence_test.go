@@ -76,10 +76,9 @@ func TestTransportEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(simRes.Verdict, realRes.Verdict) {
 				t.Errorf("%s: coalition verdict disagrees:\n  sim:  %+v\n  real: %+v", exp.ID, simRes.Verdict, realRes.Verdict)
 			}
-			if simRes.LedgerStats != nil && realRes.LedgerStats != nil {
-				if simRes.LedgerStats.Total != realRes.LedgerStats.Total {
-					t.Errorf("%s: ledger admitted %d observations on sim, %d on real",
-						exp.ID, simRes.LedgerStats.Total, realRes.LedgerStats.Total)
+			if simRes.Ledger != nil && realRes.Ledger != nil {
+				if simN, realN := simRes.Ledger.Stats().Total, realRes.Ledger.Stats().Total; simN != realN {
+					t.Errorf("%s: ledger admitted %d observations on sim, %d on real", exp.ID, simN, realN)
 				}
 			}
 		})

@@ -56,13 +56,9 @@ type Result struct {
 	// WallElapsed is the real execution time, set by the runner. It is
 	// machine-dependent and therefore never rendered by Render.
 	WallElapsed time.Duration
-	// LedgerStats summarizes the experiment's observation ledger
-	// (per-observer counts), surfaced by cmd/experiments -stats. Like
-	// WallElapsed it is diagnostic output, excluded from Render.
-	LedgerStats *ledger.Stats
 	// Ledger is the experiment's primary observation ledger, retained
-	// for provenance audits (cmd/experiments -audit). Diagnostic like
-	// LedgerStats: never rendered.
+	// for provenance audits (cmd/experiments -audit) and the -stats
+	// summary. Diagnostic like WallElapsed: never rendered.
 	Ledger *ledger.Ledger
 }
 
@@ -144,12 +140,6 @@ func tableExperiment(r *Result) error {
 // handle (nil when observability is off); implementations thread it to
 // the layers they build and may ignore it entirely.
 type ExperimentFunc func(ctx Ctx) (*Result, error)
-
-// ledgerStats snapshots a ledger for Result.LedgerStats.
-func ledgerStats(lg *ledger.Ledger) *ledger.Stats {
-	st := lg.Stats()
-	return &st
-}
 
 // Experiment pairs an experiment id with its runner so callers can
 // select without executing.

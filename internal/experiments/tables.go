@@ -64,7 +64,6 @@ func E1DigitalCash(ctx Ctx) (*Result, error) {
 	r.Expected = core.DigitalCash()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	return r, tableExperiment(r)
 }
 
@@ -129,7 +128,6 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	r.Expected = core.Mixnet(3)
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	return r, tableExperiment(r)
 }
 
@@ -175,7 +173,6 @@ func E3PrivacyPass(ctx Ctx) (*Result, error) {
 	r.Expected = core.PrivacyPass()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	return r, tableExperiment(r)
 }
 
@@ -216,7 +213,6 @@ func E4ObliviousDNS(ctx Ctx) (*Result, error) {
 	})
 	r.Notes = append(r.Notes, "both ODNS and ODoH reproduce the same published table")
 	r.Ledger = lgB
-	r.LedgerStats = ledgerStats(lgB)
 	r.Pass = len(r.Diffs) == 0
 	return r, nil
 }
@@ -305,7 +301,6 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 	r.Expected = core.PGPP()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	if err := tableExperiment(r); err != nil {
 		return nil, err
 	}
@@ -424,7 +419,6 @@ func E6MPR(ctx Ctx) (*Result, error) {
 	r.Expected = core.MPR()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	return r, tableExperiment(r)
 }
 
@@ -464,7 +458,6 @@ func E7PPM(ctx Ctx) (*Result, error) {
 	r.Expected = core.PPM(2)
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	if err := tableExperiment(r); err != nil {
 		return nil, err
 	}
@@ -518,7 +511,6 @@ func E8VPN(ctx Ctx) (*Result, error) {
 	r.Expected = core.VPN()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	if err := tableExperiment(r); err != nil {
 		return nil, err
 	}
@@ -558,7 +550,6 @@ func E9ECH(ctx Ctx) (*Result, error) {
 	r.Expected = core.ECH()
 	r.Measured = lg.DeriveSystem(r.Expected)
 	r.Ledger = lg
-	r.LedgerStats = ledgerStats(lg)
 	if err := tableExperiment(r); err != nil {
 		return nil, err
 	}

@@ -62,6 +62,8 @@ func TestDecodeTraceRejectsBadInput(t *testing.T) {
 		{"negative clients", `{"format":"decoupling-explore-trace/v1","probe":"odoh","clients":-1}`},
 		{"bad fault plan", `{"format":"decoupling-explore-trace/v1","probe":"odoh","clients":1,"faults":"crash:x@zz"}`},
 		{"unknown field", `{"format":"decoupling-explore-trace/v1","probe":"odoh","clients":1,"bogus":true}`},
+		{"trailing value", `{"format":"decoupling-explore-trace/v1","probe":"odoh","clients":1} {"junk":1}`},
+		{"trailing bytes", `{"format":"decoupling-explore-trace/v1","probe":"odoh","clients":1}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeTrace([]byte(c.in)); err == nil {

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"decoupling/internal/faults"
 	"decoupling/internal/simnet"
@@ -92,6 +93,10 @@ func DecodeTrace(b []byte) (*Trace, error) {
 	var t Trace
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("explore: parsing trace: %w", err)
+	}
+	var trailing json.RawMessage
+	if err := dec.Decode(&trailing); err != io.EOF {
+		return nil, fmt.Errorf("explore: trailing data after trace")
 	}
 	if t.Format != TraceFormat {
 		return nil, fmt.Errorf("explore: trace format %q, want %q", t.Format, TraceFormat)

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"decoupling/internal/telemetry"
 	"decoupling/internal/transport"
 )
 
@@ -427,17 +428,8 @@ func PlanFromSpec(spec string) (*Plan, error) {
 // loss, which is what makes chaos availability tables byte-comparable
 // between simnet and the real wire.
 func LossDraw(seed int64, src, dst transport.Addr, n uint64) float64 {
-	h := mix64(uint64(seed) ^ hashAddr(src)*0x9e3779b97f4a7c15 ^ hashAddr(dst))
-	return float64(mix64(h^n)%(1<<20)) / (1 << 20)
-}
-
-// mix64 is the splitmix64 finalizer (same construction the resilience
-// package uses for jitter): a cheap bijection from uint64 to uint64.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := telemetry.Mix64(uint64(seed) ^ hashAddr(src)*0x9e3779b97f4a7c15 ^ hashAddr(dst))
+	return float64(telemetry.Mix64(h^n)%(1<<20)) / (1 << 20)
 }
 
 // hashAddr is FNV-1a over the address bytes.

@@ -29,7 +29,6 @@ import (
 	"decoupling/internal/core"
 	"decoupling/internal/dcrypto/hpke"
 	"decoupling/internal/ledger"
-	"decoupling/internal/resilience"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
 	"decoupling/internal/transport"
@@ -434,37 +433,6 @@ func (s *Sender) Send(net transport.Transport, route []NodeInfo, receiver NodeIn
 	root := s.Wire.Root(string(s.Addr), "mixnet.send", string(s.Addr), string(route[0].Addr))
 	defer root.End()
 	return transport.SendWithContext(net, s.Addr, route[0].Addr, append([]byte{tagOnion}, onion...), root.Context())
-}
-
-// SendResilient wraps message for a fresh random route and injects it,
-// failing over to a different entry mix when the injection fails fast
-// (entry inside a crash window). Each attempt draws a new route from
-// the network's seeded RNG, so chaos runs remain byte-reproducible.
-// Degradation policy: fail-closed — when every attempt fails the
-// message errors (wrapping resilience.ErrExhausted) rather than being
-// handed to the receiver outside the mixnet. It returns the route that
-// was ultimately used, for experiments that need ground truth.
-func (s *Sender) SendResilient(net transport.Transport, pool []NodeInfo, receiver NodeInfo, message []byte, hops int, tel *telemetry.Telemetry) ([]NodeInfo, error) {
-	p := resilience.Default("mixnet")
-	if len(pool) > p.MaxAttempts {
-		p.MaxAttempts = len(pool)
-	}
-	var route []NodeInfo
-	err := resilience.Do(p, tel, uint64(net.Rand(1<<30)), nil, func(attempt int) error {
-		r, rerr := RandomRoute(net, pool, hops)
-		if rerr != nil {
-			return rerr
-		}
-		if serr := s.Send(net, r, receiver, message); serr != nil {
-			return serr
-		}
-		route = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return route, nil
 }
 
 // RandomRoute draws a route of `hops` distinct mixes from pool using

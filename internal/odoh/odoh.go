@@ -331,6 +331,14 @@ func (p *Proxy) Forwarded() int {
 // target and returns the opaque response. The proxy's observations:
 // the client's identity and two ciphertext blobs.
 func (p *Proxy) Forward(clientAddr string, raw []byte) ([]byte, error) {
+	return p.relay(clientAddr, raw, nil, "")
+}
+
+// relay is the proxy's one relay body. The target leg is a direct call
+// to p.Target, with the trace context handed off alongside the bytes,
+// when targetURL is empty, and an HTTP POST to the TargetHandler at
+// targetURL, with the context in TraceHeader, otherwise.
+func (p *Proxy) relay(clientAddr string, raw []byte, client *http.Client, targetURL string) ([]byte, error) {
 	sp := p.tel.Start("odoh.proxy.forward",
 		telemetry.A("proxy", p.Name), telemetry.A("bytes", strconv.Itoa(len(raw))))
 	defer sp.End()
@@ -354,8 +362,14 @@ func (p *Proxy) Forward(clientAddr string, raw []byte) ([]byte, error) {
 		hop.Observe(core.Identity, clientAddr)
 		hop.Observe(core.Data, "ciphertext:"+ledger.Hash(raw))
 	}
-	p.wire.Handoff(raw, hop.Forward())
-	resp, err := p.Target.HandleQuery(p.Name, raw)
+	var resp []byte
+	var err error
+	if targetURL == "" {
+		p.wire.Handoff(raw, hop.Forward())
+		resp, err = p.Target.HandleQuery(p.Name, raw)
+	} else {
+		resp, err = post(client, targetURL+"/dns-query", raw, hop.Forward())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -488,12 +502,7 @@ func ProxyHandler(p *Proxy, client *http.Client, httpTarget string) http.Handler
 			return
 		}
 		depositHeaderContext(p.wire, r, body)
-		var resp []byte
-		if httpTarget == "" {
-			resp, err = p.Forward(r.RemoteAddr, body)
-		} else {
-			resp, err = p.forwardHTTP(client, httpTarget, r.RemoteAddr, body)
-		}
+		resp, err := p.relay(r.RemoteAddr, body, client, httpTarget)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -503,25 +512,28 @@ func ProxyHandler(p *Proxy, client *http.Client, httpTarget string) http.Handler
 	})
 }
 
-func (p *Proxy) forwardHTTP(client *http.Client, baseURL, clientAddr string, raw []byte) ([]byte, error) {
-	hop := p.wire.Hop(p.Name, "odoh.proxy.forward", p.wire.TakeHandoff(raw), clientAddr, p.Target.Name)
-	defer hop.End()
-	if p.lg != nil {
-		clientLeg := ledger.ConnHandle(clientAddr, p.Name)
-		targetLeg := ledger.ConnHandle(p.Name, p.Target.Name)
-		p.lg.SawBatch(p.Name, []ledger.Entry{
-			{Kind: core.Identity, Value: clientAddr, Handles: []string{clientAddr, clientLeg}},
-			{Kind: core.Data, Value: "ciphertext:" + ledger.Hash(raw), Handles: []string{clientLeg, targetLeg}},
-		})
-		hop.Observe(core.Identity, clientAddr)
-		hop.Observe(core.Data, "ciphertext:"+ledger.Hash(raw))
+// HTTPForward returns a ForwardFunc posting to a ProxyHandler at
+// baseURL. It claims the wire-trace context Client.Query deposited for
+// the query bytes and sends it in TraceHeader, where ProxyHandler
+// re-deposits it; a nil wire sends none.
+func HTTPForward(client *http.Client, baseURL string, wire *wiretrace.Plane) ForwardFunc {
+	url := baseURL + "/proxy"
+	return func(_ string, raw []byte) ([]byte, error) {
+		return post(client, url, raw, wire.TakeHandoff(raw))
 	}
-	req, err := http.NewRequest(http.MethodPost, baseURL+"/dns-query", bytes.NewReader(raw))
+}
+
+// post sends one oblivious message to url, with a non-zero ctx in
+// TraceHeader, and returns the response body.
+func post(client *http.Client, url string, raw []byte, ctx wiretrace.Context) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	setHeaderContext(req, hop.Forward())
+	if !ctx.IsZero() {
+		req.Header.Set(TraceHeader, ctx.MarshalHeader())
+	}
 	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
@@ -532,53 +544,9 @@ func (p *Proxy) forwardHTTP(client *http.Client, baseURL, clientAddr string, raw
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("odoh: target returned %s: %s", resp.Status, out)
+		return nil, fmt.Errorf("odoh: %s returned %s: %s", url, resp.Status, out)
 	}
-	p.mu.Lock()
-	p.forwarded++
-	p.mu.Unlock()
 	return out, nil
-}
-
-// HTTPForward returns a ForwardFunc posting to a ProxyHandler at
-// baseURL. When wire is non-nil, any context the client handed off
-// with the query bytes crosses the hop in TraceHeader.
-func HTTPForward(client *http.Client, baseURL string) ForwardFunc {
-	return HTTPForwardWire(client, baseURL, nil)
-}
-
-// HTTPForwardWire is HTTPForward with wire-trace propagation: it
-// claims the context deposited for the query bytes (by Client.Query)
-// and sends it in TraceHeader; ProxyHandler re-deposits it on receipt.
-func HTTPForwardWire(client *http.Client, baseURL string, wire *wiretrace.Plane) ForwardFunc {
-	return func(clientAddr string, raw []byte) ([]byte, error) {
-		req, err := http.NewRequest(http.MethodPost, baseURL+"/proxy", bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", contentType)
-		setHeaderContext(req, wire.TakeHandoff(raw))
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("odoh: proxy returned %s: %s", resp.Status, out)
-		}
-		return out, nil
-	}
-}
-
-// setHeaderContext attaches a non-zero context to an outbound request.
-func setHeaderContext(req *http.Request, ctx wiretrace.Context) {
-	if !ctx.IsZero() {
-		req.Header.Set(TraceHeader, ctx.MarshalHeader())
-	}
 }
 
 // depositHeaderContext re-deposits a TraceHeader context into the

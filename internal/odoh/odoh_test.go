@@ -1,6 +1,7 @@
 package odoh
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"decoupling/internal/dns"
 	"decoupling/internal/dnswire"
 	"decoupling/internal/ledger"
+	"decoupling/internal/telemetry"
 )
 
 func ecosystem(t testing.TB, lg *ledger.Ledger) (*Proxy, *Target) {
@@ -179,16 +181,19 @@ func TestProxyTargetCollusionLinks(t *testing.T) {
 }
 
 // TestHTTPStack runs client -> proxy server -> target server over real
-// loopback HTTP.
+// loopback HTTP. The HTTP target leg is the same relay as Forward, so it
+// records the same proxy span and counter.
 func TestHTTPStack(t *testing.T) {
 	proxy, target := ecosystem(t, nil)
+	tel := telemetry.New("odoh-http", true, telemetry.NewMetrics())
+	proxy.Instrument(tel)
 	targetSrv := httptest.NewServer(TargetHandler(target))
 	defer targetSrv.Close()
 	proxySrv := httptest.NewServer(ProxyHandler(proxy, targetSrv.Client(), targetSrv.URL))
 	defer proxySrv.Close()
 
 	client := newClient(t, target, "http-client")
-	resp, err := client.Query("www.example.com", dnswire.TypeA, HTTPForward(proxySrv.Client(), proxySrv.URL))
+	resp, err := client.Query("www.example.com", dnswire.TypeA, HTTPForward(proxySrv.Client(), proxySrv.URL, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +202,27 @@ func TestHTTPStack(t *testing.T) {
 	}
 	if proxy.Forwarded() != 1 {
 		t.Errorf("forwarded = %d", proxy.Forwarded())
+	}
+	var buf bytes.Buffer
+	if err := tel.Tracer().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ParseJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwards := 0
+	for _, s := range spans {
+		if s.Name == "odoh.proxy.forward" {
+			forwards++
+		}
+	}
+	if forwards != 1 {
+		t.Errorf("odoh.proxy.forward spans = %d, want 1", forwards)
+	}
+	series := tel.Metrics().CounterSeries(telemetry.MetricOdohForwarded)
+	if len(series) != 1 || series[0].Value != 1 {
+		t.Errorf("%s = %+v, want one series at 1", telemetry.MetricOdohForwarded, series)
 	}
 }
 
@@ -219,7 +245,7 @@ func BenchmarkQueryHTTP(b *testing.B) {
 	proxySrv := httptest.NewServer(ProxyHandler(proxy, targetSrv.Client(), targetSrv.URL))
 	defer proxySrv.Close()
 	client := newClient(b, target, "bench")
-	fwd := HTTPForward(proxySrv.Client(), proxySrv.URL)
+	fwd := HTTPForward(proxySrv.Client(), proxySrv.URL, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -277,7 +277,6 @@ type Device struct {
 	netID     string
 	lastEpoch int
 	tokens    []*AttachToken
-	attachN   int
 }
 
 // NewDevice provisions a device. In PGPP mode it pre-purchases tokens
@@ -333,9 +332,6 @@ func (d *Device) buyToken() (*AttachToken, error) {
 // NetID returns the identity currently presented to the core.
 func (d *Device) NetID() string { return d.netID }
 
-// Attaches returns how many attach procedures the device has run.
-func (d *Device) Attaches() int { return d.attachN }
-
 // Attach joins the network at a cell, choosing the network identity
 // according to the shuffle policy: ShuffleNever keeps one identity
 // forever (the baseline IMSI, or in PGPP mode one static pseudonym),
@@ -374,7 +370,6 @@ func (d *Device) Attach(cell, step int) error {
 	} else {
 		d.netID = d.IMSI
 	}
-	d.attachN++
 	return d.core.Attach(d.netID, tok, cell, step)
 }
 

@@ -235,11 +235,9 @@ type Aggregator struct {
 	Task Task
 	lg   *ledger.Ledger
 
-	mu       sync.Mutex
-	pending  map[string]*ReportShare
-	accepted int
-	rejected int
-	sum      field.Vector
+	mu      sync.Mutex
+	pending map[string]*ReportShare
+	sum     field.Vector
 }
 
 // NewAggregator creates an aggregator for the task.
@@ -303,19 +301,9 @@ func (a *Aggregator) Commit(reportID string, accept bool) {
 		return
 	}
 	delete(a.pending, reportID)
-	if !accept {
-		a.rejected++
-		return
+	if accept {
+		a.sum.AddInto(share.X)
 	}
-	a.sum.AddInto(share.X)
-	a.accepted++
-}
-
-// Counts reports accepted and rejected report totals.
-func (a *Aggregator) Counts() (accepted, rejected int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.accepted, a.rejected
 }
 
 // AggregateShare returns the sum of accepted shares — the only thing
@@ -414,35 +402,17 @@ func NewSystem(task Task, n int, lg *ledger.Ledger) *System {
 	return s
 }
 
-// Upload builds and distributes a report for input on behalf of
-// clientID; each aggregator sees the uploader identity as clientID (the
-// paper-table direct path — see UploadVia for the OHTTP variant).
-func (s *System) Upload(clientID string, input uint64) (string, error) {
+// Upload builds and distributes a report for input; each aggregator
+// sees the uploader identity as from. That is the client itself on the
+// paper-table direct path, or an OHTTP relay in the §3.2.5 improvement,
+// where aggregators drop from ▲ to △.
+func (s *System) Upload(from string, input uint64) (string, error) {
 	shares, err := BuildReport(s.Task, input, len(s.Aggregators))
 	if err != nil {
 		return "", err
 	}
 	for i, a := range s.Aggregators {
-		if err := a.Upload(clientID, shares[i]); err != nil {
-			return "", err
-		}
-	}
-	s.mu.Lock()
-	s.pending = append(s.pending, shares[0].ReportID)
-	s.mu.Unlock()
-	return shares[0].ReportID, nil
-}
-
-// UploadVia distributes a report where each aggregator's share arrives
-// from the named relay instead of the client (the §3.2.5 OHTTP
-// improvement: aggregators drop from ▲ to △).
-func (s *System) UploadVia(relayName, clientID string, input uint64) (string, error) {
-	shares, err := BuildReport(s.Task, input, len(s.Aggregators))
-	if err != nil {
-		return "", err
-	}
-	for i, a := range s.Aggregators {
-		if err := a.Upload(relayName, shares[i]); err != nil {
+		if err := a.Upload(from, shares[i]); err != nil {
 			return "", err
 		}
 	}

@@ -316,7 +316,7 @@ func TestOHTTPVariantHidesIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		who := fmt.Sprintf("client-%d", i)
 		cls.RegisterIdentity(who, who, "", core.Sensitive)
-		if _, err := s.UploadVia("ohttp-relay", who, 1); err != nil {
+		if _, err := s.Upload("ohttp-relay", 1); err != nil {
 			t.Fatal(err)
 		}
 	}

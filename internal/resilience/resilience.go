@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"decoupling/internal/telemetry"
@@ -53,7 +52,7 @@ func (m Mode) String() string {
 }
 
 // ErrExhausted wraps the final error when an operation runs out of
-// attempts, endpoints, or budget.
+// attempts or endpoints.
 var ErrExhausted = errors.New("resilience: all decoupled paths exhausted")
 
 // Policy bundles the retry knobs for one protocol client.
@@ -74,9 +73,6 @@ type Policy struct {
 	Timeout time.Duration
 	// Mode is the degradation policy; the zero value is FailClosed.
 	Mode Mode
-	// Budget, when non-nil, is a shared cap on retries across many
-	// operations (prevents retry storms under correlated failure).
-	Budget *Budget
 }
 
 // Default returns the stock fail-closed policy used by the protocol
@@ -92,15 +88,6 @@ func Default(protocol string) Policy {
 		Timeout:     250 * time.Millisecond,
 		Mode:        FailClosed,
 	}
-}
-
-// splitmix64 is the finalizer from Vigna's SplitMix64: a cheap,
-// high-quality bijection used to hash (seed, attempt) into jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Backoff returns the delay before retry number attempt (attempt >= 1).
@@ -119,46 +106,10 @@ func (p Policy) Backoff(seed uint64, attempt int) time.Duration {
 		}
 	}
 	if p.JitterFrac > 0 {
-		u := float64(splitmix64(seed^uint64(attempt))%(1<<20)) / (1 << 20) // [0, 1)
+		u := float64(telemetry.Mix64(seed^uint64(attempt))%(1<<20)) / (1 << 20) // [0, 1)
 		d += time.Duration(float64(d) * p.JitterFrac * u)
 	}
 	return d
-}
-
-// Budget is a shared retry budget: each retry (not first attempts)
-// consumes one unit. A nil Budget is unlimited.
-type Budget struct{ left atomic.Int64 }
-
-// NewBudget returns a budget allowing n retries in total.
-func NewBudget(n int) *Budget {
-	b := &Budget{}
-	b.left.Store(int64(n))
-	return b
-}
-
-// Take consumes one retry from the budget, reporting whether one was
-// available.
-func (b *Budget) Take() bool {
-	if b == nil {
-		return true
-	}
-	for {
-		v := b.left.Load()
-		if v <= 0 {
-			return false
-		}
-		if b.left.CompareAndSwap(v, v-1) {
-			return true
-		}
-	}
-}
-
-// Remaining reports retries left (for tests and reports).
-func (b *Budget) Remaining() int {
-	if b == nil {
-		return -1
-	}
-	return int(b.left.Load())
 }
 
 // Sleeper abstracts how a synchronous retry loop waits. Protocols not
@@ -193,10 +144,6 @@ func DoFailover(p Policy, tel *telemetry.Telemetry, seed uint64, sleep Sleeper, 
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if !p.Budget.Take() {
-				lastErr = fmt.Errorf("retry budget empty after attempt %d: %w", attempt-1, lastErr)
-				break
-			}
 			tel.Count(telemetry.MetricRetries, "Retried attempts per protocol.", 1, proto)
 			if d := p.Backoff(seed, attempt); d > 0 && sleep != nil {
 				sleep(d)
@@ -252,9 +199,10 @@ func Watchdog(c Clock, tel *telemetry.Telemetry, protocol string, timeout time.D
 // start(attempt) launches an attempt; if done() is still false after
 // Policy.Timeout, the watchdog backs off and starts the next attempt.
 // A start() that errors immediately (ErrNodeDown from the simulator)
-// retries on the same schedule without waiting out the timeout. When
-// the budget is gone and done() still fails, fail(err) runs with an
-// error wrapping ErrExhausted.
+// retries on the same schedule without waiting out the timeout; a
+// started attempt's timeout is a Watchdog. When the attempts run out
+// and done() still fails, fail(err) runs with an error wrapping
+// ErrExhausted.
 func RetryAsync(c Clock, tel *telemetry.Telemetry, p Policy, seed uint64, start func(attempt int) error, done func() bool, fail func(error)) {
 	attempts := p.MaxAttempts
 	if attempts <= 0 {
@@ -267,7 +215,7 @@ func RetryAsync(c Clock, tel *telemetry.Telemetry, p Policy, seed uint64, start 
 	proto := telemetry.A("protocol", p.Protocol)
 	var try func(attempt int, lastErr error)
 	next := func(attempt int, lastErr error) {
-		if attempt+1 >= attempts || !p.Budget.Take() {
+		if attempt+1 >= attempts {
 			if fail != nil {
 				fail(exhausted(p, tel, lastErr))
 			}
@@ -288,11 +236,7 @@ func RetryAsync(c Clock, tel *telemetry.Telemetry, p Policy, seed uint64, start 
 			next(attempt, err)
 			return
 		}
-		c.After(timeout, func() {
-			if done() {
-				return
-			}
-			tel.Count(telemetry.MetricTimeouts, "Per-attempt timeouts per protocol.", 1, proto)
+		Watchdog(c, tel, p.Protocol, timeout, done, func() {
 			next(attempt, fmt.Errorf("attempt %d timed out after %s", attempt, timeout))
 		})
 	}

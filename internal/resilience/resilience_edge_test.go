@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,51 +9,6 @@ import (
 	"decoupling/internal/simnet"
 	"decoupling/internal/transport"
 )
-
-// --- Budget exhaustion mid-failover ------------------------------------
-
-// A shared budget that runs dry between two failover loops must stop the
-// second loop at the exact attempt the budget empties, wrap ErrExhausted,
-// and say so — not silently truncate the retry schedule.
-func TestBudgetExhaustionMidFailover(t *testing.T) {
-	budget := NewBudget(3)
-	p := Policy{Protocol: "t", MaxAttempts: 3, Budget: budget}
-	fail := func(attempt, endpoint int) error { return errors.New("down") }
-
-	// First loop: 3 attempts = 2 retries, leaving 1 in the budget.
-	if _, err := DoFailover(p, nil, 1, nil, 2, fail); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("first loop: err = %v, want ErrExhausted", err)
-	}
-	if got := budget.Remaining(); got != 1 {
-		t.Fatalf("after first loop: budget = %d, want 1", got)
-	}
-
-	// Second loop: attempt 0 free, attempt 1 takes the last unit,
-	// attempt 2 finds the budget empty mid-failover.
-	var endpoints []int
-	_, err := DoFailover(p, nil, 1, nil, 2, func(attempt, endpoint int) error {
-		endpoints = append(endpoints, endpoint)
-		return errors.New("down")
-	})
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("second loop: err = %v, want ErrExhausted", err)
-	}
-	if !strings.Contains(err.Error(), "retry budget empty") {
-		t.Errorf("exhaustion should name the empty budget, got: %v", err)
-	}
-	if len(endpoints) != 2 {
-		t.Errorf("budget allowed %d attempts, want 2 (one first + one retry)", len(endpoints))
-	}
-	if budget.Remaining() != 0 {
-		t.Errorf("budget = %d after exhaustion, want 0", budget.Remaining())
-	}
-
-	// The failover rotation must still have happened for the attempts
-	// that ran: endpoint 0 then endpoint 1.
-	if endpoints[0] != 0 || endpoints[1] != 1 {
-		t.Errorf("endpoints visited = %v, want [0 1]", endpoints)
-	}
-}
 
 // --- Watchdog firing inside a crash window ------------------------------
 

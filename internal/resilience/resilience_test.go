@@ -169,41 +169,6 @@ func TestMaxAttemptsZeroMeansOneAttempt(t *testing.T) {
 	}
 }
 
-// --- Budget -------------------------------------------------------------
-
-func TestBudgetCapsRetriesAcrossOperations(t *testing.T) {
-	b := NewBudget(3)
-	p := Policy{MaxAttempts: 10, Budget: b}
-	calls := 0
-	err := Do(p, nil, 1, nil, func(int) error { calls++; return errors.New("x") })
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatal("want exhaustion")
-	}
-	// 1 free first attempt + 3 budgeted retries.
-	if calls != 4 {
-		t.Errorf("calls = %d, want 4", calls)
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("remaining = %d", b.Remaining())
-	}
-	// A second operation sharing the drained budget gets no retries.
-	calls = 0
-	Do(p, nil, 2, nil, func(int) error { calls++; return errors.New("x") })
-	if calls != 1 {
-		t.Errorf("second op calls = %d, want 1", calls)
-	}
-}
-
-func TestNilBudgetIsUnlimited(t *testing.T) {
-	var b *Budget
-	if !b.Take() {
-		t.Error("nil budget refused a retry")
-	}
-	if b.Remaining() != -1 {
-		t.Errorf("nil Remaining = %d", b.Remaining())
-	}
-}
-
 // --- Mode ----------------------------------------------------------------
 
 func TestModeStrings(t *testing.T) {

@@ -162,14 +162,13 @@ func TestWatchdogRealClock(t *testing.T) {
 }
 
 // TestRetryAsyncConcurrentOperations: many operations share one policy
-// and one budget on the real clock — the shape of a loadgen chaos run.
-// Under -race this exercises the Budget CAS loop and the per-operation
-// state from dozens of timer goroutines at once.
+// on the real clock — the shape of a loadgen chaos run. Under -race
+// this exercises the per-operation state and the watchdogs from dozens
+// of timer goroutines at once.
 func TestRetryAsyncConcurrentOperations(t *testing.T) {
 	t.Parallel()
 	c := newWallClock()
 	p := wallPolicy()
-	p.Budget = NewBudget(200)
 	const ops = 32
 	var wg sync.WaitGroup
 	var succeeded atomic.Int32

@@ -316,6 +316,10 @@ func ParseJSONL(r io.Reader) ([]SpanRecord, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
 		}
+		var trailing json.RawMessage
+		if err := dec.Decode(&trailing); err != io.EOF {
+			return nil, fmt.Errorf("telemetry: trace line %d: trailing data after span object", line)
+		}
 		if rec.Trace == "" || rec.Name == "" || rec.Span == 0 {
 			return nil, fmt.Errorf("telemetry: trace line %d: missing trace/name/span", line)
 		}
@@ -458,4 +462,16 @@ func (t *Telemetry) merge(labels []Attr) []Attr {
 // SortAttrs sorts attributes by key (stable for equal keys).
 func SortAttrs(attrs []Attr) {
 	sort.SliceStable(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
+}
+
+// Mix64 is the splitmix64 finalizer (Vigna's SplitMix64): a cheap,
+// high-quality bijection on uint64. It is the one hash behind the
+// repo's seeded draws (backoff jitter, injected loss, chaos links and
+// fault synthesis), so a (seed, index) pair maps to the same value
+// wherever it is drawn.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

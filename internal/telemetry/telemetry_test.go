@@ -256,7 +256,9 @@ func TestParseJSONLRejects(t *testing.T) {
 		"orphan parent":    `{"trace":"T","span":1,"parent":9,"name":"x","start_ns":0,"end_ns":0}`,
 		"duplicate id": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}
 {"trace":"T","span":1,"parent":0,"name":"y","start_ns":0,"end_ns":0}`,
-		"not json": `garbage`,
+		"not json":       `garbage`,
+		"trailing bytes": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}garbage`,
+		"trailing value": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0} {"junk":1}`,
 	}
 	for name, input := range cases {
 		if _, err := ParseJSONL(strings.NewReader(input)); err == nil {

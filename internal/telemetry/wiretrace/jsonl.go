@@ -112,7 +112,8 @@ func ParseJSONL(r io.Reader) ([]Record, error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("wiretrace: line %d: %w", n, err)
 		}
-		if dec.More() {
+		var trailing json.RawMessage
+		if err := dec.Decode(&trailing); err != io.EOF {
 			return nil, fmt.Errorf("wiretrace: line %d: trailing data after span object", n)
 		}
 		if rec.V != SchemaV1 {

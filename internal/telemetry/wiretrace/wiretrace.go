@@ -31,6 +31,7 @@ import (
 
 	"decoupling/internal/core"
 	"decoupling/internal/ledger"
+	"decoupling/internal/telemetry"
 )
 
 // TraceID names one traced request *segment*. Under ModeRotate a
@@ -301,14 +302,11 @@ func (p *Plane) now() time.Duration {
 }
 
 // next64 draws one splitmix64 output; unique per call within a plane.
+// The state steps by the splitmix64 increment, which Mix64 adds
+// itself, so it hashes the state from before this call's step.
 func (p *Plane) next64() uint64 {
-	x := atomic.AddUint64(&p.ctr, 0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	const step = 0x9E3779B97F4A7C15
+	return telemetry.Mix64(atomic.AddUint64(&p.ctr, step) - step)
 }
 
 func (p *Plane) newTrace() TraceID {

@@ -213,6 +213,7 @@ func TestParseJSONLStrictness(t *testing.T) {
 		"mixed modes":    lines[0] + "\n" + strings.Replace(lines[1], `"mode":"rotate"`, `"mode":"naive"`, 1),
 		"bad trace hex":  mutate(`"trace":"`, `"trace":"ZZ`),
 		"trailing junk":  lines[0] + " {}\n" + lines[1],
+		"trailing brace": lines[0] + "}\n" + lines[1],
 		"not json":       "span data\n",
 		"missing fields": `{"v":"` + SchemaV1 + `","mode":"rotate","trace":"` + strings.Repeat("a", 32) + `","span":"` + strings.Repeat("b", 16) + `","start_ns":0,"end_ns":0}`,
 	}

@@ -15,7 +15,6 @@ import (
 // honest under real sockets. A new entry here needs the same kind of
 // justification these have.
 var wallClockAllowlist = map[string]string{
-	"internal/dns/udp.go":            "kernel socket read deadline; the OS clock is the only one the kernel honors",
 	"internal/experiments/runner.go": "wall-elapsed reporting and queue-wait telemetry for the human-facing runner",
 	"internal/mpr/certs.go":          "X.509 NotBefore/NotAfter; certificate validity is wall time by definition",
 	"internal/nettransport/":         "the real transport: its whole job is binding the Transport clock to the wall",

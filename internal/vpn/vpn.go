@@ -21,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
 
 	"decoupling/internal/ledger"
 )
@@ -43,8 +42,6 @@ type Server struct {
 	ln        net.Listener
 	srv       *http.Server
 	transport *http.Transport
-	mu        sync.Mutex
-	proxied   int
 }
 
 // NewServer creates a VPN server. Its outbound dials bind the loopback
@@ -72,13 +69,6 @@ func (s *Server) Start() (addr string, err error) {
 
 // Close shuts the server down.
 func (s *Server) Close() error { return s.srv.Close() }
-
-// Proxied reports forwarded request count.
-func (s *Server) Proxied() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.proxied
-}
 
 // proxy handles a forward-proxy request (absolute URI). This is where
 // the coupling happens: one handler, one log line, both who and what.
@@ -113,9 +103,6 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	s.mu.Lock()
-	s.proxied++
-	s.mu.Unlock()
 }
 
 // Origin is a plain HTTP origin server with observation.

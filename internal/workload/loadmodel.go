@@ -79,8 +79,3 @@ func (s *Sessions) Next() int {
 	}
 	return n
 }
-
-// Churned reports whether a client departs after a request, given the
-// session length drawn for it; convenience for loops that track only a
-// remaining-request counter.
-func Churned(remaining int) bool { return remaining <= 0 }
