@@ -626,6 +626,7 @@ func runODoH(clients, shards, workers int, seed int64, cls *ledger.Classifier, l
 		}
 	}
 
+	proxyHandler := odoh.ProxyHandler(proxy, nil, "")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /proxy", func(w http.ResponseWriter, r *http.Request) {
 		if ch.proxyDown() {
@@ -638,28 +639,16 @@ func runODoH(clients, shards, workers int, seed int64, cls *ledger.Classifier, l
 			http.Error(w, "injected fault: proxy crash window", http.StatusServiceUnavailable)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
-			return
+		// ProxyHandler names the client by its peer address; hand it
+		// the logical identity instead, on a shallow copy of the
+		// request as http.StripPrefix makes.
+		if who := r.Header.Get(clientHeader); who != "" {
+			r2 := new(http.Request)
+			*r2 = *r
+			r2.RemoteAddr = who
+			r = r2
 		}
-		who := r.Header.Get(clientHeader)
-		if who == "" {
-			who = r.RemoteAddr
-		}
-		if h := r.Header.Get(odoh.TraceHeader); h != "" && plane.Enabled() {
-			// Re-deposit the header-borne context keyed by the query
-			// bytes, exactly as ProxyHandler would.
-			if ctx, err := wiretrace.ParseHeader(h); err == nil {
-				plane.Handoff(body, ctx)
-			}
-		}
-		resp, err := proxy.Forward(who, body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.Write(resp)
+		proxyHandler.ServeHTTP(w, r)
 	})
 
 	servers := make([]*http.Server, shards)

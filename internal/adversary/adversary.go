@@ -27,7 +27,7 @@ type LinkResult struct {
 	IdentityValue string
 	DataValue     string
 	Linked        bool
-	// Path is the union-find merge path proving the link: the minimal
+	// Path is the linkage chain proving the link: the minimal
 	// chain of coalition observations, each sharing a handle with the
 	// next, from a sensitive identity observation of the subject to a
 	// sensitive (or partial) data observation. Populated only by
@@ -43,29 +43,6 @@ type Hop struct {
 	Handle string
 }
 
-// unionFind is a tiny string-keyed disjoint-set.
-type unionFind struct {
-	parent map[string]string
-}
-
-func newUnionFind() *unionFind { return &unionFind{parent: map[string]string{}} }
-
-func (u *unionFind) find(x string) string {
-	p, ok := u.parent[x]
-	if !ok {
-		u.parent[x] = x
-		return x
-	}
-	if p == x {
-		return x
-	}
-	root := u.find(p)
-	u.parent[x] = root
-	return root
-}
-
-func (u *unionFind) union(a, b string) { u.parent[u.find(a)] = u.find(b) }
-
 // LinkSubjects runs the coalition linkage attack: given all recorded
 // observations and the names of colluding entities, it determines for
 // each subject whether the coalition can connect a sensitive identity
@@ -80,36 +57,21 @@ func LinkSubjects(obs []ledger.Observation, coalition []string) []LinkResult {
 		members[m] = true
 	}
 
-	uf := newUnionFind()
-	// Nodes: "obs:<i>" and "h:<handle>".
-	var pool []int
+	link := core.NewLinkage(len(obs))
+	idSides := map[string][]int{}
+	dataSides := map[string][]int{}
 	for i, o := range obs {
 		if !members[o.Observer] {
 			continue
 		}
-		pool = append(pool, i)
-		node := obsNode(i)
-		for _, h := range o.Handles {
-			uf.union(node, "h:"+h)
-		}
-	}
-
-	type side struct {
-		value string
-		node  string
-	}
-	idSides := map[string][]side{}
-	dataSides := map[string][]side{}
-	for _, i := range pool {
-		o := obs[i]
-		if o.Subject == "" {
+		link.Link(i, o.Handles)
+		if !SubjectSide(o) {
 			continue
 		}
-		switch {
-		case o.Kind == core.Identity && o.Level == core.Sensitive:
-			idSides[o.Subject] = append(idSides[o.Subject], side{o.Value, obsNode(i)})
-		case o.Kind == core.Data && o.Level >= core.Partial:
-			dataSides[o.Subject] = append(dataSides[o.Subject], side{o.Value, obsNode(i)})
+		if o.Kind == core.Identity {
+			idSides[o.Subject] = append(idSides[o.Subject], i)
+		} else {
+			dataSides[o.Subject] = append(dataSides[o.Subject], i)
 		}
 	}
 
@@ -121,42 +83,40 @@ func LinkSubjects(obs []ledger.Observation, coalition []string) []LinkResult {
 
 	var results []LinkResult
 	for _, s := range subjects {
-		r := LinkResult{Subject: s}
-		if len(idSides[s]) > 0 {
-			r.IdentityValue = idSides[s][0].value
-		}
+		ids, data := idSides[s], dataSides[s]
+		r := LinkResult{Subject: s, IdentityValue: obs[ids[0]].Value}
 	outer:
-		for _, id := range idSides[s] {
-			for _, d := range dataSides[s] {
-				if uf.find(id.node) == uf.find(d.node) {
+		for _, id := range ids {
+			for _, d := range data {
+				if link.Linked(id, d) {
 					r.Linked = true
-					r.IdentityValue = id.value
-					r.DataValue = d.value
+					r.IdentityValue = obs[id].Value
+					r.DataValue = obs[d].Value
 					break outer
 				}
 			}
 		}
-		if !r.Linked && len(dataSides[s]) > 0 {
-			r.DataValue = dataSides[s][0].value
+		if !r.Linked && len(data) > 0 {
+			r.DataValue = obs[data[0]].Value
 		}
 		results = append(results, r)
 	}
 	return results
 }
 
-func obsNode(i int) string {
-	// Small manual itoa avoids fmt in the hot path.
-	if i == 0 {
-		return "obs:0"
+// SubjectSide reports whether o is one side of its subject's linkage —
+// a sensitive identity, or sensitive (or partial) data — rather than
+// only a link in a handle chain; o.Kind says which side.
+func SubjectSide(o ledger.Observation) bool {
+	switch {
+	case o.Subject == "":
+		return false
+	case o.Kind == core.Identity:
+		return o.Level == core.Sensitive
+	case o.Kind == core.Data:
+		return o.Level >= core.Partial
 	}
-	var digits [20]byte
-	pos := len(digits)
-	for i > 0 {
-		pos--
-		digits[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return "obs:" + string(digits[pos:])
+	return false
 }
 
 // LinkageRate returns the fraction of subjects the coalition linked.

@@ -9,7 +9,7 @@ import (
 
 // LinkSubjectsEvidence runs the same coalition linkage attack as
 // LinkSubjects but additionally reconstructs, for every linked
-// subject, the union-find merge path: the minimal alternating chain
+// subject, the linkage chain: the minimal alternating chain
 // observation → shared handle → observation … proving the coalition
 // joined a sensitive identity to sensitive data. The chain is found by
 // breadth-first search over the bipartite observation/handle graph, so
@@ -29,28 +29,21 @@ func LinkSubjectsEvidence(obs []ledger.Observation, coalition []string) []LinkRe
 	// Adjacency: observation index -> handles, handle -> observation
 	// indices (ascending, the order we appended them).
 	handleObs := map[string][]int{}
-	var pool []int
+	idSides := map[string][]int{}
+	dataSides := map[string]map[int]bool{}
 	for i, o := range obs {
 		if !members[o.Observer] {
 			continue
 		}
-		pool = append(pool, i)
 		for _, h := range o.Handles {
 			handleObs[h] = append(handleObs[h], i)
 		}
-	}
-
-	idSides := map[string][]int{}
-	dataSides := map[string]map[int]bool{}
-	for _, i := range pool {
-		o := obs[i]
-		if o.Subject == "" {
+		if !SubjectSide(o) {
 			continue
 		}
-		switch {
-		case o.Kind == core.Identity && o.Level == core.Sensitive:
+		if o.Kind == core.Identity {
 			idSides[o.Subject] = append(idSides[o.Subject], i)
-		case o.Kind == core.Data && o.Level >= core.Partial:
+		} else {
 			if dataSides[o.Subject] == nil {
 				dataSides[o.Subject] = map[int]bool{}
 			}

@@ -60,58 +60,14 @@ func CloseStatic(sys *core.System) (StaticClosure, error) {
 			members = append(members, e)
 		}
 	}
-	if len(members) == 0 {
-		return cl, nil
-	}
-
-	// Union-find over declared handle classes. Unlike the conservative
-	// measured-side rule, an entity with no declared handles forms its
-	// own partition: the schema explicitly asserts it shares no join
-	// key with anyone.
-	parent := make([]int, len(members))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	byHandle := map[string][]int{}
+	// Unlike the conservative measured-side rule, an entity with no
+	// declared handles forms its own partition: the schema explicitly
+	// asserts it shares no join key with anyone.
+	link := core.NewLinkage(len(members))
 	for i, e := range members {
-		for _, h := range e.Links {
-			byHandle[h] = append(byHandle[h], i)
-		}
+		link.Link(i, e.Links)
 	}
-	handleNames := make([]string, 0, len(byHandle))
-	for h := range byHandle {
-		handleNames = append(handleNames, h)
-	}
-	sort.Strings(handleNames)
-	for _, h := range handleNames {
-		owners := byHandle[h]
-		for i := 1; i < len(owners); i++ {
-			parent[find(owners[0])] = find(owners[i])
-		}
-	}
-
-	groups := map[int][]int{}
-	for i := range members {
-		root := find(i)
-		groups[root] = append(groups[root], i)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	// Deterministic partition order: by first member index.
-	sort.Slice(roots, func(a, b int) bool { return groups[roots[a]][0] < groups[roots[b]][0] })
-
-	for _, root := range roots {
-		idxs := groups[root]
+	for _, idxs := range link.Groups(nil) {
 		p := StaticPartition{}
 		inPartition := map[string]bool{}
 		handles := map[string]bool{}
@@ -124,14 +80,7 @@ func CloseStatic(sys *core.System) (StaticClosure, error) {
 			}
 		}
 		for _, sec := range sys.SharedSecrets {
-			all := len(sec.Holders) > 0
-			for _, h := range sec.Holders {
-				if !inPartition[h] {
-					all = false
-					break
-				}
-			}
-			if all {
+			if sec.HeldBy(inPartition) {
 				p.Merged = p.Merged.Merge(core.Tuple{sec.Yields})
 				p.Secrets = append(p.Secrets, sec.Name)
 			}

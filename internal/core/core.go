@@ -259,6 +259,21 @@ type SharedSecret struct {
 	Yields Component
 }
 
+// HeldBy reports whether names includes every holder, so that pooling
+// their shares reconstructs the secret. A secret with no holders is
+// never reconstructed.
+func (s SharedSecret) HeldBy(names map[string]bool) bool {
+	if len(s.Holders) == 0 {
+		return false
+	}
+	for _, h := range s.Holders {
+		if !names[h] {
+			return false
+		}
+	}
+	return true
+}
+
 // System is a complete decoupling analysis target: a named set of
 // entities, at least one of which is the user.
 type System struct {

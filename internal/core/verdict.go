@@ -131,14 +131,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 	}
 	var reconstructed []SharedSecret
 	for _, sec := range s.SharedSecrets {
-		all := len(sec.Holders) > 0
-		for _, h := range sec.Holders {
-			if !present[h] {
-				all = false
-				break
-			}
-		}
-		if all {
+		if sec.HeldBy(present) {
 			merged = merged.Merge(Tuple{sec.Yields})
 			reconstructed = append(reconstructed, sec)
 		}
@@ -146,38 +139,16 @@ func coalitionCoupled(s *System, members []Entity) bool {
 	if !merged.Coupled() {
 		return false
 	}
-	// Union-find over coalition members via shared handles.
-	parent := make([]int, len(members))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	handleOwners := map[string][]int{}
+	link := NewLinkage(len(members))
 	for i, e := range members {
 		if len(e.Links) == 0 {
 			// Conservatively linkable to all members.
 			for j := range members {
-				union(i, j)
+				link.Join(i, j)
 			}
 			continue
 		}
-		for _, h := range e.Links {
-			handleOwners[h] = append(handleOwners[h], i)
-		}
-	}
-	for _, owners := range handleOwners {
-		for i := 1; i < len(owners); i++ {
-			union(owners[0], owners[i])
-		}
+		link.Link(i, e.Links)
 	}
 
 	// Effective per-member knowledge: own tuple plus any secrets whose
@@ -199,7 +170,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 		}
 		for _, i := range idxs {
 			effective[i] = effective[i].Merge(Tuple{sec.Yields})
-			union(idxs[0], i)
+			link.Join(idxs[0], i)
 		}
 	}
 
@@ -212,7 +183,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 			if !effective[j].knowsSensitive(Data) {
 				continue
 			}
-			if find(i) == find(j) {
+			if link.Linked(i, j) {
 				return true
 			}
 		}

@@ -318,7 +318,7 @@ func (l *Ledger) lockAll() (map[string]*shard, func()) {
 // from the classifier, never from the protocol code.
 func (l *Ledger) Saw(observer string, kind core.Kind, value string, handles ...string) {
 	e, recognized := l.classifier.classify(kind, value)
-	o := Observation{
+	o := [1]Observation{{
 		Observer:   observer,
 		Kind:       kind,
 		Label:      e.label,
@@ -327,20 +327,8 @@ func (l *Ledger) Saw(observer string, kind core.Kind, value string, handles ...s
 		Value:      value,
 		Handles:    append([]string(nil), handles...),
 		Recognized: recognized,
-	}
-	if l.clock != nil {
-		o.Time = l.clock()
-	}
-	if l.tel != nil { // one pointer check when uninstrumented
-		o.Phase = l.tel.CurrentPhase()
-	}
-	s := l.shardFor(observer)
-	s.mu.Lock()
-	o.seq = l.seq.Add(1)
-	s.admit(&o)
-	s.obs = append(s.obs, o)
-	s.mu.Unlock()
-	s.obsCounter.Add(1) // nil-safe; nil unless instrumented
+	}}
+	l.record(observer, o[:])
 }
 
 // Entry is one observation in a SawBatch: what a single protocol step
@@ -400,15 +388,24 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 			Recognized: recognized,
 		}
 	}
+	l.record(observer, obs)
+}
+
+// record is the admission tail Saw and SawBatch share: it stamps the
+// observations of one protocol step with one clock read and the current
+// phase, then admits them to the observer's shard under one lock with a
+// contiguous block of the global admission counter. It copies obs, so
+// callers may stage it on the stack.
+func (l *Ledger) record(observer string, obs []Observation) {
 	if l.clock != nil {
-		// One clock read for the batch: the entries describe a single
-		// protocol step, observed at a single instant.
+		// One clock read for the step: its observations were made at a
+		// single instant.
 		t := l.clock()
 		for i := range obs {
 			obs[i].Time = t
 		}
 	}
-	if l.tel != nil {
+	if l.tel != nil { // one pointer check when uninstrumented
 		phase := l.tel.CurrentPhase()
 		for i := range obs {
 			obs[i].Phase = phase

@@ -434,27 +434,3 @@ func (s *Sender) Send(net transport.Transport, route []NodeInfo, receiver NodeIn
 	defer root.End()
 	return transport.SendWithContext(net, s.Addr, route[0].Addr, append([]byte{tagOnion}, onion...), root.Context())
 }
-
-// RandomRoute draws a route of `hops` distinct mixes from pool using
-// the network's deterministic RNG — the free-route alternative to a
-// fixed cascade. Free routes spread trust across the whole mix pool:
-// no single fixed entry mix sees every sender.
-func RandomRoute(net transport.Transport, pool []NodeInfo, hops int) ([]NodeInfo, error) {
-	if hops <= 0 || hops > len(pool) {
-		return nil, fmt.Errorf("mixnet: cannot pick %d distinct mixes from a pool of %d", hops, len(pool))
-	}
-	idx := make([]int, len(pool))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial Fisher-Yates: shuffle the first `hops` positions.
-	for i := 0; i < hops; i++ {
-		j := i + net.Rand(len(pool)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	route := make([]NodeInfo, hops)
-	for i := 0; i < hops; i++ {
-		route[i] = pool[idx[i]]
-	}
-	return route, nil
-}

@@ -291,64 +291,6 @@ func BenchmarkEndToEnd3Hop(b *testing.B) {
 	}
 }
 
-// TestFreeRouteDelivery: messages over per-message random routes all
-// deliver, and the entry-mix load spreads across the pool (no fixed
-// cascade head).
-func TestFreeRouteDelivery(t *testing.T) {
-	net := simnet.New(41)
-	var pool []NodeInfo
-	for i := 1; i <= 6; i++ {
-		m, err := NewMix(net, fmt.Sprintf("Mix %d", i), transport.Addr(fmt.Sprintf("mix%d", i)), 1, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool = append(pool, m.Info())
-	}
-	rcv, err := NewReceiver(net, "Receiver", "receiver", false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := map[transport.Addr]int{}
-	const msgs = 60
-	for i := 0; i < msgs; i++ {
-		route, err := RandomRoute(net, pool, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mixes on every route.
-		seen := map[transport.Addr]bool{}
-		for _, n := range route {
-			if seen[n.Addr] {
-				t.Fatalf("route reuses mix %s", n.Addr)
-			}
-			seen[n.Addr] = true
-		}
-		entries[route[0].Addr]++
-		s := &Sender{Addr: transport.Addr(fmt.Sprintf("s%02d", i))}
-		if err := s.Send(net, route, rcv.Info(), []byte(fmt.Sprintf("m%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	net.Run()
-	if len(rcv.Inbox()) != msgs {
-		t.Fatalf("delivered %d of %d over free routes", len(rcv.Inbox()), msgs)
-	}
-	if len(entries) < 4 {
-		t.Errorf("entry load concentrated on %d of 6 mixes: %v", len(entries), entries)
-	}
-}
-
-func TestRandomRouteErrors(t *testing.T) {
-	net := simnet.New(1)
-	pool := make([]NodeInfo, 2)
-	if _, err := RandomRoute(net, pool, 3); err == nil {
-		t.Error("route longer than pool accepted")
-	}
-	if _, err := RandomRoute(net, pool, 0); err == nil {
-		t.Error("zero-hop route accepted")
-	}
-}
-
 // TestStatisticalDisclosureOverCapture: the long-term intersection
 // attack driven by the global observer's real capture. Alice messages
 // bob in half the rounds amid noise traffic; grouping the capture into

@@ -103,7 +103,7 @@ type Edge struct {
 }
 
 // Partition is one connected component of the coalition's bipartite
-// observation/handle graph — the unit that union-find merges. Coupled
+// observation/handle graph — one group of core.Linkage. Coupled
 // partitions contain both a sensitive identity and sensitive (or
 // partial) data of the same subject: each is one realized privacy
 // violation under full collusion.
@@ -398,68 +398,25 @@ func aliasNum(alias string) int {
 	return n
 }
 
-// partitions runs union-find over the coalition's bipartite
-// observation/handle graph — the same structure adversary.LinkSubjects
-// merges — and reports each connected component.
+// partitions groups the coalition's observations by shared handles —
+// the same linkage adversary.LinkSubjects joins — and reports each
+// connected component, ordered by lowest canonical id.
 func partitions(obs []ledger.Observation, coalition []string, alias map[string]string) []Partition {
 	members := map[string]bool{}
 	for _, m := range coalition {
 		members[m] = true
 	}
-
-	// Nodes 0..len(obs)-1 are observations; handle nodes follow.
-	handleNode := map[string]int{}
-	parent := make([]int, len(obs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
+	link := core.NewLinkage(len(obs))
 	inCoalition := make([]bool, len(obs))
 	for i, o := range obs {
-		if !members[o.Observer] {
-			continue
+		if members[o.Observer] {
+			inCoalition[i] = true
+			link.Link(i, o.Handles)
 		}
-		inCoalition[i] = true
-		for _, h := range o.Handles {
-			hn, ok := handleNode[h]
-			if !ok {
-				hn = len(parent)
-				handleNode[h] = hn
-				parent = append(parent, hn)
-			}
-			union(i, hn)
-		}
-	}
-
-	// Group coalition observations by root, ordered by first (lowest
-	// canonical id) member.
-	groupOf := map[int]int{}
-	var groups [][]int
-	for i := range obs {
-		if !inCoalition[i] {
-			continue
-		}
-		root := find(i)
-		gi, ok := groupOf[root]
-		if !ok {
-			gi = len(groups)
-			groupOf[root] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
 	}
 
 	var out []Partition
-	for gi, group := range groups {
+	for gi, group := range link.Groups(inCoalition) {
 		p := Partition{ID: gi}
 		entities := map[string]bool{}
 		idSubjects := map[string]bool{}
@@ -469,11 +426,10 @@ func partitions(obs []ledger.Observation, coalition []string, alias map[string]s
 		for _, i := range group {
 			o := obs[i]
 			entities[o.Observer] = true
-			if o.Subject != "" {
-				switch {
-				case o.Kind == core.Identity && o.Level == core.Sensitive:
+			if adversary.SubjectSide(o) {
+				if o.Kind == core.Identity {
 					idSubjects[o.Subject] = true
-				case o.Kind == core.Data && o.Level >= core.Partial:
+				} else {
 					dataSubjects[o.Subject] = true
 				}
 			}
