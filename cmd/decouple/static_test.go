@@ -10,38 +10,42 @@ import (
 	"decoupling/internal/schema/catalog"
 )
 
-// TestAuditStaticGolden pins the static audit bytes for the ODoH
-// scenario. There is no run behind the report — it is derived from
-// declarations alone — so beyond byte-stability across -parallel
+// TestAuditStaticGolden pins the static audit bytes for the ODoH and
+// OHTTP scenarios. There is no run behind the report — it is derived
+// from declarations alone — so beyond byte-stability across -parallel
 // settings (asserted here), any diff at all is an intentional schema
 // change. Refresh with: go test ./cmd/decouple -run TestAuditStaticGolden -update
 func TestAuditStaticGolden(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "audit_static_odoh.golden")
-	base, code := runOut(t, "audit", "-static", "-parallel", "1", "odoh")
-	if code != 0 {
-		t.Fatalf("audit -static exit = %d", code)
-	}
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if base != string(golden) {
-		t.Errorf("audit -static odoh differs from golden:\n%s", firstDiffLine(string(golden), base))
-	}
-	for _, parallel := range []string{"4", "8"} {
-		out, code := runOut(t, "audit", "-static", "-parallel", parallel, "odoh")
-		if code != 0 {
-			t.Fatalf("audit -static -parallel %s exit = %d", parallel, code)
-		}
-		if out != base {
-			t.Errorf("audit -static -parallel %s differs from -parallel 1:\n%s",
-				parallel, firstDiffLine(base, out))
-		}
+	for _, id := range []string{"odoh", "ohttp"} {
+		t.Run(id, func(t *testing.T) {
+			goldenPath := filepath.Join("testdata", "audit_static_"+id+".golden")
+			base, code := runOut(t, "audit", "-static", "-parallel", "1", id)
+			if code != 0 {
+				t.Fatalf("audit -static exit = %d", code)
+			}
+			if *update {
+				if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			golden, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if base != string(golden) {
+				t.Errorf("audit -static %s differs from golden:\n%s", id, firstDiffLine(string(golden), base))
+			}
+			for _, parallel := range []string{"4", "8"} {
+				out, code := runOut(t, "audit", "-static", "-parallel", parallel, id)
+				if code != 0 {
+					t.Fatalf("audit -static -parallel %s exit = %d", parallel, code)
+				}
+				if out != base {
+					t.Errorf("audit -static -parallel %s differs from -parallel 1:\n%s",
+						parallel, firstDiffLine(base, out))
+				}
+			}
+		})
 	}
 }
 

@@ -160,7 +160,7 @@ func E3PrivacyPass(ctx Ctx) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tok, err := c.ObtainTokenDirect(ch, issuer)
+			tok, err := c.ObtainToken(ch, issuer)
 			if err != nil {
 				return nil, err
 			}
@@ -400,7 +400,7 @@ func E6MPR(ctx Ctx) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tok, err := privacypass.NewClient(who, issuer.PublicKey()).ObtainTokenDirect(ch, issuer)
+		tok, err := privacypass.NewClient(who, issuer.PublicKey()).ObtainToken(ch, issuer)
 		if err != nil {
 			return nil, err
 		}

@@ -20,8 +20,7 @@
 //     the counter per directed link, so the n-th in-window datagram on
 //     a link meets the same fate no matter how goroutines or virtual
 //     events interleave — injected loss is reproducible even where RNG
-//     draw ORDER is not. Organic loss (simnet Link.Loss) stays on the
-//     simulator's seeded RNG; the two are counted apart.
+//     draw ORDER is not. The simulator has no other loss model.
 //   - Crash/restart transition ORDERING against in-flight traffic is
 //     transport policy: simnet schedules queue events, nettransport
 //     arms wall-clock timers.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"decoupling/internal/faults"
 	"decoupling/internal/simnet"
 	"decoupling/internal/transport"
 )
@@ -16,7 +17,8 @@ import (
 
 func TestLossyLinksDegradeGracefully(t *testing.T) {
 	net := simnet.New(13)
-	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond, Loss: 0.2})
+	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond})
+	net.ApplyFaults(faults.NewPlan().Loss(faults.Wildcard, faults.Wildcard, 0.2, 0, 0))
 	route, _, rcv := buildCascade(t, net, 3, 1, 0, false, nil)
 	const senders = 100
 	for i := 0; i < senders; i++ {
@@ -42,7 +44,8 @@ func TestLossyLinksDegradeGracefully(t *testing.T) {
 // for lost peers.
 func TestBatchTimeoutDrainsAfterLoss(t *testing.T) {
 	net := simnet.New(17)
-	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond, Loss: 0.5})
+	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond})
+	net.ApplyFaults(faults.NewPlan().Loss(faults.Wildcard, faults.Wildcard, 0.5, 0, 0))
 	route, _, rcv := buildCascade(t, net, 1, 8, 500*time.Millisecond, false, nil)
 	for i := 0; i < 8; i++ {
 		s := &Sender{Addr: transport.Addr(fmt.Sprintf("s%d", i))}
@@ -63,7 +66,8 @@ func TestBatchTimeoutDrainsAfterLoss(t *testing.T) {
 // links also degrades without corruption.
 func TestRepliesSurviveLossIndependently(t *testing.T) {
 	net := simnet.New(23)
-	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond, Loss: 0.15})
+	net.SetDefaultLink(simnet.Link{Latency: time.Millisecond})
+	net.ApplyFaults(faults.NewPlan().Loss(faults.Wildcard, faults.Wildcard, 0.15, 0, 0))
 	route, _, rcv := buildCascade(t, net, 2, 1, 0, false, nil)
 	collector := NewReplyCollector(net, "alice")
 

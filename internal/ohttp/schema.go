@@ -1,8 +1,27 @@
+// Package ohttp declares Oblivious HTTP in the shape of RFC 9458,
+// which the paper (§3.2.5) describes as "a generalization of ODoH":
+// clients HPKE-encapsulate a binary HTTP request to a Gateway's
+// published key and send it via a Relay. The relay learns the client's
+// network identity but not the request; the gateway learns the request
+// but sees only the relay.
+//
+// The package holds the declaration only. The static schema catalog
+// (internal/schema/catalog) derives OHTTP's knowledge tuples and
+// coalition closure from StaticSchema; no experiment runs an OHTTP
+// stack. ODoH (internal/odoh) is the running instance of the same
+// shape, and PPM's OHTTP-relayed uploads (internal/ppm) are modelled by
+// naming the relay as the uploader.
 package ohttp
 
 import (
 	"decoupling/internal/core"
 	"decoupling/internal/schema"
+)
+
+// Role names in the declaration.
+const (
+	RelayName   = "Relay"
+	GatewayName = "Gateway"
 )
 
 // StaticSchema declares RFC 9458 Oblivious HTTP, the paper's §3.2.5

@@ -23,9 +23,11 @@
 // is recorded in DESIGN.md. Gross cheating is additionally bounded at
 // decode time (an aggregate exceeding the client count fails).
 //
-// Uploads can travel through an Oblivious HTTP relay (internal/ohttp),
-// the improvement the paper describes, hiding client identities even
-// from the aggregators.
+// The paper's improvement sends uploads through an Oblivious HTTP relay,
+// hiding client identities even from the aggregators. The model takes
+// the uploader's name per report (System.Upload), so that variant is an
+// upload under the relay's name; no OHTTP stack runs (internal/ohttp
+// holds only its declared schema).
 package ppm
 
 import (
@@ -87,7 +89,7 @@ type ReportShare struct {
 	Y        field.Vector // share of the claimed elementwise squares
 }
 
-// Marshal encodes a share bundle for transport (e.g. inside OHTTP).
+// Marshal encodes a share bundle for transport.
 func (r *ReportShare) Marshal() []byte {
 	out := make([]byte, 0, 4+len(r.TaskID)+len(r.ReportID)+8*len(r.X)+8*len(r.Y)+12)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(r.TaskID)))

@@ -11,9 +11,9 @@
 // sees the request (●) and a token that is cryptographically unlinkable
 // to any issuance (△).
 //
-// Issuer and Origin are plain types with optional net/http adapters so
-// the same code runs in-process for the experiments and over real
-// loopback HTTP in examples/quickstart flows.
+// Issuer, Origin and Client are plain types that call one another
+// directly. E3 reproduces Figure 2 through these calls, and E6 obtains
+// its relay access tokens the same way.
 package privacypass
 
 import (
@@ -21,9 +21,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
 
 	"decoupling/internal/dcrypto/blindrsa"
@@ -208,11 +205,9 @@ func NewClient(id string, issuerKey *rsa.PublicKey) *Client {
 	return &Client{ID: id, issuerKey: issuerKey}
 }
 
-// issueFunc abstracts the transport to the issuer (direct call or HTTP).
-type issueFunc func(clientID string, blinded []byte) ([]byte, error)
-
-// ObtainToken runs the blind issuance round trip for a challenge.
-func (c *Client) ObtainToken(ch *token.Challenge, issue issueFunc) (*token.Token, error) {
+// ObtainToken runs the blind issuance round trip for a challenge: it
+// blinds a fresh token, has is sign it, and finalizes the signature.
+func (c *Client) ObtainToken(ch *token.Challenge, is *Issuer) (*token.Token, error) {
 	t, err := token.NewToken(ch)
 	if err != nil {
 		return nil, err
@@ -221,7 +216,7 @@ func (c *Client) ObtainToken(ch *token.Challenge, issue issueFunc) (*token.Token
 	if err != nil {
 		return nil, err
 	}
-	blindSig, err := issue(c.ID, blinded)
+	blindSig, err := is.Issue(c.ID, blinded)
 	if err != nil {
 		return nil, err
 	}
@@ -231,108 +226,4 @@ func (c *Client) ObtainToken(ch *token.Challenge, issue issueFunc) (*token.Token
 	}
 	t.Signature = sig
 	return t, nil
-}
-
-// ObtainTokenDirect is ObtainToken over a direct issuer reference.
-func (c *Client) ObtainTokenDirect(ch *token.Challenge, is *Issuer) (*token.Token, error) {
-	return c.ObtainToken(ch, is.Issue)
-}
-
-// --- HTTP adapters -------------------------------------------------
-
-// IssuerHandler exposes the issuer at POST /issue. The client identity
-// comes from the Authorization header (the issuer's authentication
-// step); the body is the base64 blinded token request.
-func IssuerHandler(is *Issuer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		clientID := r.Header.Get("Authorization")
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-		if err != nil {
-			http.Error(w, "read error", http.StatusBadRequest)
-			return
-		}
-		blinded, err := base64.StdEncoding.DecodeString(string(body))
-		if err != nil {
-			http.Error(w, "bad encoding", http.StatusBadRequest)
-			return
-		}
-		sig, err := is.Issue(clientID, blinded)
-		switch {
-		case errors.Is(err, ErrNotAuthenticated):
-			http.Error(w, err.Error(), http.StatusUnauthorized)
-			return
-		case errors.Is(err, ErrRateLimited):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprint(w, base64.StdEncoding.EncodeToString(sig))
-	})
-}
-
-// HTTPIssue returns an issueFunc that talks to an IssuerHandler at
-// baseURL using client.
-func HTTPIssue(client *http.Client, baseURL string) issueFunc {
-	return func(clientID string, blinded []byte) ([]byte, error) {
-		req, err := http.NewRequest(http.MethodPost, baseURL+"/issue",
-			strings.NewReader(base64.StdEncoding.EncodeToString(blinded)))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Authorization", clientID)
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("privacypass: issuer returned %s: %s", resp.Status, body)
-		}
-		return base64.StdEncoding.DecodeString(string(body))
-	}
-}
-
-// OriginHandler exposes the origin: GET /resource without a token
-// returns 401 with a base64 challenge in WWW-Authenticate; repeating
-// the request with an Authorization: PrivateToken header serves it.
-func OriginHandler(o *Origin) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tokHeader := r.Header.Get("Authorization")
-		if tokHeader == "" {
-			ch, err := o.Challenge()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("WWW-Authenticate",
-				"PrivateToken challenge="+base64.StdEncoding.EncodeToString(ch.Marshal()))
-			http.Error(w, "token required", http.StatusUnauthorized)
-			return
-		}
-		raw, err := base64.StdEncoding.DecodeString(tokHeader)
-		if err != nil {
-			http.Error(w, "bad token encoding", http.StatusBadRequest)
-			return
-		}
-		tok, err := token.Unmarshal(raw)
-		if err != nil {
-			http.Error(w, "bad token", http.StatusBadRequest)
-			return
-		}
-		if err := o.Redeem(r.RemoteAddr, tok, r.URL.Path); err != nil {
-			http.Error(w, err.Error(), http.StatusForbidden)
-			return
-		}
-		fmt.Fprintf(w, "content of %s", r.URL.Path)
-	})
 }

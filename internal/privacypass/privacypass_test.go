@@ -1,11 +1,7 @@
 package privacypass
 
 import (
-	"encoding/base64"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"decoupling/internal/adversary"
@@ -33,7 +29,7 @@ func TestIssueAndRedeem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok, err := client.ObtainTokenDirect(ch, is)
+	tok, err := client.ObtainToken(ch, is)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +44,7 @@ func TestIssueAndRedeem(t *testing.T) {
 func TestDoubleRedeemRejected(t *testing.T) {
 	is, origin, client := setup(t, nil)
 	ch, _ := origin.Challenge()
-	tok, err := client.ObtainTokenDirect(ch, is)
+	tok, err := client.ObtainToken(ch, is)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestUnenrolledClientRejected(t *testing.T) {
 	is, origin, _ := setup(t, nil)
 	outsider := NewClient("stranger", is.PublicKey())
 	ch, _ := origin.Challenge()
-	if _, err := outsider.ObtainTokenDirect(ch, is); err != ErrNotAuthenticated {
+	if _, err := outsider.ObtainToken(ch, is); err != ErrNotAuthenticated {
 		t.Errorf("unenrolled issuance error = %v", err)
 	}
 }
@@ -74,12 +70,12 @@ func TestRateLimit(t *testing.T) {
 	is.PerClientLimit = 2
 	for i := 0; i < 2; i++ {
 		ch, _ := origin.Challenge()
-		if _, err := client.ObtainTokenDirect(ch, is); err != nil {
+		if _, err := client.ObtainToken(ch, is); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ch, _ := origin.Challenge()
-	if _, err := client.ObtainTokenDirect(ch, is); err != ErrRateLimited {
+	if _, err := client.ObtainToken(ch, is); err != ErrRateLimited {
 		t.Errorf("over-limit issuance error = %v", err)
 	}
 	if is.Issued("client-1") != 2 {
@@ -91,7 +87,7 @@ func TestForeignChallengeRejected(t *testing.T) {
 	is, origin, client := setup(t, nil)
 	other := NewOrigin("other.example", "issuer.example", is.PublicKey(), nil)
 	foreignCh, _ := other.Challenge()
-	tok, err := client.ObtainTokenDirect(foreignCh, is)
+	tok, err := client.ObtainToken(foreignCh, is)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +99,7 @@ func TestForeignChallengeRejected(t *testing.T) {
 func TestTamperedTokenRejected(t *testing.T) {
 	is, origin, client := setup(t, nil)
 	ch, _ := origin.Challenge()
-	tok, err := client.ObtainTokenDirect(ch, is)
+	tok, err := client.ObtainToken(ch, is)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +130,7 @@ func TestDecouplingTable(t *testing.T) {
 		is.Enroll(id)
 		client := NewClient(id, is.PublicKey())
 		ch, _ := origin.Challenge()
-		tok, err := client.ObtainTokenDirect(ch, is)
+		tok, err := client.ObtainToken(ch, is)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +173,7 @@ func TestIssuerOriginCollusionCannotLink(t *testing.T) {
 		cls.RegisterData(resource, id, "", core.Sensitive)
 		is.Enroll(id)
 		ch, _ := origin.Challenge()
-		tok, err := NewClient(id, is.PublicKey()).ObtainTokenDirect(ch, is)
+		tok, err := NewClient(id, is.PublicKey()).ObtainToken(ch, is)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,69 +187,6 @@ func TestIssuerOriginCollusionCannotLink(t *testing.T) {
 	}
 }
 
-// TestHTTPFlow exercises the full challenge -> issue -> redeem loop over
-// real loopback HTTP servers.
-func TestHTTPFlow(t *testing.T) {
-	is, origin, client := setup(t, nil)
-	issuerSrv := httptest.NewServer(IssuerHandler(is))
-	defer issuerSrv.Close()
-	originSrv := httptest.NewServer(OriginHandler(origin))
-	defer originSrv.Close()
-
-	// 1. Unauthenticated request gets a challenge.
-	resp, err := http.Get(originSrv.URL + "/private/doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("status = %d, want 401", resp.StatusCode)
-	}
-	wwwAuth := resp.Header.Get("WWW-Authenticate")
-	const prefix = "PrivateToken challenge="
-	if !strings.HasPrefix(wwwAuth, prefix) {
-		t.Fatalf("WWW-Authenticate = %q", wwwAuth)
-	}
-	chRaw, err := base64.StdEncoding.DecodeString(strings.TrimPrefix(wwwAuth, prefix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := token.UnmarshalChallenge(chRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 2. Obtain a token from the issuer over HTTP.
-	tok, err := client.ObtainToken(ch, HTTPIssue(issuerSrv.Client(), issuerSrv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 3. Redeem it.
-	req, _ := http.NewRequest(http.MethodGet, originSrv.URL+"/private/doc", nil)
-	req.Header.Set("Authorization", base64.StdEncoding.EncodeToString(tok.Marshal()))
-	resp2, err := originSrv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("redeem status = %d", resp2.StatusCode)
-	}
-}
-
-func TestHTTPIssuerRejectsUnknownClient(t *testing.T) {
-	is, origin, _ := setup(t, nil)
-	issuerSrv := httptest.NewServer(IssuerHandler(is))
-	defer issuerSrv.Close()
-	ch, _ := origin.Challenge()
-	outsider := NewClient("stranger", is.PublicKey())
-	_, err := outsider.ObtainToken(ch, HTTPIssue(issuerSrv.Client(), issuerSrv.URL))
-	if err == nil || !strings.Contains(err.Error(), "401") {
-		t.Errorf("err = %v, want 401", err)
-	}
-}
-
 func BenchmarkTokenRoundTrip(b *testing.B) {
 	is, origin, client := setup(b, nil)
 	b.ReportAllocs()
@@ -263,104 +196,12 @@ func BenchmarkTokenRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tok, err := client.ObtainTokenDirect(ch, is)
+		tok, err := client.ObtainToken(ch, is)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := origin.Redeem("exit", tok, "/r"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestIssuerHandlerErrorPaths(t *testing.T) {
-	is, _, _ := setup(t, nil)
-	srv := httptest.NewServer(IssuerHandler(is))
-	defer srv.Close()
-
-	// Wrong method.
-	resp, err := http.Get(srv.URL + "/issue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET status = %d", resp.StatusCode)
-	}
-
-	// Bad base64 body from an enrolled client.
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/issue", strings.NewReader("!!!not-base64!!!"))
-	req.Header.Set("Authorization", "client-1")
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad-encoding status = %d", resp.StatusCode)
-	}
-
-	// Rate limit surfaces as 429.
-	is.PerClientLimit = 1
-	c := NewClient("client-1", is.PublicKey())
-	o := NewOrigin("o", "issuer.example", is.PublicKey(), nil)
-	ch, _ := o.Challenge()
-	if _, err := c.ObtainToken(ch, HTTPIssue(srv.Client(), srv.URL)); err != nil {
-		t.Fatal(err)
-	}
-	ch2, _ := o.Challenge()
-	_, err = c.ObtainToken(ch2, HTTPIssue(srv.Client(), srv.URL))
-	if err == nil || !strings.Contains(err.Error(), "429") {
-		t.Errorf("over-limit err = %v, want 429", err)
-	}
-}
-
-func TestOriginHandlerErrorPaths(t *testing.T) {
-	is, origin, client := setup(t, nil)
-	srv := httptest.NewServer(OriginHandler(origin))
-	defer srv.Close()
-
-	// Garbage token encoding.
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/r", nil)
-	req.Header.Set("Authorization", "!!!")
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad encoding status = %d", resp.StatusCode)
-	}
-
-	// Structurally invalid token bytes.
-	req, _ = http.NewRequest(http.MethodGet, srv.URL+"/r", nil)
-	req.Header.Set("Authorization", base64.StdEncoding.EncodeToString([]byte("short")))
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad token status = %d", resp.StatusCode)
-	}
-
-	// A spent token redeems 403.
-	ch, _ := origin.Challenge()
-	tok, err := client.ObtainTokenDirect(ch, is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := origin.Redeem("first", tok, "/r"); err != nil {
-		t.Fatal(err)
-	}
-	req, _ = http.NewRequest(http.MethodGet, srv.URL+"/r", nil)
-	req.Header.Set("Authorization", base64.StdEncoding.EncodeToString(tok.Marshal()))
-	resp, err = srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Errorf("double-spend status = %d", resp.StatusCode)
 	}
 }

@@ -17,11 +17,11 @@
 //     apply the plan before sending and the crash wins; the reverse
 //     order lets the in-flight delivery land first.
 //   - Link faults (partition, loss, spike) are evaluated at Send time
-//     from the sender's virtual clock. INJECTED loss draws from the
+//     from the sender's virtual clock. Loss draws from the
 //     deterministic faults.LossDraw stream keyed per directed link —
 //     not from the network RNG — so the same plan drops the same
-//     datagrams on the real transport; organic Link.Loss keeps its RNG
-//     draw and its separate accounting.
+//     datagrams on the real transport. It is the simulator's only loss
+//     model, counted under Lost but not FaultDrops.
 //
 // Crashed nodes drop inbound datagrams (counted as fault drops), refuse
 // new sends with faults.ErrNodeDown, and have their pending After timers
@@ -113,8 +113,8 @@ func (n *Network) CrashedNow(node transport.Addr) bool {
 }
 
 // FaultDrops returns the all-time count of datagrams dropped by
-// injected faults (crashes and partitions; burst loss counts under
-// Lost alongside ordinary link loss).
+// injected faults (crashes and partitions; burst loss counts only under
+// Lost).
 func (n *Network) FaultDrops() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -358,7 +358,7 @@ func TestPartitionDropsSilently(t *testing.T) {
 
 func TestBurstLossRaisesDropProbability(t *testing.T) {
 	n := New(7)
-	n.SetDefaultLink(Link{Latency: time.Millisecond}) // no baseline loss
+	n.SetDefaultLink(Link{Latency: time.Millisecond})
 	n.Register("b", func(n transport.Transport, m transport.Message) {})
 	n.ApplyFaults(faults.NewPlan().Loss("a", "b", 1.0, 0, 0))
 	for i := 0; i < 20; i++ {
@@ -370,20 +370,6 @@ func TestBurstLossRaisesDropProbability(t *testing.T) {
 	}
 	if n.Lost() != 20 {
 		t.Errorf("Lost = %d", n.Lost())
-	}
-}
-
-func TestBaselineLossWinsWhenHigher(t *testing.T) {
-	n := New(7)
-	n.SetDefaultLink(Link{Latency: time.Millisecond, Loss: 1.0})
-	n.Register("b", func(n transport.Transport, m transport.Message) {})
-	// Injected burst loss is LOWER than the link's own loss; the link
-	// loss still applies (LossAt only raises, never lowers).
-	n.ApplyFaults(faults.NewPlan().Loss("a", "b", 0.1, 0, 0))
-	n.Send("a", "b", nil)
-	n.Run()
-	if n.Delivered() != 0 {
-		t.Error("burst-loss fault lowered the link's own loss")
 	}
 }
 
@@ -416,7 +402,7 @@ func TestSpikeOutsideWindowIsFree(t *testing.T) {
 func TestChaosRunIsDeterministic(t *testing.T) {
 	run := func() ([]transport.PacketRecord, uint64) {
 		n := New(42)
-		n.SetDefaultLink(Link{Latency: 5 * time.Millisecond, Jitter: 3 * time.Millisecond})
+		n.SetDefaultLink(Link{Latency: 5 * time.Millisecond})
 		n.Register("sink", func(n transport.Transport, m transport.Message) {})
 		n.ApplyFaults(faults.NewPlan().
 			Loss(faults.Wildcard, "sink", 0.4, 0, 0).
@@ -468,15 +454,23 @@ func TestRunUntilLeavesTimersPastDeadline(t *testing.T) {
 	}
 }
 
-// TestZeroJitterBoundary: Link.Jitter == 0 must not consume randomness
-// (and must not panic on Int63n(0)); delivery is exactly the latency.
+// TestZeroJitterBoundary: a send draws nothing from the network RNG —
+// links add no jitter, and a fault plan's loss draws from
+// faults.LossDraw — and delivery is exactly the link latency.
 func TestZeroJitterBoundary(t *testing.T) {
 	n := New(1)
 	var at time.Duration
 	n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
-	n.SetLink("a", "b", Link{Latency: 7 * time.Millisecond, Jitter: 0})
+	n.Register("c", func(n transport.Transport, m transport.Message) {})
+	n.SetLink("a", "b", Link{Latency: 7 * time.Millisecond})
+	n.ApplyFaults(faults.NewPlan().Loss("a", "c", 0.5, 0, 0))
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := n.Send("a", "c", nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	n.Run()
 	if at != 7*time.Millisecond {
@@ -486,6 +480,6 @@ func TestZeroJitterBoundary(t *testing.T) {
 	// never sent anything draws the same first value.
 	fresh := New(1)
 	if n.Rand(1<<30) != fresh.Rand(1<<30) {
-		t.Error("zero-jitter send consumed an RNG draw")
+		t.Error("a send consumed an RNG draw")
 	}
 }

@@ -1,6 +1,8 @@
 // Package simnet provides a deterministic in-process message network:
-// named nodes exchange datagrams over links with configurable latency
-// and seeded jitter, driven by a virtual clock and a single event loop.
+// named nodes exchange datagrams over links with configurable latency,
+// driven by a virtual clock and a single event loop. Loss, partitions,
+// crashes and latency spikes come only from a fault plan
+// (internal/faults; see ApplyFaults).
 //
 // Two properties make it the right substrate for this reproduction:
 //
@@ -39,11 +41,6 @@ var _ transport.ContextSender = (*Network)(nil)
 // Link describes delivery characteristics between a pair of nodes.
 type Link struct {
 	Latency time.Duration
-	// Jitter adds a uniformly random extra delay in [0, Jitter).
-	Jitter time.Duration
-	// Loss is the probability in [0, 1] that a datagram is silently
-	// dropped (failure injection for robustness tests).
-	Loss float64
 }
 
 type event struct {
@@ -132,7 +129,7 @@ func heapPop(q *eventQueue) *event { return heap.Pop(q).(*event) }
 func (n *Network) pushLocked(e *event) { heap.Push(&n.queue, e) }
 
 // New creates a network with the given RNG seed and a default link
-// latency of 10ms with no jitter.
+// latency of 10ms.
 func New(seed int64) *Network {
 	return &Network{
 		seed:        seed,
@@ -195,7 +192,7 @@ func (n *Network) Rand(max int) int {
 }
 
 // Send enqueues a datagram from src to dst, to be delivered after the
-// link's latency (+ jitter, + any active latency spike). Sends to or
+// link's latency (+ any active latency spike). Sends to or
 // from a crashed node fail fast with an error wrapping ErrNodeDown;
 // partitions and loss drop silently, as the wire would.
 func (n *Network) Send(src, dst transport.Addr, payload []byte) error {
@@ -227,12 +224,10 @@ func (n *Network) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretr
 	if !ok {
 		l = n.defaultLink
 	}
-	// Injected burst loss draws from the deterministic per-link
+	// A fault plan's loss draws from the deterministic per-link
 	// faults.LossDraw stream — shared with nettransport, so the same
-	// plan + seed drop the same datagrams on either transport. Organic
-	// link loss stays on the network RNG; a link under both can lose a
-	// datagram to either cause, and each draw happens exactly when its
-	// probability is positive.
+	// plan + seed drop the same datagrams on either transport. The draw
+	// happens only while the plan gives the link a positive loss.
 	if burst := n.plan.LossAt(src, dst, n.now); burst > 0 {
 		if n.lossSeq == nil {
 			n.lossSeq = map[[2]transport.Addr]uint64{}
@@ -248,18 +243,7 @@ func (n *Network) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretr
 			return nil // silently dropped, as the wire would
 		}
 	}
-	if l.Loss > 0 && n.rng.Float64() < l.Loss {
-		n.lost++
-		if n.tel != nil {
-			n.tel.Count(telemetry.MetricSimnetLost, "Datagrams dropped by link loss.", 1,
-				telemetry.A("src", string(src)), telemetry.A("dst", string(dst)))
-		}
-		return nil // silently dropped, as the wire would
-	}
 	delay := l.Latency + n.plan.SpikeAt(src, dst, n.now)
-	if l.Jitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(l.Jitter)))
-	}
 	msg := &transport.Message{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), Trace: ctx}
 	n.seq++
 	e := &event{at: n.now + delay, seq: n.seq, deliver: msg}
@@ -386,8 +370,9 @@ func (n *Network) Delivered() uint64 {
 	return n.delivered
 }
 
-// Lost returns the all-time count of messages dropped by link loss or
-// injected faults (FaultDrops breaks out the fault-attributable share).
+// Lost returns the all-time count of messages dropped by a fault
+// plan's link loss, crashes or partitions (FaultDrops breaks out the
+// crash and partition share).
 func (n *Network) Lost() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

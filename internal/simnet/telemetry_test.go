@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"decoupling/internal/faults"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/transport"
 )
@@ -86,7 +87,7 @@ func TestInstrumentedLoss(t *testing.T) {
 	tel := telemetry.New("T", true, m)
 	n.Instrument(tel)
 	n.Register("b", func(transport.Transport, transport.Message) {})
-	n.SetLink("a", "b", Link{Loss: 1})
+	n.ApplyFaults(faults.NewPlan().Loss("a", "b", 1, 0, 0))
 	for i := 0; i < 5; i++ {
 		if err := n.Send("a", "b", []byte("x")); err != nil {
 			t.Fatal(err)
