@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/experiments"
 	"decoupling/internal/mixnet"
 	"decoupling/internal/onion"
@@ -209,11 +210,15 @@ func BenchmarkMixBatch(b *testing.B) {
 
 // BenchmarkPGPPPolicies measures simulation cost per shuffle policy.
 func BenchmarkPGPPPolicies(b *testing.B) {
+	key, err := blindrsa.GenerateKey(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, p := range []pgpp.ShufflePolicy{pgpp.ShuffleNever, pgpp.ShuffleDaily, pgpp.ShufflePerAttach} {
 		b.Run("policy="+p.String(), func(b *testing.B) {
 			cfg := pgpp.SimConfig{
 				Users: 10, Cells: 9, Steps: 60, SessionLen: 10, EpochLen: 30,
-				Policy: p, PGPP: true, Seed: 7, KeyBits: 1024, Prepaid: 8,
+				Policy: p, PGPP: true, Seed: 7, GatewayKey: key, Prepaid: 8,
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -10,12 +10,18 @@ import (
 	"log"
 
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/ledger"
 	"decoupling/internal/pgpp"
 )
 
 func main() {
 	cfg := pgpp.DefaultSimConfig()
+	key, err := blindrsa.GenerateKey(1024)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.GatewayKey = key
 	fmt.Printf("simulating %d users, %d cells, %d steps, re-attach every %d steps\n\n",
 		cfg.Users, cfg.Cells, cfg.Steps, cfg.SessionLen)
 

@@ -2,7 +2,10 @@ package hkdf
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +35,74 @@ func TestRFC5869Case1(t *testing.T) {
 	if !bytes.Equal(okm, wantOKM) {
 		t.Errorf("Expand = %x, want %x", okm, wantOKM)
 	}
+}
+
+// TestRFC5869Case2 checks the long-input vector: its 80-byte salt is
+// longer than SHA-256's block, so HMAC must hash it first, and its
+// 82-byte output takes three Expand blocks.
+func TestRFC5869Case2(t *testing.T) {
+	t.Parallel()
+	seq := func(from byte) []byte {
+		b := make([]byte, 80)
+		for i := range b {
+			b[i] = from + byte(i)
+		}
+		return b
+	}
+	wantPRK := mustHex(t, "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244")
+	wantOKM := mustHex(t, "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"+
+		"59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71cc30c58179ec3e87c14c01d5c1f3434f1d87")
+
+	prk := Extract(seq(0x60), seq(0x00))
+	if !bytes.Equal(prk, wantPRK) {
+		t.Errorf("Extract = %x, want %x", prk, wantPRK)
+	}
+	okm := Expand(prk, seq(0xb0), 82)
+	if !bytes.Equal(okm, wantOKM) {
+		t.Errorf("Expand = %x, want %x", okm, wantOKM)
+	}
+}
+
+// TestExtractMatchesCryptoHMAC holds Extract, which is one HMAC, to
+// crypto/hmac for keys on both sides of SHA-256's 64-byte block.
+func TestExtractMatchesCryptoHMAC(t *testing.T) {
+	t.Parallel()
+	msg := []byte("input keying material")
+	for n := 0; n <= 2*sha256.BlockSize+1; n++ {
+		key := bytes.Repeat([]byte{byte(n)}, n)
+		ref := hmac.New(sha256.New, key)
+		if n == 0 {
+			ref = hmac.New(sha256.New, make([]byte, Size))
+		}
+		ref.Write(msg)
+		if got, want := Extract(key, msg), ref.Sum(nil); !bytes.Equal(got, want) {
+			t.Errorf("%d-byte salt: Extract = %x, HMAC = %x", n, got, want)
+		}
+	}
+}
+
+// TestConcurrentUse derives from several goroutines at once. Calls
+// share recycled HMAC states, so under -race this checks that no state
+// serves two calls at a time; each goroutine's key differs, so a state
+// leaking between calls would also change an output.
+func TestConcurrentUse(t *testing.T) {
+	t.Parallel()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		salt := bytes.Repeat([]byte{byte(g)}, 1+g*20) // some longer than a block
+		want := Key(salt, []byte("ikm"), []byte("info"), 80)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := Key(salt, []byte("ikm"), []byte("info"), 80); !bytes.Equal(got, want) {
+					t.Errorf("%d-byte salt: Key = %x, want %x", len(salt), got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRFC5869Case3 checks the zero-length salt/info vector, exercising

@@ -79,20 +79,21 @@ func KeyPairFromSeed(seed []byte) (*KeyPair, error) {
 // PublicKey returns the serialized (32-byte) public key.
 func (kp *KeyPair) PublicKey() []byte { return kp.priv.PublicKey().Bytes() }
 
-func suiteID() []byte {
-	id := make([]byte, 0, 10)
-	id = append(id, "HPKE"...)
-	id = binary.BigEndian.AppendUint16(id, KEMX25519HKDFSHA256)
-	id = binary.BigEndian.AppendUint16(id, KDFHKDFSHA256)
-	id = binary.BigEndian.AppendUint16(id, AEADAES128GCM)
-	return id
-}
+// suiteID and kemSuiteID are the suite_id strings of the key schedule
+// (RFC 9180 §5.1) and of the KEM (§4.1). With base mode's psk_id_hash,
+// the labeled extract of an empty psk_id, they are constants of the one
+// suite, so they are computed once.
+var (
+	suiteID    = appendIDs([]byte("HPKE"), KEMX25519HKDFSHA256, KDFHKDFSHA256, AEADAES128GCM)
+	kemSuiteID = appendIDs([]byte("KEM"), KEMX25519HKDFSHA256)
+	pskIDHash  = labeledExtract(suiteID, nil, "psk_id_hash", nil)
+)
 
-func kemSuiteID() []byte {
-	id := make([]byte, 0, 5)
-	id = append(id, "KEM"...)
-	id = binary.BigEndian.AppendUint16(id, KEMX25519HKDFSHA256)
-	return id
+func appendIDs(b []byte, ids ...uint16) []byte {
+	for _, id := range ids {
+		b = binary.BigEndian.AppendUint16(b, id)
+	}
+	return b
 }
 
 func labeledExtract(suite, salt []byte, label string, ikm []byte) []byte {
@@ -116,21 +117,26 @@ func labeledExpand(suite, prk []byte, label string, info []byte, length int) []b
 
 // extractAndExpand implements DHKEM's ExtractAndExpand (RFC 9180 §4.1).
 func extractAndExpand(dh, kemContext []byte) []byte {
-	suite := kemSuiteID()
-	eaePRK := labeledExtract(suite, nil, "eae_prk", dh)
-	return labeledExpand(suite, eaePRK, "shared_secret", kemContext, NSecret)
+	eaePRK := labeledExtract(kemSuiteID, nil, "eae_prk", dh)
+	return labeledExpand(kemSuiteID, eaePRK, "shared_secret", kemContext, NSecret)
 }
 
 // encap performs DHKEM.Encap against the recipient public key pkR,
 // returning the shared secret and the encapsulated key.
 func encap(pkR []byte) (sharedSecret, enc []byte, err error) {
-	remote, err := ecdh.X25519().NewPublicKey(pkR)
-	if err != nil {
-		return nil, nil, fmt.Errorf("hpke: recipient public key: %w", err)
-	}
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, nil, fmt.Errorf("hpke: ephemeral key: %w", err)
+	}
+	return encapWith(eph, pkR)
+}
+
+// encapWith is encap with the ephemeral key eph chosen by the caller,
+// so a known-answer test can fix it.
+func encapWith(eph *ecdh.PrivateKey, pkR []byte) (sharedSecret, enc []byte, err error) {
+	remote, err := ecdh.X25519().NewPublicKey(pkR)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hpke: recipient public key: %w", err)
 	}
 	dh, err := eph.ECDH(remote)
 	if err != nil {
@@ -164,21 +170,22 @@ func decap(enc []byte, kp *KeyPair) ([]byte, error) {
 type Context struct {
 	aead           cipher.AEAD
 	baseNonce      [NN]byte
+	nonce          [NN]byte // the current message's nonce, reused
 	seq            uint64
 	exporterSecret []byte
 }
 
 func keySchedule(sharedSecret, info []byte) (*Context, error) {
-	suite := suiteID()
-	pskIDHash := labeledExtract(suite, nil, "psk_id_hash", nil)
-	infoHash := labeledExtract(suite, nil, "info_hash", info)
-	ksc := append([]byte{modeBase}, pskIDHash...)
+	infoHash := labeledExtract(suiteID, nil, "info_hash", info)
+	ksc := make([]byte, 0, 1+len(pskIDHash)+len(infoHash))
+	ksc = append(ksc, modeBase)
+	ksc = append(ksc, pskIDHash...)
 	ksc = append(ksc, infoHash...)
 
-	secret := labeledExtract(suite, sharedSecret, "secret", nil)
-	key := labeledExpand(suite, secret, "key", ksc, NK)
-	baseNonce := labeledExpand(suite, secret, "base_nonce", ksc, NN)
-	exporter := labeledExpand(suite, secret, "exp", ksc, hkdf.Size)
+	secret := labeledExtract(suiteID, sharedSecret, "secret", nil)
+	key := labeledExpand(suiteID, secret, "key", ksc, NK)
+	baseNonce := labeledExpand(suiteID, secret, "base_nonce", ksc, NN)
+	exporter := labeledExpand(suiteID, secret, "exp", ksc, hkdf.Size)
 
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -219,15 +226,14 @@ func SetupRecipient(enc []byte, kp *KeyPair, info []byte) (*Context, error) {
 }
 
 func (c *Context) nextNonce() []byte {
-	nonce := make([]byte, NN)
-	copy(nonce, c.baseNonce[:])
+	c.nonce = c.baseNonce
 	var seqBytes [8]byte
 	binary.BigEndian.PutUint64(seqBytes[:], c.seq)
 	for i := 0; i < 8; i++ {
-		nonce[NN-8+i] ^= seqBytes[i]
+		c.nonce[NN-8+i] ^= seqBytes[i]
 	}
 	c.seq++
-	return nonce
+	return c.nonce[:]
 }
 
 // Seal encrypts plaintext with associated data aad under the context's
@@ -249,7 +255,7 @@ func (c *Context) Open(aad, ciphertext []byte) ([]byte, error) {
 // context and exporterContext (RFC 9180 §5.3). ODoH uses this to key the
 // response direction.
 func (c *Context) Export(exporterContext []byte, length int) []byte {
-	return labeledExpand(suiteID(), c.exporterSecret, "sec", exporterContext, length)
+	return labeledExpand(suiteID, c.exporterSecret, "sec", exporterContext, length)
 }
 
 // Seal is the single-shot API: it encapsulates to pkR and encrypts one

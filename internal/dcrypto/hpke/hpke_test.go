@@ -2,8 +2,91 @@ package hpke
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"encoding/hex"
 	"testing"
 )
+
+// TestRFC9180BaseVector pins the key schedule to RFC 9180 Appendix
+// A.1.1, the known-answer vector for this module's one suite in base
+// mode: DHKEM(X25519, HKDF-SHA256), HKDF-SHA256, AES-128-GCM. The
+// round-trip tests below would still pass if a change broke the RFC on
+// both the sending and the receiving side; this one would not.
+func TestRFC9180BaseVector(t *testing.T) {
+	t.Parallel()
+	unhex := func(s string) []byte {
+		t.Helper()
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatalf("bad hex fixture: %v", err)
+		}
+		return b
+	}
+	var (
+		info   = unhex("4f6465206f6e2061204772656369616e2055726e")
+		skEm   = unhex("52c4a758a802cd8b936eceea314432798d5baf2d7e9235dc084ab1b9cfa2f736")
+		pkRm   = unhex("3948cfe0ad1ddb695d780e59077195da6c56506b027329794ab02bca80815c4d")
+		skRm   = unhex("4612c550263fc8ad58375df3f557aac531d26850903e55a9f23f21d8534e8ac8")
+		enc    = unhex("37fda3567bdbd628e88668c3c8d7e97d1d1253b6d4ea6d44c150f741f1bf4431")
+		shared = unhex("fe0e18c9f024ce43799ae393c7e8fe8fce9d218875e8227b0187c04e7d2ea1fc")
+		nonce  = unhex("56d890e5accaaf011cff4b7d")
+		export = unhex("45ff1c2e220db587171952c0592d5f5ebe103f1561a2614e38f2ffd47e99e3f8")
+		pt     = unhex("4265617574792069732074727574682c20747275746820626561757479")
+	)
+	encryptions := []struct{ aad, ct []byte }{ // sequence numbers 0 and 1
+		{unhex("436f756e742d30"), unhex("f938558b5d72f1a23810b4be2ab4f84331acc02fc97babc53a52ae8218a355a96d8770ac83d07bea87e13c512a")},
+		{unhex("436f756e742d31"), unhex("af2d7e9ac9ae7e270f46ba1f975be53c09f8d875bdc8535458c2494e8a6eab251c03d0c22a56b8ca42c2063b84")},
+	}
+
+	eph, err := ecdh.X25519().NewPrivateKey(skEm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotShared, gotEnc, err := encapWith(eph, pkRm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotEnc, enc) {
+		t.Errorf("enc = %x, want %x", gotEnc, enc)
+	}
+	if !bytes.Equal(gotShared, shared) {
+		t.Errorf("shared_secret = %x, want %x", gotShared, shared)
+	}
+	sender, err := keySchedule(gotShared, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sender.baseNonce[:], nonce) {
+		t.Errorf("base_nonce = %x, want %x", sender.baseNonce, nonce)
+	}
+	if !bytes.Equal(sender.exporterSecret, export) {
+		t.Errorf("exporter_secret = %x, want %x", sender.exporterSecret, export)
+	}
+	for seq, e := range encryptions {
+		if got := sender.Seal(e.aad, pt); !bytes.Equal(got, e.ct) {
+			t.Errorf("seq %d: ct = %x, want %x", seq, got, e.ct)
+		}
+	}
+
+	priv, err := ecdh.X25519().NewPrivateKey(skRm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kp := &KeyPair{priv: priv}
+	if !bytes.Equal(kp.PublicKey(), pkRm) {
+		t.Fatalf("skRm gives public key %x, want pkRm %x", kp.PublicKey(), pkRm)
+	}
+	recipient, err := SetupRecipient(enc, kp, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq, e := range encryptions {
+		got, err := recipient.Open(e.aad, e.ct)
+		if err != nil || !bytes.Equal(got, pt) {
+			t.Errorf("seq %d: Open = %x, %v; want %x", seq, got, err, pt)
+		}
+	}
+}
 
 func TestSealOpenRoundTrip(t *testing.T) {
 	t.Parallel()

@@ -23,21 +23,3 @@ func FuzzUnmarshalToken(f *testing.F) {
 		}
 	})
 }
-
-func FuzzUnmarshalChallenge(f *testing.F) {
-	c, _ := NewChallenge(2, "issuer", "origin")
-	f.Add(c.Marshal())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ch, err := UnmarshalChallenge(data)
-		if err != nil {
-			return
-		}
-		back, err := UnmarshalChallenge(ch.Marshal())
-		if err != nil {
-			t.Fatalf("re-unmarshal failed: %v", err)
-		}
-		if back.Digest() != ch.Digest() {
-			t.Fatal("challenge digest changed across round trip")
-		}
-	})
-}

@@ -61,30 +61,6 @@ func (c *Challenge) Marshal() []byte {
 	return b.Bytes()
 }
 
-// UnmarshalChallenge decodes a challenge.
-func UnmarshalChallenge(data []byte) (*Challenge, error) {
-	if len(data) < 2 {
-		return nil, ErrTruncated
-	}
-	c := &Challenge{TokenType: binary.BigEndian.Uint16(data)}
-	rest := data[2:]
-	issuer, rest, err := readLV(rest)
-	if err != nil {
-		return nil, err
-	}
-	origin, rest, err := readLV(rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != NonceSize {
-		return nil, ErrTruncated
-	}
-	c.Issuer = string(issuer)
-	c.OriginInfo = string(origin)
-	copy(c.Nonce[:], rest)
-	return c, nil
-}
-
 // Digest returns the challenge digest tokens commit to.
 func (c *Challenge) Digest() [32]byte { return sha256.Sum256(c.Marshal()) }
 

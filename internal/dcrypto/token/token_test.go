@@ -6,27 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestChallengeRoundTrip(t *testing.T) {
-	t.Parallel()
-	c, err := NewChallenge(2, "issuer.example", "origin.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalChallenge(c.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TokenType != 2 || got.Issuer != "issuer.example" || got.OriginInfo != "origin.example" {
-		t.Errorf("challenge = %+v", got)
-	}
-	if got.Nonce != c.Nonce {
-		t.Error("nonce not preserved")
-	}
-	if got.Digest() != c.Digest() {
-		t.Error("digest mismatch after round trip")
-	}
-}
-
 func TestChallengeNoncesFresh(t *testing.T) {
 	t.Parallel()
 	a, _ := NewChallenge(2, "i", "o")
@@ -86,16 +65,12 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := Unmarshal(trailing); err == nil {
 		t.Error("token with trailing bytes unmarshaled")
 	}
-	if _, err := UnmarshalChallenge([]byte{0}); err == nil {
-		t.Error("short challenge unmarshaled")
-	}
 }
 
 func TestChallengeUnmarshalFuzzSafety(t *testing.T) {
 	t.Parallel()
 	f := func(data []byte) bool {
 		// Must never panic; errors are fine.
-		_, _ = UnmarshalChallenge(data)
 		_, _ = Unmarshal(data)
 		return true
 	}

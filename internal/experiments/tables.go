@@ -6,6 +6,7 @@ import (
 	"net"
 
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/dcrypto/token"
 	"decoupling/internal/ech"
 	"decoupling/internal/ledger"
@@ -242,6 +243,13 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 	lg := ledger.New(cls, nil)
 	lg.Instrument(tel)
 	cfg := pgpp.DefaultSimConfig()
+	// One gateway key serves every PGPP simulation: tokens are random,
+	// so no row depends on which key signed them.
+	key, err := blindrsa.GenerateKey(keyBits)
+	if err != nil {
+		return nil, err
+	}
+	cfg.GatewayKey = key
 
 	policies := []struct {
 		label  string
@@ -278,7 +286,7 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 	}
 	naive := make([]float64, len(sims))
 	chained := make([]float64, len(sims))
-	err := ctx.Each(len(sims), func(i int) error {
+	err = ctx.Each(len(sims), func(i int) error {
 		if i == 0 {
 			_, err := pgpp.RunSim(sims[0], lg)
 			return err

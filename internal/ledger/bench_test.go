@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"decoupling/internal/core"
@@ -131,6 +132,30 @@ func odohShapeLedger(queries int) *Ledger {
 		lg.SawData("Origin", name, h, nameH)
 	}
 	return lg
+}
+
+// TestODoHShapeHeapPerObservation guards the log's compact layout: a
+// ledger the size of one odoh-* round, classifier included, keeps at
+// most 110 bytes of live heap per observation. It is not parallel, so
+// no other test allocates between its two readings of the heap.
+func TestODoHShapeHeapPerObservation(t *testing.T) {
+	const limit = 110
+	before := liveHeapBytes()
+	lg := odohShapeLedger(odohShapeQueries)
+	perObs := float64(liveHeapBytes()-before) / float64(lg.Len())
+	runtime.KeepAlive(lg)
+	t.Logf("%.1f B of live heap per observation over %d observations", perObs, lg.Len())
+	if perObs > limit {
+		t.Errorf("%.1f B of live heap per observation, over the %d B limit", perObs, limit)
+	}
+}
+
+// liveHeapBytes collects garbage and returns the bytes still live.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkDeriveSystemODoHShape prices one audit's derive on a ledger

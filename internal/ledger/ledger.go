@@ -20,6 +20,7 @@ package ledger
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,10 +62,15 @@ type Observation struct {
 func (o Observation) Seq() uint64 { return o.seq }
 
 // classEntry is the registered classification of one concrete value.
+// A registration makes a new entry and never changes it, so an entry
+// is the value's classification as it stood at registration.
 type classEntry struct {
 	level   core.Level
 	subject string
 	label   string
+	// value is the classifier's own copy of the registered value; the
+	// ledger stores it in place of the copy an observer passed.
+	value string
 }
 
 // Classifier holds the experiment's ground truth: which concrete values
@@ -74,15 +80,15 @@ type classEntry struct {
 // opaque ciphertext carries no recognised information.
 type Classifier struct {
 	mu         sync.RWMutex
-	identities map[string]classEntry
-	data       map[string]classEntry
+	identities map[string]*classEntry
+	data       map[string]*classEntry
 }
 
 // NewClassifier returns an empty classifier.
 func NewClassifier() *Classifier {
 	return &Classifier{
-		identities: map[string]classEntry{},
-		data:       map[string]classEntry{},
+		identities: map[string]*classEntry{},
+		data:       map[string]*classEntry{},
 	}
 }
 
@@ -91,7 +97,7 @@ func NewClassifier() *Classifier {
 func (c *Classifier) RegisterIdentity(value, subject, label string, level core.Level) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.identities[value] = classEntry{level: level, subject: subject, label: label}
+	c.identities[value] = &classEntry{level: level, subject: subject, label: label, value: value}
 }
 
 // RegisterData records that the concrete value (e.g. a query name or
@@ -99,20 +105,41 @@ func (c *Classifier) RegisterIdentity(value, subject, label string, level core.L
 func (c *Classifier) RegisterData(value, subject, label string, level core.Level) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.data[value] = classEntry{level: level, subject: subject, label: label}
+	c.data[value] = &classEntry{level: level, subject: subject, label: label, value: value}
 }
 
-func (c *Classifier) classify(kind core.Kind, value string) (classEntry, bool) {
+// classify returns the value's current registration, nil if it has none.
+func (c *Classifier) classify(kind core.Kind, value string) *classEntry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m := c.data
 	if kind == core.Identity {
-		m = c.identities
+		return c.identities[value]
 	}
-	if e, ok := m[value]; ok {
-		return e, true
-	}
-	return classEntry{level: core.NonSensitive}, false
+	return c.data[value]
+}
+
+// class is an observation's classification as it was at admission: its
+// kind and the registration that recognized its value, nil for an
+// unrecognized value.
+type class struct {
+	kind  core.Kind
+	entry *classEntry
+}
+
+// record is one admitted observation in a shard's log. It holds no Go
+// pointers, so the collector never scans the log, and it is 32 bytes
+// whatever the observation carries: its strings are ids into the
+// shard's tables, or bytes in its arena.
+type record struct {
+	seq  uint64
+	time time.Duration
+	// class and phase index the shard's classes and phases.
+	class, phase uint32
+	// An unrecognized value's bytes end at arenaEnd in the arena and
+	// start where the previous record's end; a recognized value is its
+	// class entry's. The record's handle ids likewise end at handlesEnd
+	// in handleLog.
+	arenaEnd, handlesEnd uint32
 }
 
 // shard holds one observer's append-only observation log and the
@@ -122,46 +149,124 @@ func (c *Classifier) classify(kind core.Kind, value string) (classEntry, bool) {
 //
 // The summaries are exact: classification happens at admission, so a
 // stored Level never changes and the running maximum equals what a
-// rescan of obs would find.
+// rescan of the log would find.
 type shard struct {
-	mu  sync.Mutex
-	obs []Observation
+	mu   sync.Mutex
+	name string
+	log  []record
+
+	// The tables the records index. classes and phases hold each
+	// distinct class and phase ("" first). handles holds each distinct
+	// linkage handle, in admission order, and handleLog every record's
+	// handle ids back to back, so a repeated handle is stored once
+	// however many observations carry it. arena holds the bytes of the
+	// unrecognized values (ciphertexts, digests), which rarely repeat.
+	classes   []class
+	classIDs  map[class]uint32
+	phases    []string
+	handles   []string
+	handleIDs map[string]uint32
+	handleLog []uint32
+	arena     []byte
 
 	// levels holds the highest level admitted per (kind, label) axis;
 	// axes seen only at NonSensitive are absent. An observer sees a
 	// handful of axes, so a scan of this slice is cheaper on the
 	// admission path than hashing into a map.
 	levels []axisLevel
-	// handles is the set of distinct linkage handles, mapping each to
-	// its canonical string: admission rewrites the ledger's copy of an
-	// observation's handles to these, so a repeated handle is stored
-	// once however many observations carry it.
-	handles map[string]string
 	// sorted holds the distinct handles in order as of the last read;
-	// pending holds those admitted since, unsorted. sortedHandles
+	// those admitted since are handles[len(sorted):]. sortedHandles
 	// merges the two.
-	sorted, pending []string
+	sorted []string
 
 	// obsCounter is the cached telemetry counter for this observer,
 	// nil when the ledger is uninstrumented (Counter.Add is nil-safe).
 	obsCounter *telemetry.Counter
 }
 
-// admit folds an observation into the shard's summaries, interning its
-// handles in place; o.Handles must be the ledger's own copy, never a
-// caller's slice. Callers hold s.mu and append o to s.obs.
-func (s *shard) admit(o *Observation) {
-	if o.Level > core.NonSensitive {
-		s.raise(axis{o.Kind, o.Label}, o.Level)
+func newShard(name string) *shard {
+	return &shard{
+		name:      name,
+		classIDs:  map[class]uint32{},
+		phases:    []string{""},
+		handleIDs: map[string]uint32{},
 	}
-	for i, h := range o.Handles {
-		if canon, ok := s.handles[h]; ok {
-			o.Handles[i] = canon
-			continue
+}
+
+// admit appends r, with in's value and handles as classified by e, to
+// the log and folds it into the summaries. It keeps none of the
+// caller's slices. Callers hold s.mu.
+func (s *shard) admit(r record, in *Entry, e *classEntry) {
+	c := class{in.Kind, e}
+	id, ok := s.classIDs[c]
+	if !ok {
+		id = uint32(len(s.classes))
+		s.classIDs[c] = id
+		s.classes = append(s.classes, c)
+	}
+	r.class = id
+	if e == nil {
+		s.arena = append(s.arena, in.Value...)
+	} else if e.level > core.NonSensitive {
+		s.raise(axis{in.Kind, e.label}, e.level)
+	}
+	for _, h := range in.Handles {
+		id, ok := s.handleIDs[h]
+		if !ok {
+			id = uint32(len(s.handles))
+			s.handleIDs[h] = id
+			s.handles = append(s.handles, h)
 		}
-		s.handles[h] = h
-		s.pending = append(s.pending, h)
+		s.handleLog = append(s.handleLog, id)
 	}
+	// Offsets are 32-bit: one observer's log holds at most 4 GiB of
+	// unrecognized values and 2^32 handle references.
+	if uint64(len(s.arena)) > math.MaxUint32 || uint64(len(s.handleLog)) > math.MaxUint32 {
+		panic("ledger: observer " + s.name + " outgrew its log's 32-bit offsets")
+	}
+	r.arenaEnd, r.handlesEnd = uint32(len(s.arena)), uint32(len(s.handleLog))
+	s.log = append(s.log, r)
+}
+
+// phaseID returns the id of phase in s.phases, adding it if new. A run
+// opens a handful of phases, so a scan beats hashing. Callers hold s.mu.
+func (s *shard) phaseID(phase string) uint32 {
+	for i, p := range s.phases {
+		if p == phase {
+			return uint32(i)
+		}
+	}
+	s.phases = append(s.phases, phase)
+	return uint32(len(s.phases) - 1)
+}
+
+// read appends the shard's observations to out in admission order,
+// building each from its record. handles backs their Handles and must
+// have room for len(s.handleLog) strings; each observation's are capped
+// so that appending to them cannot overwrite the next's. Callers hold
+// s.mu.
+func (s *shard) read(out []Observation, handles []string) []Observation {
+	for i, id := range s.handleLog {
+		handles[i] = s.handles[id]
+	}
+	arena := string(s.arena)
+	var arenaLo, handlesLo uint32
+	for _, r := range s.log {
+		c := s.classes[r.class]
+		o := Observation{Observer: s.name, Kind: c.kind, Level: core.NonSensitive,
+			Time: r.time, Phase: s.phases[r.phase], seq: r.seq}
+		if e := c.entry; e != nil {
+			o.Label, o.Level, o.Subject, o.Value, o.Recognized = e.label, e.level, e.subject, e.value, true
+		} else {
+			o.Value = arena[arenaLo:r.arenaEnd]
+		}
+		if r.handlesEnd > handlesLo {
+			o.Handles = handles[handlesLo:r.handlesEnd:r.handlesEnd]
+		}
+		arenaLo, handlesLo = r.arenaEnd, r.handlesEnd
+		out = append(out, o)
+	}
+	return out
 }
 
 // axisLevel is one entry of a shard's per-axis maximum.
@@ -187,22 +292,23 @@ func (s *shard) raise(a axis, lvl core.Level) {
 // never meets equal keys. Callers hold s.mu and must not retain the
 // result past unlocking.
 func (s *shard) sortedHandles() []string {
-	if len(s.pending) == 0 {
+	if len(s.sorted) == len(s.handles) {
 		return s.sorted
 	}
-	sort.Strings(s.pending)
-	i, j := len(s.sorted)-1, len(s.pending)-1
-	s.sorted = append(s.sorted, s.pending...)
+	// A copy: handles keeps admission order, which is the ids'.
+	pending := append([]string(nil), s.handles[len(s.sorted):]...)
+	sort.Strings(pending)
+	i, j := len(s.sorted)-1, len(pending)-1
+	s.sorted = append(s.sorted, pending...)
 	for k := len(s.sorted) - 1; j >= 0; k-- {
-		if i >= 0 && s.sorted[i] > s.pending[j] {
+		if i >= 0 && s.sorted[i] > pending[j] {
 			s.sorted[k] = s.sorted[i]
 			i--
 		} else {
-			s.sorted[k] = s.pending[j]
+			s.sorted[k] = pending[j]
 			j--
 		}
 	}
-	s.pending = s.pending[:0]
 	return s.sorted
 }
 
@@ -280,7 +386,7 @@ func (l *Ledger) shardFor(observer string) *shard {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if s = l.shards[observer]; s == nil {
-		s = &shard{handles: map[string]string{}}
+		s = newShard(observer)
 		if l.tel != nil {
 			s.obsCounter = observationCounter(l.tel, observer)
 		}
@@ -317,18 +423,8 @@ func (l *Ledger) lockAll() (map[string]*shard, func()) {
 // linkage handles. Classification (level, subject, axis label) comes
 // from the classifier, never from the protocol code.
 func (l *Ledger) Saw(observer string, kind core.Kind, value string, handles ...string) {
-	e, recognized := l.classifier.classify(kind, value)
-	o := [1]Observation{{
-		Observer:   observer,
-		Kind:       kind,
-		Label:      e.label,
-		Level:      e.level,
-		Subject:    e.subject,
-		Value:      value,
-		Handles:    append([]string(nil), handles...),
-		Recognized: recognized,
-	}}
-	l.record(observer, o[:])
+	in := [1]Entry{{Kind: kind, Value: value, Handles: handles}}
+	l.SawBatch(observer, in[:])
 }
 
 // Entry is one observation in a SawBatch: what a single protocol step
@@ -350,77 +446,42 @@ type Entry struct {
 // In a sequential run SawBatch assigns exactly the seq numbers the
 // equivalent consecutive Saw calls would, so audit goldens are
 // unaffected by converting call sites.
+//
+// The observations of one protocol step share one clock read and the
+// current phase: they were made at a single instant.
 func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	// A protocol step puts few values in front of an observer, so the
-	// batch is staged on the stack and its handle copies share one
-	// allocation, capped per entry so that appending to one entry's
-	// handles cannot overwrite the next's.
-	var staged [4]Observation
-	obs := staged[:]
-	if len(entries) > len(staged) {
-		obs = make([]Observation, len(entries))
+	// Values are classified before the shard lock is taken. A protocol
+	// step puts few values in front of an observer, so their classes
+	// are staged on the stack.
+	var buf [4]*classEntry
+	classes := buf[:0]
+	if len(entries) > len(buf) {
+		classes = make([]*classEntry, 0, len(entries))
 	}
-	obs = obs[:len(entries)]
-	n := 0
 	for _, in := range entries {
-		n += len(in.Handles)
+		classes = append(classes, l.classifier.classify(in.Kind, in.Value))
 	}
-	handles := make([]string, 0, n)
-	for i, in := range entries {
-		e, recognized := l.classifier.classify(in.Kind, in.Value)
-		var own []string // nil when the entry carries no handles, as from Saw
-		if len(in.Handles) > 0 {
-			lo := len(handles)
-			handles = append(handles, in.Handles...)
-			own = handles[lo:len(handles):len(handles)]
-		}
-		obs[i] = Observation{
-			Observer:   observer,
-			Kind:       in.Kind,
-			Label:      e.label,
-			Level:      e.level,
-			Subject:    e.subject,
-			Value:      in.Value,
-			Handles:    own,
-			Recognized: recognized,
-		}
-	}
-	l.record(observer, obs)
-}
-
-// record is the admission tail Saw and SawBatch share: it stamps the
-// observations of one protocol step with one clock read and the current
-// phase, then admits them to the observer's shard under one lock with a
-// contiguous block of the global admission counter. It copies obs, so
-// callers may stage it on the stack.
-func (l *Ledger) record(observer string, obs []Observation) {
+	var r record
 	if l.clock != nil {
-		// One clock read for the step: its observations were made at a
-		// single instant.
-		t := l.clock()
-		for i := range obs {
-			obs[i].Time = t
-		}
+		r.time = l.clock()
 	}
+	phase := ""
 	if l.tel != nil { // one pointer check when uninstrumented
-		phase := l.tel.CurrentPhase()
-		for i := range obs {
-			obs[i].Phase = phase
-		}
+		phase = l.tel.CurrentPhase()
 	}
 	s := l.shardFor(observer)
 	s.mu.Lock()
-	base := l.seq.Add(uint64(len(obs))) - uint64(len(obs))
-	for i := range obs {
-		obs[i].seq = base + uint64(i) + 1
-		s.admit(&obs[i])
+	r.phase = s.phaseID(phase)
+	base := l.seq.Add(uint64(len(entries))) - uint64(len(entries))
+	for i := range entries {
+		r.seq = base + uint64(i) + 1
+		s.admit(r, &entries[i], classes[i])
 	}
-	s.obs = append(s.obs, obs...)
 	s.mu.Unlock()
-	s.obsCounter.Add(uint64(len(obs))) // nil-safe; nil unless instrumented
+	s.obsCounter.Add(uint64(len(entries))) // nil-safe; nil unless instrumented
 }
 
 // SawIdentity is shorthand for Saw with core.Identity.
@@ -437,9 +498,19 @@ func (l *Ledger) SawData(observer, value string, handles ...string) {
 // admission order, merged consistently across observer shards.
 func (l *Ledger) Observations() []Observation {
 	shards, unlock := l.lockAll()
-	var out []Observation
+	records, handles := 0, 0
 	for _, s := range shards {
-		out = append(out, s.obs...)
+		records += len(s.log)
+		handles += len(s.handleLog)
+	}
+	var out []Observation
+	if records > 0 {
+		out = make([]Observation, 0, records)
+		buf := make([]string, handles)
+		for _, s := range shards {
+			out = s.read(out, buf)
+			buf = buf[len(s.handleLog):]
+		}
 	}
 	unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
@@ -455,7 +526,7 @@ func (l *Ledger) ByObserver(name string) []Observation {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Observation(nil), s.obs...)
+	return s.read(make([]Observation, 0, len(s.log)), make([]string, len(s.handleLog)))
 }
 
 // Len reports the number of recorded observations.
@@ -464,7 +535,7 @@ func (l *Ledger) Len() int {
 	defer unlock()
 	n := 0
 	for _, s := range shards {
-		n += len(s.obs)
+		n += len(s.log)
 	}
 	return n
 }
@@ -499,10 +570,10 @@ func (l *Ledger) Stats() Stats {
 		s := shards[name]
 		st.Observers = append(st.Observers, ObserverStats{
 			Observer:     name,
-			Observations: len(s.obs),
+			Observations: len(s.log),
 			Handles:      len(s.handles),
 		})
-		st.Total += len(s.obs)
+		st.Total += len(s.log)
 	}
 	return st
 }

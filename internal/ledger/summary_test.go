@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 
 	"decoupling/internal/core"
@@ -122,7 +123,8 @@ func summaryStreamSystem() *core.System {
 // three entries, and classifier registrations that land mid-stream.
 // Values and handles come from small pools, so both repeat across
 // observations, and an entry may carry the same handle twice. After
-// every step the summaries must equal the rescan reference, and every
+// every step the summaries must equal the rescan reference, the reads
+// must rebuild the stream's own log of what it admitted, and every
 // admission must leave the caller's handle slices untouched.
 func runSummaryStream(t *testing.T, ops int, intn func(n int) int) {
 	t.Helper()
@@ -132,7 +134,8 @@ func runSummaryStream(t *testing.T, ops int, intn func(n int) int) {
 	observers := []string{"A", "B", "C"}
 	sys := summaryStreamSystem()
 	cls := NewClassifier()
-	lg := New(cls, nil)
+	step := 0
+	lg := New(cls, func() time.Duration { return time.Duration(step) * time.Millisecond })
 	// handles builds a fresh caller slice of fresh strings, so interning
 	// has distinct copies of equal handles to fold together.
 	handles := func() []string {
@@ -144,23 +147,47 @@ func runSummaryStream(t *testing.T, ops int, intn func(n int) int) {
 	}
 	value := func() string { return fmt.Sprintf("v%d", intn(8)) }
 
+	// ref is the log the reads must rebuild: every admitted observation,
+	// classified by the ground truth registered when it was admitted.
+	type kindValue struct {
+		kind  core.Kind
+		value string
+	}
+	truth := map[kindValue]Observation{}
+	var ref []Observation
+	admitted := func(observer string, in Entry) {
+		o := Observation{Observer: observer, Kind: in.Kind, Value: in.Value,
+			Time: time.Duration(step) * time.Millisecond, seq: uint64(len(ref) + 1)}
+		if c, ok := truth[kindValue{in.Kind, in.Value}]; ok {
+			o.Label, o.Level, o.Subject, o.Recognized = c.Label, c.Level, c.Subject, true
+		}
+		if len(in.Handles) > 0 {
+			o.Handles = append([]string(nil), in.Handles...)
+		}
+		ref = append(ref, o)
+	}
+
 	checkSummaries(t, lg, sys, observers)
-	for step := 0; step < ops && !t.Failed(); step++ {
+	for ; step < ops && !t.Failed(); step++ {
 		observer := observers[intn(len(observers))]
 		var callerSlices [][]string
 		var before [][]*byte
 		switch intn(4) {
 		case 0: // register (or re-register) a value's ground truth
 			v, lab, lvl := value(), labels[intn(len(labels))], levels[intn(len(levels))]
-			if kinds[intn(2)] == core.Identity {
+			kind := kinds[intn(2)]
+			if kind == core.Identity {
 				cls.RegisterIdentity(v, "s", lab, lvl)
 			} else {
 				cls.RegisterData(v, "s", lab, lvl)
 			}
+			truth[kindValue{kind, v}] = Observation{Label: lab, Level: lvl, Subject: "s"}
 		case 1:
 			hs := handles()
+			in := Entry{Kind: kinds[intn(2)], Value: value(), Handles: hs}
 			callerSlices, before = append(callerSlices, hs), append(before, stringPtrs(hs))
-			lg.Saw(observer, kinds[intn(2)], value(), hs...)
+			lg.Saw(observer, in.Kind, in.Value, hs...)
+			admitted(observer, in)
 		default:
 			entries := make([]Entry, 1+intn(3))
 			for i := range entries {
@@ -169,10 +196,50 @@ func runSummaryStream(t *testing.T, ops int, intn func(n int) int) {
 				callerSlices, before = append(callerSlices, hs), append(before, stringPtrs(hs))
 			}
 			lg.SawBatch(observer, entries)
+			for _, in := range entries {
+				admitted(observer, in)
+			}
 		}
 		checkInterning(t, lg, observer, callerSlices, before)
 		checkSummaries(t, lg, sys, observers)
+		checkLog(t, lg, ref, observer)
 	}
+	checkLog(t, lg, ref, append(observers, "Z")...)
+}
+
+// checkLog holds the reads to the reference log, field for field:
+// Observations must return all of it and ByObserver each named
+// observer's part, seq numbers and nil (never empty) Handles included.
+func checkLog(t *testing.T, lg *Ledger, ref []Observation, observers ...string) {
+	t.Helper()
+	if msg := logDiff(lg.Observations(), ref); msg != "" {
+		t.Fatalf("Observations: %s", msg)
+	}
+	for _, name := range observers {
+		var want []Observation
+		for _, o := range ref {
+			if o.Observer == name {
+				want = append(want, o)
+			}
+		}
+		if msg := logDiff(lg.ByObserver(name), want); msg != "" {
+			t.Fatalf("ByObserver(%q): %s", name, msg)
+		}
+	}
+}
+
+// logDiff describes the first difference between two logs, "" if they
+// are deeply equal.
+func logDiff(got, want []Observation) string {
+	if reflect.DeepEqual(got, want) {
+		return ""
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			return fmt.Sprintf("observation %d is seq %d %#v, want seq %d %#v", i, got[i].Seq(), got[i], want[i].Seq(), want[i])
+		}
+	}
+	return fmt.Sprintf("%d observations (nil: %t), want %d (nil: %t)", len(got), got == nil, len(want), want == nil)
 }
 
 // stringPtrs records where each handle's bytes live, so a later

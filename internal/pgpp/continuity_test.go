@@ -26,7 +26,7 @@ func TestContinuityAttackRelinksShuffledPseudonyms(t *testing.T) {
 	// continuity chaining works well for the adversary.
 	cfg := SimConfig{
 		Users: 4, Cells: 50, Steps: 80, SessionLen: 10, EpochLen: 40,
-		Policy: ShufflePerAttach, PGPP: true, Seed: 3, KeyBits: testKeyBits, Prepaid: 10,
+		Policy: ShufflePerAttach, PGPP: true, Seed: 3, GatewayKey: testKey(), Prepaid: 10,
 	}
 	res, err := RunSim(cfg, nil)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestDensityDegradesContinuityAttack(t *testing.T) {
 	run := func(users, cells int) float64 {
 		cfg := SimConfig{
 			Users: users, Cells: cells, Steps: 80, SessionLen: 10, EpochLen: 40,
-			Policy: ShufflePerAttach, PGPP: true, Seed: 3, KeyBits: testKeyBits, Prepaid: 10,
+			Policy: ShufflePerAttach, PGPP: true, Seed: 3, GatewayKey: testKey(), Prepaid: 10,
 		}
 		res, err := RunSim(cfg, nil)
 		if err != nil {

@@ -90,13 +90,10 @@ type Gateway struct {
 	issued   int
 }
 
-// NewGateway creates a gateway with a fresh token-signing key.
-func NewGateway(bits int, lg *ledger.Ledger) (*Gateway, error) {
-	key, err := blindrsa.GenerateKey(bits)
-	if err != nil {
-		return nil, err
-	}
-	return &Gateway{key: key, lg: lg, accounts: map[string]int{}}, nil
+// NewGateway creates a gateway that signs tokens with key, a key from
+// blindrsa.GenerateKey. Gateways may share a key: signing only reads it.
+func NewGateway(key *rsa.PrivateKey, lg *ledger.Ledger) *Gateway {
+	return &Gateway{key: key, lg: lg, accounts: map[string]int{}}
 }
 
 // PublicKey returns the token-verification key the core trusts.

@@ -1,20 +1,31 @@
 package pgpp
 
 import (
+	"crypto/rsa"
 	mrand "math/rand"
+	"sync"
 	"testing"
 
 	"decoupling/internal/adversary"
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/ledger"
 )
 
-const testKeyBits = 1024
+// testKey returns the gateway key the package's tests share, generated
+// once: signing only reads it.
+var testKey = sync.OnceValue(func() *rsa.PrivateKey {
+	key, err := blindrsa.GenerateKey(1024)
+	if err != nil {
+		panic(err)
+	}
+	return key
+})
 
 func smallConfig(pgppMode bool, policy ShufflePolicy) SimConfig {
 	return SimConfig{
 		Users: 10, Cells: 9, Steps: 60, SessionLen: 10, EpochLen: 30,
-		Policy: policy, PGPP: pgppMode, Seed: 7, KeyBits: testKeyBits, Prepaid: 8,
+		Policy: policy, PGPP: pgppMode, Seed: 7, GatewayKey: testKey(), Prepaid: 8,
 	}
 }
 
@@ -47,7 +58,7 @@ func TestBaselineRejectsUnknownIMSI(t *testing.T) {
 }
 
 func TestPGPPAttachRequiresValidToken(t *testing.T) {
-	gw, _ := NewGateway(testKeyBits, nil)
+	gw := NewGateway(testKey(), nil)
 	nc := NewCore(true, gw.PublicKey(), nil)
 	if err := nc.Attach("tmp-1", nil, 0, 0); err != ErrBadToken {
 		t.Errorf("nil token err = %v", err)
@@ -59,7 +70,7 @@ func TestPGPPAttachRequiresValidToken(t *testing.T) {
 }
 
 func TestPGPPTokenDoubleSpendRejected(t *testing.T) {
-	gw, _ := NewGateway(testKeyBits, nil)
+	gw := NewGateway(testKey(), nil)
 	nc := NewCore(true, gw.PublicKey(), nil)
 	rng := mrand.New(mrand.NewSource(1))
 	d, err := NewDevice("alice", ShufflePerAttach, gw, nc, rng, 2)
@@ -76,7 +87,7 @@ func TestPGPPTokenDoubleSpendRejected(t *testing.T) {
 }
 
 func TestBalanceEnforced(t *testing.T) {
-	gw, _ := NewGateway(testKeyBits, nil)
+	gw := NewGateway(testKey(), nil)
 	nc := NewCore(true, gw.PublicKey(), nil)
 	rng := mrand.New(mrand.NewSource(1))
 	d, err := NewDevice("alice", ShufflePerAttach, gw, nc, rng, 1)
@@ -108,7 +119,7 @@ func TestShufflePolicies(t *testing.T) {
 		{ShufflePerAttach, func(n int) int { return n }},
 	}
 	for _, c := range cases {
-		gw, _ := NewGateway(testKeyBits, nil)
+		gw := NewGateway(testKey(), nil)
 		nc := NewCore(true, gw.PublicKey(), nil)
 		rng := mrand.New(mrand.NewSource(1))
 		d, err := NewDevice("alice", c.policy, gw, nc, rng, 10)
@@ -129,7 +140,7 @@ func TestShufflePolicies(t *testing.T) {
 }
 
 func TestShuffleDailyRotatesPerEpoch(t *testing.T) {
-	gw, _ := NewGateway(testKeyBits, nil)
+	gw := NewGateway(testKey(), nil)
 	nc := NewCore(true, gw.PublicKey(), nil)
 	rng := mrand.New(mrand.NewSource(1))
 	d, err := NewDevice("alice", ShuffleDaily, gw, nc, rng, 10)
@@ -273,16 +284,16 @@ func TestAnonymitySetGrowsWithShuffling(t *testing.T) {
 }
 
 // TestBaselineSimGeneratesNoKey: a baseline run builds no gateway, so
-// it needs no signing key and runs even with an unusable KeyBits.
+// it runs without a signing key; a PGPP run without one is refused.
 func TestBaselineSimGeneratesNoKey(t *testing.T) {
 	cfg := smallConfig(false, ShuffleNever)
-	cfg.KeyBits = 0
+	cfg.GatewayKey = nil
 	if _, err := RunSim(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg.PGPP = true
 	if _, err := RunSim(cfg, nil); err == nil {
-		t.Error("PGPP run with KeyBits 0 built a gateway")
+		t.Error("PGPP run without a gateway key built a gateway")
 	}
 }
 

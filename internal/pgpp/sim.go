@@ -19,15 +19,18 @@ type SimConfig struct {
 	Policy     ShufflePolicy
 	PGPP       bool // false = baseline cellular (bundled billing, permanent IMSI)
 	Seed       int64
-	KeyBits    int // gateway blind-signing modulus; small in tests/benches
+	// GatewayKey is the gateway's token-signing key, from
+	// blindrsa.GenerateKey; only a PGPP run needs one.
+	GatewayKey *rsa.PrivateKey
 	Prepaid    int // tokens purchased up front per device
 }
 
-// DefaultSimConfig returns the E5 experiment defaults.
+// DefaultSimConfig returns the E5 experiment defaults, less the
+// gateway key, which the caller generates.
 func DefaultSimConfig() SimConfig {
 	return SimConfig{
 		Users: 50, Cells: 25, Steps: 200, SessionLen: 20, EpochLen: 100,
-		Policy: ShufflePerAttach, PGPP: true, Seed: 1, KeyBits: 1024, Prepaid: 12,
+		Policy: ShufflePerAttach, PGPP: true, Seed: 1, Prepaid: 12,
 	}
 }
 
@@ -45,8 +48,8 @@ type SimResult struct {
 // RunSim provisions cfg.Users devices, walks them over the cell grid
 // for cfg.Steps steps, re-attaching every cfg.SessionLen steps, and
 // returns the ground truth plus the instrumented core. Only a PGPP run
-// has a gateway: baseline devices authenticate by IMSI, so no signing
-// key is generated for them.
+// has a gateway, which signs with cfg.GatewayKey: baseline devices
+// authenticate by IMSI, so a baseline run needs no key.
 //
 // If lg is non-nil, the run also registers classification ground truth:
 // accounts are sensitive H-identities, permanent IMSIs sensitive
@@ -64,10 +67,10 @@ func RunSim(cfg SimConfig, lg *ledger.Ledger) (*SimResult, error) {
 	var gw *Gateway
 	var gwKey *rsa.PublicKey
 	if cfg.PGPP {
-		var err error
-		if gw, err = NewGateway(cfg.KeyBits, lg); err != nil {
-			return nil, err
+		if cfg.GatewayKey == nil {
+			return nil, fmt.Errorf("pgpp: a PGPP simulation needs a gateway key")
 		}
+		gw = NewGateway(cfg.GatewayKey, lg)
 		gwKey = gw.PublicKey()
 	}
 	nc := NewCore(cfg.PGPP, gwKey, lg)

@@ -102,41 +102,6 @@ func (r *ReportShare) Marshal() []byte {
 	return append(out, r.Y.Marshal()...)
 }
 
-// UnmarshalReportShare decodes a transported share bundle.
-func UnmarshalReportShare(data []byte) (*ReportShare, error) {
-	r := &ReportShare{}
-	if len(data) < 2 {
-		return nil, errors.New("ppm: truncated share")
-	}
-	n := int(binary.BigEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < n+2 {
-		return nil, errors.New("ppm: truncated share")
-	}
-	r.TaskID = string(data[:n])
-	data = data[n:]
-	n = int(binary.BigEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < n+4 {
-		return nil, errors.New("ppm: truncated share")
-	}
-	r.ReportID = string(data[:n])
-	data = data[n:]
-	n = int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) < n {
-		return nil, errors.New("ppm: truncated share")
-	}
-	var err error
-	if r.X, err = field.UnmarshalVector(data[:n]); err != nil {
-		return nil, err
-	}
-	if r.Y, err = field.UnmarshalVector(data[n:]); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Encode maps an input to its field-vector encoding for the task.
 func Encode(task Task, input uint64) (field.Vector, error) {
 	switch task.Type {

@@ -175,35 +175,6 @@ func TestWrongTaskRejected(t *testing.T) {
 	}
 }
 
-func TestReportShareMarshalRoundTrip(t *testing.T) {
-	shares, err := BuildReport(sumTask, 99, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalReportShare(shares[0].Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TaskID != shares[0].TaskID || got.ReportID != shares[0].ReportID {
-		t.Errorf("ids = %q/%q", got.TaskID, got.ReportID)
-	}
-	for i := range got.X {
-		if got.X[i] != shares[0].X[i] || got.Y[i] != shares[0].Y[i] {
-			t.Fatalf("element %d mismatch", i)
-		}
-	}
-}
-
-func TestUnmarshalReportShareFuzzSafety(t *testing.T) {
-	f := func(data []byte) bool {
-		_, _ = UnmarshalReportShare(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSharesHideInput: any single aggregator's view of two different
 // inputs is identically distributed; smoke-test by checking a share of
 // input 0 is not all zeros.
