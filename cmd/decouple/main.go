@@ -246,9 +246,9 @@ func audit(out, errw io.Writer, args []string) error {
 		return err
 	}
 
-	// Tracing is on so ledger observations join their protocol phase;
-	// the spans themselves are discarded.
-	tel := telemetry.New("audit", true, nil)
+	// The phase marker is on so ledger observations join their
+	// protocol phase.
+	tel := telemetry.New(true, nil)
 	var lg *ledger.Ledger
 	if plan != nil {
 		lg, err = sc.RunFaults(experiments.Ctx{Tel: tel}, *parallel, sc.MaxClients, plan)

@@ -6,8 +6,8 @@
 //	experiments                # run everything, GOMAXPROCS-wide
 //	experiments E4 E7          # run selected experiment ids
 //	experiments -parallel 1    # sequential (byte-identical output)
-//	experiments -trace t.jsonl -metrics m.prom E2 E10
-//	experiments -faults flaky E14   # extra chaos overlay on E14-E16
+//	experiments -metrics m.prom -audit a.jsonl E2 E10
+//	experiments -trace-mode rotate -wirespans w.jsonl E2 E4
 //	experiments -static             # append static ⊇ measured conformance
 //	experiments -transport tcp      # socket experiments over real loopback TCP
 //
@@ -33,15 +33,19 @@
 // Observability flags (all off by default; the report on stdout is
 // byte-identical with or without them):
 //
-//	-trace f.jsonl    span traces, one JSON object per line, stamped
-//	                  against each experiment's virtual clock — the
-//	                  bytes are identical across runs and -parallel
-//	                  settings
+//	-trace-mode m     wire tracing: rotate (re-key the trace id at each
+//	                  decoupling boundary) or naive (one global id, the
+//	                  planted leak); each experiment's trace plane is
+//	                  audited against its ledger, and a COUPLED plane
+//	                  is a nonzero exit
+//	-wirespans f      the wire spans as JSONL (needs -trace-mode); with
+//	                  the observed values stripped, the bytes are
+//	                  identical across runs and -parallel settings
 //	-metrics f.prom   counters and histograms in Prometheus text
 //	                  exposition format
 //	-audit f.jsonl    per-experiment provenance audits (canonical
-//	                  observation ids, handle aliases, linkage
-//	                  partitions) as JSONL — byte-identical across
+//	                  observation ids, protocol phases, handle aliases,
+//	                  linkage partitions) as JSONL — byte-identical across
 //	                  runs and -parallel settings for the
 //	                  deterministic experiments
 //	-stats            per-experiment ledger observation counts on
@@ -77,7 +81,6 @@ import (
 
 	"decoupling/internal/experiments"
 	"decoupling/internal/explore"
-	"decoupling/internal/faults"
 	"decoupling/internal/nettransport"
 	"decoupling/internal/provenance"
 	"decoupling/internal/telemetry"
@@ -97,16 +100,13 @@ func run(out, errw io.Writer, args []string) int {
 	fs.SetOutput(errw)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"number of goroutines running experiments and their parts (1 = sequential)")
-	faultSpec := fs.String("faults", "",
-		"overlay a fault `plan` on the chaos experiments' simulators (E14-E16): a named plan or a spec string; see faults.ParsePlan")
 	doStatic := fs.Bool("static", false,
 		"append the static-conformance section: check static ⊇ measured for every experiment against its declared schemas; any violation is a nonzero exit")
 	transportName := fs.String("transport", "simnet",
 		"transport for socket-capable experiments: simnet (in-process virtual network) or tcp (real loopback sockets)")
-	traceFile := fs.String("trace", "", "write span traces as JSONL to `file`")
 	traceMode := fs.String("trace-mode", "off",
 		"wire-trace propagation policy: off, rotate (re-key the trace id at decoupling boundaries), or naive (one global id — must fail the audit)")
-	wirespansFile := fs.String("wirespans", "", "write wall-clock wire spans as JSONL to `file` (needs -trace-mode)")
+	wirespansFile := fs.String("wirespans", "", "write the wire spans as JSONL to `file` (needs -trace-mode)")
 	metricsFile := fs.String("metrics", "", "write metrics in Prometheus text format to `file`")
 	auditFile := fs.String("audit", "", "write per-experiment provenance audits as JSONL to `file`")
 	stats := fs.Bool("stats", false, "print per-experiment ledger stats to stderr")
@@ -126,13 +126,6 @@ func run(out, errw io.Writer, args []string) int {
 	if *doExplore {
 		return runExplore(out, errw, fs.Args(), *seeds, *seedBase, *parallel, *tracesDir, *metricsFile, *listenAddr)
 	}
-	plan, err := faults.PlanFromSpec(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(errw, "experiments: %v\n", err)
-		return 2
-	}
-	experiments.SetChaosFaults(plan)
-
 	wireMode, err := wiretrace.ParseMode(*traceMode)
 	if err != nil {
 		fmt.Fprintf(errw, "experiments: %v\n", err)
@@ -200,10 +193,10 @@ func run(out, errw io.Writer, args []string) int {
 		}()
 	}
 
-	telemetryOn := *traceFile != "" || *metricsFile != "" || *listenAddr != ""
-	// -audit also enables tracing so ledger observations join their
-	// protocol phase; the spans are only written out under -trace.
-	runner := experiments.Runner{Workers: *parallel, Trace: *traceFile != "" || *auditFile != "", WireMode: wireMode, Transport: transportFactory}
+	telemetryOn := *metricsFile != "" || *listenAddr != ""
+	// -audit turns the phase marker on so ledger observations join
+	// their protocol phase.
+	runner := experiments.Runner{Workers: *parallel, Phases: *auditFile != "", WireMode: wireMode, Transport: transportFactory}
 	if telemetryOn {
 		runner.Metrics = telemetry.NewMetrics()
 	}
@@ -219,13 +212,8 @@ func run(out, errw io.Writer, args []string) int {
 	results := runner.Run(selected)
 
 	// Export telemetry artifacts before pass/fail accounting so a
-	// failing reproduction still leaves its trace behind for diagnosis.
-	if *traceFile != "" {
-		if err := writeTraces(*traceFile, results); err != nil {
-			fmt.Fprintf(errw, "experiments: %v\n", err)
-			return 2
-		}
-	}
+	// failing reproduction still leaves its artifacts behind for
+	// diagnosis.
 	if *metricsFile != "" {
 		if err := writeMetrics(*metricsFile, runner.Metrics); err != nil {
 			fmt.Fprintf(errw, "experiments: %v\n", err)
@@ -359,7 +347,7 @@ func runExplore(out, errw io.Writer, ids []string, seeds int, seedBase uint64, p
 	var metrics *telemetry.Metrics
 	if metricsFile != "" || listenAddr != "" {
 		metrics = telemetry.NewMetrics()
-		opts.Tel = telemetry.New("explore", false, metrics)
+		opts.Tel = telemetry.New(false, metrics)
 	}
 	if listenAddr != "" {
 		srv, addr, err := telemetry.ServeObs(listenAddr, metrics, nil)
@@ -437,23 +425,6 @@ func writeCounterexamples(dir string, report *explore.Report) error {
 		}
 	}
 	return nil
-}
-
-// writeTraces concatenates every experiment's spans in input (id) order.
-// Each tracer's span ids and virtual timestamps are per-experiment
-// state, so the file's bytes are independent of -parallel.
-func writeTraces(path string, results []experiments.RunnerResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, rr := range results {
-		if err := rr.Trace.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }
 
 // writeAudits derives a provenance audit for every experiment that

@@ -867,7 +867,7 @@ func runMixnetLeg(clients, relays, workers int, seed int64, obs *liveObs, plane 
 	}
 	nt := nettransport.New(opts)
 	defer nt.Close()
-	nt.Instrument(telemetry.New("loadgen", false, obs.metrics))
+	nt.Instrument(telemetry.New(false, obs.metrics))
 
 	var route []mixnet.NodeInfo
 	for i := 1; i <= relays; i++ {

@@ -1,18 +1,14 @@
-// Command tracecheck validates telemetry artifacts produced by
-// `experiments -trace ... -metrics ...`:
+// Command tracecheck validates the telemetry artifacts of
+// `experiments` and `loadgen` runs:
 //
-//	tracecheck -trace t.jsonl              # strict JSONL span validation
 //	tracecheck -metrics m.prom             # exposition parse + round-trip
 //	tracecheck -samples s.jsonl            # run-sampler JSONL validation
-//	tracecheck -spans w.jsonl              # wall-clock wire-span validation
-//	tracecheck -trace t.jsonl -metrics m.prom
+//	tracecheck -spans w.jsonl              # wire-span validation
+//	tracecheck -spans w.jsonl -metrics m.prom
 //
-// A trace file passes when it holds at least one span, every line
-// decodes as a span record, span ids are unique per trace, parents
-// precede children, and no span ends before it starts. A metrics file
-// passes when it holds at least one metric family, parses under the
-// strict exposition grammar AND re-renders byte-identically — the
-// writer and parser keep each other honest. A samples file (from
+// A metrics file passes when it holds at least one metric family,
+// parses under the strict exposition grammar AND re-renders
+// byte-identically — the writer and parser keep each other honest. A samples file (from
 // `loadgen -sample`) passes when every line is a flat numeric JSON
 // object carrying the run-health fields with non-decreasing
 // timestamps. A spans file (wire spans from `loadgen -wirespans` or
@@ -48,7 +44,6 @@ func main() {
 func run(out, errw io.Writer, args []string) int {
 	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	traceFile := fs.String("trace", "", "JSONL trace `file` to validate")
 	metricsFile := fs.String("metrics", "", "Prometheus exposition `file` to validate")
 	samplesFile := fs.String("samples", "", "run-sampler JSONL `file` to validate")
 	spansFile := fs.String("spans", "", "wire-span JSONL `file` to validate")
@@ -56,15 +51,9 @@ func run(out, errw io.Writer, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *traceFile == "" && *metricsFile == "" && *samplesFile == "" && *spansFile == "" || fs.NArg() > 0 {
-		fmt.Fprintln(errw, "usage: tracecheck [-trace f.jsonl] [-metrics f.prom] [-samples f.jsonl] [-spans f.jsonl [-allow-empty]]")
+	if *metricsFile == "" && *samplesFile == "" && *spansFile == "" || fs.NArg() > 0 {
+		fmt.Fprintln(errw, "usage: tracecheck [-metrics f.prom] [-samples f.jsonl] [-spans f.jsonl [-allow-empty]]")
 		return 2
-	}
-	if *traceFile != "" {
-		if err := checkTrace(out, *traceFile); err != nil {
-			fmt.Fprintf(errw, "tracecheck: %v\n", err)
-			return 1
-		}
 	}
 	if *metricsFile != "" {
 		if err := checkMetrics(out, *metricsFile); err != nil {
@@ -131,32 +120,6 @@ func checkSamples(out io.Writer, path string) error {
 	}
 	span := (recs[len(recs)-1]["t_unix_ms"] - recs[0]["t_unix_ms"]) / 1e3
 	fmt.Fprintf(out, "%s: %d samples spanning %.1fs\n", path, len(recs), span)
-	return nil
-}
-
-func checkTrace(out io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	recs, err := telemetry.ParseJSONL(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s: no spans — the trace exporter wrote nothing", path)
-	}
-	traces := map[string]int{}
-	roots := 0
-	for _, r := range recs {
-		traces[r.Trace]++
-		if r.Parent == 0 {
-			roots++
-		}
-	}
-	fmt.Fprintf(out, "%s: %d spans (%d roots) across %d traces\n",
-		path, len(recs), roots, len(traces))
 	return nil
 }
 

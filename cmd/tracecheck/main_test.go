@@ -22,12 +22,12 @@ func write(t *testing.T, name, content string) string {
 
 func TestValidArtifacts(t *testing.T) {
 	t.Parallel()
-	tr := telemetry.NewTracer("E2")
-	root := tr.Start("experiment")
-	tr.Start("phase:forward").End()
+	p := wiretrace.New(wiretrace.ModeRotate, 1)
+	root := p.Root("client", "send", "c", "m")
+	p.Hop("Mix 1", "hop", root.Context(), "c", "").End()
 	root.End()
-	var trace bytes.Buffer
-	if err := tr.WriteJSONL(&trace); err != nil {
+	var spans bytes.Buffer
+	if err := wiretrace.WriteJSONL(&spans, p); err != nil {
 		t.Fatal(err)
 	}
 	m := telemetry.NewMetrics()
@@ -38,38 +38,40 @@ func TestValidArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tp := write(t, "t.jsonl", trace.String())
+	sp := write(t, "w.jsonl", spans.String())
 	mp := write(t, "m.prom", prom.String())
 	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-trace", tp, "-metrics", mp}); code != 0 {
+	if code := run(&out, &errw, []string{"-spans", sp, "-metrics", mp}); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "2 spans (1 roots)") {
-		t.Errorf("trace summary missing: %s", out.String())
+	if !strings.Contains(out.String(), "2 spans (1 roots, 0 rotations)") {
+		t.Errorf("span summary missing: %s", out.String())
 	}
 	if !strings.Contains(out.String(), "canonical") {
 		t.Errorf("metrics summary missing: %s", out.String())
 	}
 }
 
+// TestInvalidTrace: a span line that breaks the v1 schema fails the
+// strict parse, and the error names the field.
 func TestInvalidTrace(t *testing.T) {
 	t.Parallel()
-	tp := write(t, "bad.jsonl", `{"trace":"T","span":1,"parent":5,"name":"x","start_ns":0,"end_ns":0}`+"\n")
+	sp := write(t, "bad.jsonl", `{"v":"decoupling-wirespan/v1","mode":"rotate","vantage":"Mix 1","name":"hop","trace":"xyz","span":"0000000000000001","start_ns":0,"end_ns":0}`+"\n")
 	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-trace", tp}); code != 1 {
+	if code := run(&out, &errw, []string{"-spans", sp}); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	if !strings.Contains(errw.String(), "parent") {
+	if !strings.Contains(errw.String(), "trace id") {
 		t.Errorf("error did not name the violation: %s", errw.String())
 	}
 }
 
-// TestEmptyArtifacts: an empty -trace or -metrics file means the
+// TestEmptyArtifacts: an empty -spans or -metrics file means the
 // exporter wrote nothing, and must fail like an empty -samples file.
 func TestEmptyArtifacts(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct{ flag, want string }{
-		{"trace", "no spans"},
+		{"spans", "no spans"},
 		{"metrics", "no metric families"},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
@@ -140,8 +142,11 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(&out, &errw, nil); code != 2 {
 		t.Errorf("no flags: exit %d, want 2", code)
 	}
-	if code := run(&out, &errw, []string{"-trace", "does-not-exist.jsonl"}); code != 1 {
+	if code := run(&out, &errw, []string{"-spans", "does-not-exist.jsonl"}); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
+	}
+	if code := run(&out, &errw, []string{"-trace", "t.jsonl"}); code != 2 {
+		t.Errorf("-trace: exit %d, want 2 (no such flag)", code)
 	}
 }
 

@@ -25,8 +25,8 @@ func main() {
 		log.Fatal("odoh scenario not registered")
 	}
 
-	// Tracing on so every observation records its protocol phase.
-	lg, err := sc.Run(experiments.Ctx{Tel: telemetry.New("audit", true, nil)}, 4)
+	// The phase marker on so every observation records its protocol phase.
+	lg, err := sc.Run(experiments.Ctx{Tel: telemetry.New(true, nil)}, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

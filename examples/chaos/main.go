@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New("chaos", true, nil)}, 1, sc.MaxClients, plan)
+	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New(true, nil)}, 1, sc.MaxClients, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

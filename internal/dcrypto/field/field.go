@@ -168,19 +168,3 @@ func (v Vector) Marshal() []byte {
 	}
 	return out
 }
-
-// UnmarshalVector decodes a vector produced by Marshal.
-func UnmarshalVector(data []byte) (Vector, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("field: vector encoding length %d not a multiple of 8", len(data))
-	}
-	v := NewVector(len(data) / 8)
-	for i := range v {
-		raw := binary.BigEndian.Uint64(data[8*i:])
-		if raw >= P {
-			return nil, fmt.Errorf("field: element %d out of range", i)
-		}
-		v[i] = Elem(raw)
-	}
-	return v, nil
-}

@@ -48,43 +48,13 @@ import (
 	"decoupling/internal/transport"
 )
 
-// chaosOverlay is an extra fault plan merged into every network the
-// chaos experiments build, set from cmd/experiments -faults. Reports
-// stay deterministic for any FIXED overlay; the experiments' own pass
-// criteria assume the default (nil) overlay.
-var (
-	chaosMu      sync.Mutex
-	chaosOverlay *faults.Plan
-)
-
-// SetChaosFaults installs an overlay fault plan for the chaos
-// experiments (nil clears it). Safe to call before Runner.Run.
-func SetChaosFaults(p *faults.Plan) {
-	chaosMu.Lock()
-	defer chaosMu.Unlock()
-	chaosOverlay = p
-}
-
-func chaosFaults() *faults.Plan {
-	chaosMu.Lock()
-	defer chaosMu.Unlock()
-	return chaosOverlay
-}
-
-// applyChaos overlays a run's own plan plus the -faults overlay. The
-// network is addressed through the transport-neutral faults.Injector
-// surface, so the same plan lands on the simulator's virtual clock or
-// the real transport's wall clock — whichever the Ctx built.
+// applyChaos applies a run's own fault plan. The network is addressed
+// through the transport-neutral faults.Injector surface, so the same
+// plan lands on the simulator's virtual clock or the real transport's
+// wall clock — whichever the Ctx built.
 func applyChaos(net transport.Runner, own *faults.Plan) {
-	inj, ok := net.(faults.Injector)
-	if !ok {
-		return
-	}
-	if !own.Empty() {
+	if inj, ok := net.(faults.Injector); ok && !own.Empty() {
 		inj.ApplyFaults(own)
-	}
-	if o := chaosFaults(); !o.Empty() {
-		inj.ApplyFaults(o)
 	}
 }
 
@@ -192,7 +162,7 @@ func onionChaosRun(ctx Ctx, retry bool) (delivered int, err error) {
 	net := ctx.NewRunner(15)
 	defer net.Close()
 	net.Instrument(tel)
-	// nil telemetry: E14's trace carries no relay spans.
+	// nil telemetry: E14's relays feed no cell counters.
 	pool, err := newOnion(net, nil, 4, 0, nil)
 	if err != nil {
 		return 0, err

@@ -6,7 +6,6 @@ import (
 
 	"decoupling/internal/core"
 	"decoupling/internal/dnswire"
-	"decoupling/internal/faults"
 	"decoupling/internal/provenance"
 	"decoupling/internal/resilience"
 )
@@ -136,30 +135,6 @@ func TestFlakyLinkIsDeterministic(t *testing.T) {
 		if zero.fail() {
 			t.Fatal("rate-0 link injected a failure")
 		}
-	}
-}
-
-// TestChaosOverlayAffectsSimulatorRuns: a -faults overlay merges into
-// the chaos experiments' simulators (crashing the middle mix kills the
-// whole cascade), and clearing it restores the healthy baseline.
-func TestChaosOverlayAffectsSimulatorRuns(t *testing.T) {
-	SetChaosFaults(faults.NewPlan().Crash("mix2", 0, 0))
-	defer SetChaosFaults(nil)
-	delivered, _, _, err := mixnetChaosRun(Ctx{}, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 0 {
-		t.Errorf("delivered %d through a crashed mix", delivered)
-	}
-
-	SetChaosFaults(nil)
-	delivered, _, _, err = mixnetChaosRun(Ctx{}, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != 16 {
-		t.Errorf("healthy baseline delivered %d/16 after clearing the overlay", delivered)
 	}
 }
 

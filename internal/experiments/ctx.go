@@ -51,10 +51,11 @@ type Ctx struct {
 //
 // Parts may run concurrently, so each must touch only state it owns or
 // that is safe for concurrent use: a part may bump counters and write
-// a ledger that no other part writes. A part must not record spans,
-// build networks through the Ctx, or write the wire plane: all three
-// number their records per experiment in call order, and those
-// numbers must not depend on the worker count.
+// a ledger that no other part writes. A part must not open phases,
+// build networks through the Ctx, or write the wire plane: the phase
+// marker is one stack per experiment, and nets and wire spans are
+// numbered per experiment in call order; neither may depend on the
+// worker count.
 func (c Ctx) Each(n int, fn func(i int) error) error {
 	if c.pool != nil {
 		return c.pool.each(n, fn)

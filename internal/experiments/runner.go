@@ -25,25 +25,27 @@ import (
 // (Ctx.Each), which the same workers run; parts go before experiments
 // still waiting, so one long experiment does not leave workers idle.
 //
-// Telemetry preserves that property: each experiment gets its own
-// Tracer (span ids and virtual timestamps are per-experiment state), so
-// exporting traces in input order yields byte-identical JSONL at any
-// parallelism. The Metrics registry is shared, but counter and
-// histogram updates commute and exposition output is sorted.
+// Observability preserves that property: each experiment gets its own
+// telemetry handle (so its own phase marker) and its own wire-trace
+// plane, seeded by input slot, so exporting wire spans in input order
+// yields the same ids at any parallelism. The Metrics registry is
+// shared, but counter and histogram updates commute and exposition
+// output is sorted.
 type Runner struct {
 	// Workers bounds the goroutines running experiments and their
 	// parts. Values < 1 mean runtime.GOMAXPROCS(0).
 	Workers int
-	// Trace enables span recording: each experiment runs with its own
-	// tracer, returned in its RunnerResult.
-	Trace bool
+	// Phases enables the protocol-phase marker: each experiment's
+	// ledger stamps every observation with the phase open when it was
+	// admitted, which provenance audits report.
+	Phases bool
 	// Metrics, when non-nil, is the shared registry every experiment
 	// reports counters and histograms into.
 	Metrics *telemetry.Metrics
 	// WireMode, when not ModeOff, gives each experiment its own
 	// wire-trace plane (returned in its RunnerResult for export and
 	// for the trace-plane audit). Per-experiment planes keep span and
-	// trace ids independent of -parallel, like the tracers.
+	// trace ids independent of -parallel.
 	WireMode wiretrace.Mode
 	// Transport, when non-nil, overrides each experiment's transport
 	// construction (the Ctx.NewRunner lever): cmd/experiments
@@ -56,9 +58,6 @@ type RunnerResult struct {
 	ID     string
 	Result *Result
 	Err    error
-	// Trace is the experiment's span recording (nil unless the runner
-	// ran with Trace enabled).
-	Trace *telemetry.Tracer
 	// Wire is the experiment's wire-trace plane (nil unless the runner
 	// ran with a WireMode).
 	Wire *wiretrace.Plane
@@ -97,26 +96,19 @@ func (r *Runner) Run(exps []Experiment) []RunnerResult {
 // runExperiment runs one experiment on the calling worker with its own
 // telemetry and wire plane.
 func (r *Runner) runExperiment(exp Experiment, idx int, p *pool, queued time.Time) RunnerResult {
-	tel := telemetry.New(exp.ID, r.Trace, r.Metrics, telemetry.A("experiment", exp.ID))
+	tel := telemetry.New(r.Phases, r.Metrics, telemetry.A("experiment", exp.ID))
 	tel.Observe(telemetry.MetricRunnerQueueWait,
 		"Wall-clock wait between experiment enqueue and worker pickup.",
 		telemetry.WaitBuckets, time.Since(queued).Seconds())
 	start := time.Now()
-	// The root span: children are protocol phases and, under those,
-	// per-hop deliveries. Its end is stamped with the experiment's
-	// virtual elapsed time so the exported trace stays wall-clock free.
-	root := tel.Start("experiment", telemetry.A("id", exp.ID))
 	// Seeded by slot so a plane's ids depend on the input order, never
 	// on which worker picked the experiment up.
 	wire := wiretrace.New(r.WireMode, int64(1000+idx))
 	res, err := runOne(exp, Ctx{Tel: tel, Wire: wire, transport: r.Transport, pool: p})
 	if res != nil {
 		res.WallElapsed = time.Since(start)
-		root.EndAt(res.VirtualElapsed)
-	} else {
-		root.EndAt(0)
 	}
-	return RunnerResult{ID: exp.ID, Result: res, Err: err, Trace: tel.Tracer(), Wire: wire}
+	return RunnerResult{ID: exp.ID, Result: res, Err: err, Wire: wire}
 }
 
 // runOne executes a single experiment, converting panics into errors so

@@ -159,8 +159,7 @@ func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	phase := ctx.Tel.Start("phase:odoh")
-	defer phase.End()
+	defer ctx.Tel.Phase("odoh")()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
 		_, err := s.client(i).Query(dnsName(i), dnswire.TypeA, s.proxy.Forward)
 		return err
@@ -179,8 +178,7 @@ func runODNSScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	}
 	recursive := dns.NewResolver("Resolver", []dns.Authority{s.oblivious, s.origin}, s.lg, nil)
 	recursive.Wire = ctx.Wire
-	phase := ctx.Tel.Start("phase:odns")
-	defer phase.End()
+	defer ctx.Tel.Phase("odns")()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
 		_, err := s.client(i, recursive).Query(dnsName(i), dnswire.TypeA)
 		return err
@@ -214,8 +212,7 @@ func runMixnetScenario(ctx Ctx, _ int) (*ledger.Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	phase := ctx.Tel.Start("phase:forward")
-	defer phase.End()
+	defer ctx.Tel.Phase("forward")()
 	for i := 0; i < 8; i++ {
 		from, msg := registerSender(lg.Classifier(), i)
 		if err := c.send(net, from, ctx.Wire, msg); err != nil {
@@ -270,8 +267,7 @@ func odohFaultsRun(ctx Ctx, parallel, clients int, plan *faults.Plan, fallback b
 	if fallback {
 		direct = s.directResolver()
 	}
-	phase := ctx.Tel.Start("phase:odoh-faults")
-	defer phase.End()
+	defer ctx.Tel.Phase("odoh-faults")()
 	err = forEachClient(parallel, clients, func(i int) error {
 		attempt := 0 // per-client, so parallel clients share nothing
 		rc := s.resilient(i, resilience.Default("odoh"), func(clientAddr string, raw []byte) ([]byte, error) {
@@ -315,8 +311,7 @@ func odnsFaultsRun(ctx Ctx, _, clients int, plan *faults.Plan) (*ledger.Ledger, 
 	}}
 	recursive := dns.NewResolver("Resolver", []dns.Authority{gated, s.origin}, s.lg, nil)
 	recursive.Wire = ctx.Wire
-	phase := ctx.Tel.Start("phase:odns-faults")
-	defer phase.End()
+	defer ctx.Tel.Phase("odns-faults")()
 	for i := 0; i < clients; i++ {
 		_, qerr := s.client(i, recursive).QueryResilient(dnsName(i), dnswire.TypeA, resilience.Default("odns"), ctx.Tel, nil)
 		if qerr != nil && !errors.Is(qerr, resilience.ErrExhausted) {
@@ -339,8 +334,7 @@ func mixnetFaultsRun(ctx Ctx, _, senders int, plan *faults.Plan) (*ledger.Ledger
 		return nil, err
 	}
 	net.ApplyFaults(plan)
-	phase := ctx.Tel.Start("phase:forward-faults")
-	defer phase.End()
+	defer ctx.Tel.Phase("forward-faults")()
 	p := resilience.Default("mixnet")
 	p.Timeout = 80 * time.Millisecond
 	for i := 0; i < senders; i++ {

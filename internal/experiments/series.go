@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"decoupling/internal/adversary"
@@ -14,7 +13,6 @@ import (
 	"decoupling/internal/mixnet"
 	"decoupling/internal/onion"
 	"decoupling/internal/ppm"
-	"decoupling/internal/telemetry"
 	"decoupling/internal/transport"
 	"decoupling/internal/workload"
 )
@@ -97,8 +95,7 @@ func E10Degrees(ctx Ctx) (*Result, error) {
 // ledger structure). It also reports the virtual time the run consumed.
 func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:hops", telemetry.A("hops", strconv.Itoa(hops)))
-	defer phase.End()
+	defer tel.Phase("hops")()
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
 	lg.Instrument(tel)
@@ -164,7 +161,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 	}
 	prevAvg := 2.0
 	for _, k := range []int{1, 2, 4, 8} {
-		phase := tel.Start("phase:stripe", telemetry.A("k", strconv.Itoa(k)))
+		endPhase := tel.Phase("stripe")
 		zone := dns.NewZone("test")
 		var allNames []string
 		for i := 0; i < nameCount; i++ {
@@ -234,7 +231,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 			r.Diffs = append(r.Diffs, fmt.Sprintf("profile completeness did not fall at k=%d (%.3f >= %.3f)", k, avg, prevAvg))
 		}
 		prevAvg = avg
-		phase.End()
+		endPhase()
 	}
 	r.Tables = append(r.Tables, table)
 	r.Notes = append(r.Notes, "k=1 is the single-resolver baseline: the operator sees the complete profile")
@@ -387,8 +384,7 @@ func disclosureRun(cover bool) (topReceiver string, topScore float64) {
 // given batch threshold and runs the rank-order timing attack.
 func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, meanLatency time.Duration, elapsed time.Duration, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:batch", telemetry.A("threshold", strconv.Itoa(batch)))
-	defer phase.End()
+	defer tel.Phase("batch")()
 	net := ctx.NewNet(int64(batch) + 100)
 	net.Instrument(tel)
 	c, err := newCascade(net, nil, 1, batch, padded, tel, nil)
@@ -436,8 +432,7 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 // and mounts the rank-order size attack on the global capture.
 func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBytes int, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:padding", telemetry.A("padded", fmt.Sprint(padded)))
-	defer phase.End()
+	defer tel.Phase("padding")()
 	net := ctx.NewNet(7)
 	net.Instrument(tel)
 	c, err := newCascade(net, nil, 1, senders, padded, tel, nil)
@@ -489,8 +484,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 // chaff cells through a 3-hop circuit.
 func onionChaffRun(ctx Ctx, rate int) (cells int, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:chaff", telemetry.A("rate", strconv.Itoa(rate)))
-	defer phase.End()
+	defer tel.Phase("chaff")()
 	net := ctx.NewNet(int64(rate) + 5)
 	net.Instrument(tel)
 	infos, err := newOnion(net, nil, 3, 64, tel)

@@ -90,7 +90,6 @@ func newODoHStack(tel *telemetry.Telemetry, wire *wiretrace.Plane, clients int) 
 // client returns client i's ODoH client.
 func (s *odohStack) client(i int) *odoh.Client {
 	c := odoh.NewClient(fmt.Sprintf("client-%d", i), s.keyID, s.pub)
-	c.Instrument(s.tel)
 	c.InstrumentWire(s.wire)
 	return c
 }
@@ -204,7 +203,6 @@ func newCascade(net transport.Transport, lg *ledger.Ledger, mixes, batch int, pa
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
 	rcv.InstrumentWire(wire)
 	c.rcv = rcv
 	return c, nil

@@ -84,7 +84,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	phase := tel.Start("phase:forward")
+	endPhase := tel.Phase("forward")
 	for i := 0; i < 64; i++ {
 		from, msg := registerSender(cls, i)
 		if err := c.send(net, from, ctx.Wire, msg); err != nil {
@@ -92,7 +92,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 		}
 	}
 	net.Run()
-	phase.End()
+	endPhase()
 	if got := len(c.rcv.Inbox()); got != 64 {
 		return nil, fmt.Errorf("E2: delivered %d of 64 messages", got)
 	}
@@ -100,7 +100,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	// The other half of Chaum's 1981 design: untraceable return
 	// addresses. A sender pre-builds a reply block; the receiver answers
 	// through it without learning who they answered.
-	phase = tel.Start("phase:reply")
+	endPhase = tel.Phase("reply")
 	collector := mixnet.NewReplyCollector(net, "sender00")
 	replyAddr, replyKeys, err := mixnet.BuildReplyBlock(c.route, collector.Addr)
 	if err != nil {
@@ -116,7 +116,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 		}
 	}
 	net.Run()
-	phase.End()
+	endPhase()
 	r.VirtualElapsed = net.Now()
 	replies := collector.Inbox()
 	if len(replies) != 1 || string(replyKeys.Decrypt(replies[0].Body)) != "reply via return address" {

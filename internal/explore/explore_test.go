@@ -205,7 +205,7 @@ func TestSweepEmitsTelemetryCounters(t *testing.T) {
 		Seeds:   SeedList(1, 2),
 		Probes:  []experiments.Scenario{probe(t, "odoh-failopen")},
 		Workers: 1,
-		Tel:     telemetry.New("explore", false, m),
+		Tel:     telemetry.New(false, m),
 	})
 	if len(m.CounterSeries(telemetry.MetricExploreCases)) == 0 {
 		t.Error("no explore case counters emitted")

@@ -140,16 +140,14 @@ func TestObservationRecognizedAndPhase(t *testing.T) {
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	cls.RegisterIdentity("relay", "", "", core.NonSensitive)
 	lg := New(cls, nil)
-	tel := telemetry.New("phase-test", true, nil)
+	tel := telemetry.New(true, nil)
 	lg.Instrument(tel)
 
 	lg.SawIdentity("ent", "alice")
-	phase := tel.Start("phase:handshake")
+	endPhase := tel.Phase("handshake")
 	lg.SawIdentity("ent", "relay")
-	inner := tel.Start("work") // non-phase child must not mask the phase
 	lg.SawData("ent", "ciphertext:abc")
-	inner.End()
-	phase.End()
+	endPhase()
 	lg.SawData("ent", "late")
 
 	obs := lg.ByObserver("ent")

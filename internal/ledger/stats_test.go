@@ -46,7 +46,7 @@ func TestInstrumentCountsObservations(t *testing.T) {
 	l.SawIdentity("Early", "10.0.0.7") // shard exists pre-instrumentation
 
 	m := telemetry.NewMetrics()
-	l.Instrument(telemetry.New("E2", false, m, telemetry.A("experiment", "E2")))
+	l.Instrument(telemetry.New(false, m, telemetry.A("experiment", "E2")))
 	l.SawIdentity("Early", "10.0.0.7")
 	l.SawData("Late", "blob-a")
 	l.SawData("Late", "blob-b")

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -200,9 +199,7 @@ func (m *Mix) Info() NodeInfo { return NodeInfo{Addr: m.Addr, PubKey: m.kp.Publi
 // Stats reports flush and drop counts.
 func (m *Mix) Stats() (flushes, dropped int) { return m.flushes, m.dropped }
 
-// Instrument attaches a telemetry sink: layer-strips and batch flushes
-// become spans (nested under the simulator's delivery span for the
-// triggering message) and flush sizes feed a histogram.
+// Instrument attaches a telemetry sink: flush sizes feed a histogram.
 func (m *Mix) Instrument(tel *telemetry.Telemetry) { m.tel = tel }
 
 // InstrumentWire attaches a wire-trace plane: each handled message
@@ -228,8 +225,6 @@ func (m *Mix) handle(net transport.Transport, msg transport.Message) {
 }
 
 func (m *Mix) handleOnion(net transport.Transport, msg transport.Message) {
-	sp := m.tel.Start("mixnet.mix.in", telemetry.A("mix", m.Name))
-	defer sp.End()
 	hop := m.wire.Hop(m.Name, "mixnet.hop", msg.Trace, string(msg.Src), "")
 	defer hop.End()
 	inHandle := ledger.Hash(msg.Payload[1:])
@@ -280,9 +275,6 @@ func (m *Mix) flush(net transport.Transport) {
 	}
 	q := m.queue
 	m.queue = nil
-	sp := m.tel.Start("mixnet.mix.flush",
-		telemetry.A("mix", m.Name), telemetry.A("batch", strconv.Itoa(len(q))))
-	defer sp.End()
 	m.tel.Observe(telemetry.MetricMixBatchSize, "Messages per mix batch flush.",
 		telemetry.BatchBuckets, float64(len(q)), telemetry.A("mix", m.Name))
 	for i := len(q) - 1; i > 0; i-- {
@@ -311,7 +303,6 @@ type Receiver struct {
 	Addr transport.Addr
 	kp   *hpke.KeyPair
 	lg   *ledger.Ledger
-	tel  *telemetry.Telemetry
 	wire *wiretrace.Plane
 	// Padded indicates senders pad messages; the receiver then strips
 	// the length-prefixed padding.
@@ -340,17 +331,11 @@ func NewReceiver(net transport.Transport, name string, addr transport.Addr, padd
 // Info returns the receiver's routing descriptor.
 func (r *Receiver) Info() NodeInfo { return NodeInfo{Addr: r.Addr, PubKey: r.kp.PublicKey()} }
 
-// Instrument attaches a telemetry sink: each final delivery (the last
-// link of the chain) opens a span under the simulator's delivery span.
-func (r *Receiver) Instrument(tel *telemetry.Telemetry) { r.tel = tel }
-
 // InstrumentWire attaches a wire-trace plane: final deliveries open a
 // terminal span mirroring the receiver's ledger observations. Nil-safe.
 func (r *Receiver) InstrumentWire(p *wiretrace.Plane) { r.wire = p }
 
 func (r *Receiver) handle(net transport.Transport, msg transport.Message) {
-	sp := r.tel.Start("mixnet.receiver.open", telemetry.A("receiver", r.Name))
-	defer sp.End()
 	hop := r.wire.Hop(r.Name, "mixnet.deliver", msg.Trace, string(msg.Src), "")
 	defer hop.End()
 	if len(msg.Payload) < 1 || msg.Payload[0] != tagOnion {

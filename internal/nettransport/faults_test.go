@@ -218,7 +218,7 @@ func TestInjectedLossMatchesLossDraw(t *testing.T) {
 func TestInjectedLossLabeledApartFromOrganic(t *testing.T) {
 	net := newTest(t, Options{Seed: 1})
 	reg := telemetry.NewMetrics()
-	tel := telemetry.New("nettransport-faults", false, reg)
+	tel := telemetry.New(false, reg)
 	net.Instrument(tel)
 	var s countSink
 	net.Register("srv", s.handle)

@@ -249,13 +249,11 @@ type netInstr struct {
 // message/byte counters, and — when the sink carries a metrics
 // registry — the transport's internals (frames/bytes sent, writer
 // stalls, timer fires, pending level, per-node inbox depth) surface as
-// live wall-clock series. The tracer's clock is bound to this
-// transport's elapsed-time clock. A nil tel is a no-op.
+// live wall-clock series. A nil tel is a no-op.
 func (t *Net) Instrument(tel *telemetry.Telemetry) {
 	t.telMu.Lock()
 	t.tel = tel
 	t.telMu.Unlock()
-	tel.SetClock(t.Now)
 	if tel == nil || tel.Metrics() == nil {
 		t.instr.Store(nil)
 		return

@@ -198,7 +198,7 @@ func TestRegisterReplacesHandler(t *testing.T) {
 
 func TestCaptureAndTelemetry(t *testing.T) {
 	net := newTest(t, Options{})
-	tel := telemetry.New("nettransport-test", false, telemetry.NewMetrics())
+	tel := telemetry.New(false, telemetry.NewMetrics())
 	net.Instrument(tel)
 	var s sink
 	net.Register("sink", s.handle)
@@ -227,7 +227,7 @@ func TestCaptureAndTelemetry(t *testing.T) {
 func TestLiveInstrumentation(t *testing.T) {
 	net := newTest(t, Options{})
 	m := telemetry.NewMetrics()
-	tel := telemetry.New("nettransport-live", false, m)
+	tel := telemetry.New(false, m)
 	net.Instrument(tel)
 	var s sink
 	net.Register("sink", s.handle)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -168,10 +167,8 @@ func (t *Target) RotateKey() (keyID, pub []byte, err error) {
 	return id, kp.PublicKey(), nil
 }
 
-// Instrument attaches a telemetry sink: each handled query becomes a
-// span (with the resolved name annotated post-decryption) and feeds the
-// handled counter. Key ids never appear in attributes — they derive
-// from fresh key material and would break trace determinism.
+// Instrument attaches a telemetry sink: each handled query feeds the
+// handled counter.
 func (t *Target) Instrument(tel *telemetry.Telemetry) { t.tel = tel }
 
 // InstrumentWire attaches a wire-trace plane: each handled query opens
@@ -216,9 +213,6 @@ func (t *Target) Handled() int {
 // party (normally the proxy) and returns the encrypted response
 // envelope.
 func (t *Target) HandleQuery(from string, raw []byte) ([]byte, error) {
-	sp := t.tel.Start("odoh.target.handle",
-		telemetry.A("target", t.Name), telemetry.A("bytes", strconv.Itoa(len(raw))))
-	defer sp.End()
 	hop := t.wire.Hop(t.Name, "odoh.target.handle", t.wire.TakeHandoff(raw), from, "")
 	defer hop.End()
 	m, err := UnmarshalMessage(raw)
@@ -254,7 +248,6 @@ func (t *Target) HandleQuery(from string, raw []byte) ([]byte, error) {
 		return nil, ErrMalformed
 	}
 	name := dnswire.CanonicalName(query.Questions[0].Name)
-	sp.Annotate(telemetry.A("name", name))
 	t.tel.Count(telemetry.MetricOdohHandled, "Oblivious queries answered by the target.", 1,
 		telemetry.A("target", t.Name))
 
@@ -310,9 +303,8 @@ func NewProxy(name string, target *Target, lg *ledger.Ledger) *Proxy {
 	return &Proxy{Name: name, Target: target, lg: lg}
 }
 
-// Instrument attaches a telemetry sink: each relayed query becomes a
-// span nested under the client's query span and feeds the forwarded
-// counter.
+// Instrument attaches a telemetry sink: each relayed query feeds the
+// forwarded counter.
 func (p *Proxy) Instrument(tel *telemetry.Telemetry) { p.tel = tel }
 
 // InstrumentWire attaches a wire-trace plane; the proxy is the
@@ -339,9 +331,6 @@ func (p *Proxy) Forward(clientAddr string, raw []byte) ([]byte, error) {
 // when targetURL is empty, and an HTTP POST to the TargetHandler at
 // targetURL, with the context in TraceHeader, otherwise.
 func (p *Proxy) relay(clientAddr string, raw []byte, client *http.Client, targetURL string) ([]byte, error) {
-	sp := p.tel.Start("odoh.proxy.forward",
-		telemetry.A("proxy", p.Name), telemetry.A("bytes", strconv.Itoa(len(raw))))
-	defer sp.End()
 	hop := p.wire.Hop(p.Name, "odoh.proxy.forward", p.wire.TakeHandoff(raw), clientAddr, p.Target.Name)
 	defer hop.End()
 	p.tel.Count(telemetry.MetricOdohForwarded, "Oblivious queries relayed by the proxy.", 1,
@@ -385,13 +374,8 @@ type Client struct {
 	ID        string
 	targetKey []byte
 	keyID     []byte
-	tel       *telemetry.Telemetry
 	wire      *wiretrace.Plane
 }
-
-// Instrument attaches a telemetry sink: each Query opens the root span
-// of the client → proxy → target chain.
-func (c *Client) Instrument(tel *telemetry.Telemetry) { c.tel = tel }
 
 // InstrumentWire attaches a wire-trace plane: each Query opens the
 // root span of the trace and hands its context off with the query
@@ -416,9 +400,6 @@ type ForwardFunc func(clientAddr string, raw []byte) ([]byte, error)
 
 // Query obliviously resolves (name, qtype) via forward.
 func (c *Client) Query(name string, qtype dnswire.Type, forward ForwardFunc) (*dnswire.Message, error) {
-	sp := c.tel.Start("odoh.client.query",
-		telemetry.A("client", c.ID), telemetry.A("name", name))
-	defer sp.End()
 	q := dnswire.NewQuery(1, name, qtype)
 	wire, err := q.Encode()
 	if err != nil {

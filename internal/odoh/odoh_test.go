@@ -1,7 +1,6 @@
 package odoh
 
 import (
-	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"decoupling/internal/dnswire"
 	"decoupling/internal/ledger"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/telemetry/wiretrace"
 )
 
 func ecosystem(t testing.TB, lg *ledger.Ledger) (*Proxy, *Target) {
@@ -182,11 +182,13 @@ func TestProxyTargetCollusionLinks(t *testing.T) {
 
 // TestHTTPStack runs client -> proxy server -> target server over real
 // loopback HTTP. The HTTP target leg is the same relay as Forward, so it
-// records the same proxy span and counter.
+// records the same proxy wire span and counter.
 func TestHTTPStack(t *testing.T) {
 	proxy, target := ecosystem(t, nil)
-	tel := telemetry.New("odoh-http", true, telemetry.NewMetrics())
+	tel := telemetry.New(false, telemetry.NewMetrics())
 	proxy.Instrument(tel)
+	wire := wiretrace.New(wiretrace.ModeRotate, 1)
+	proxy.InstrumentWire(wire)
 	targetSrv := httptest.NewServer(TargetHandler(target))
 	defer targetSrv.Close()
 	proxySrv := httptest.NewServer(ProxyHandler(proxy, targetSrv.Client(), targetSrv.URL))
@@ -203,18 +205,12 @@ func TestHTTPStack(t *testing.T) {
 	if proxy.Forwarded() != 1 {
 		t.Errorf("forwarded = %d", proxy.Forwarded())
 	}
-	var buf bytes.Buffer
-	if err := tel.Tracer().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := telemetry.ParseJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	forwards := 0
-	for _, s := range spans {
-		if s.Name == "odoh.proxy.forward" {
-			forwards++
+	for _, st := range wire.Stores() {
+		for _, s := range st.Spans() {
+			if s.Name == "odoh.proxy.forward" {
+				forwards++
+			}
 		}
 	}
 	if forwards != 1 {

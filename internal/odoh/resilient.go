@@ -50,8 +50,7 @@ type ResilientClient struct {
 	tel *telemetry.Telemetry
 }
 
-// Instrument attaches a telemetry sink for per-attempt spans and
-// retry/failover counters.
+// Instrument attaches a telemetry sink for retry/failover counters.
 func (rc *ResilientClient) Instrument(tel *telemetry.Telemetry) { rc.tel = tel }
 
 // Query resolves (name, qtype) through the proxy set under the policy.

@@ -128,11 +128,8 @@ func (r *Relay) Info() RelayInfo {
 	return RelayInfo{Name: r.Name, Addr: r.Addr, PubKey: r.kp.PublicKey()}
 }
 
-// Instrument attaches a telemetry sink: setup, cell-relay, and exit
-// handling each open a span. Handlers run inside the simulator's
-// delivery span, so a circuit's hops appear as a nested chain. Circuit
-// ids never appear in attributes — they come from crypto/rand and would
-// break trace determinism.
+// Instrument attaches a telemetry sink: each relayed cell feeds the
+// per-relay cell counter.
 func (r *Relay) Instrument(tel *telemetry.Telemetry) { r.tel = tel }
 
 // Dropped reports cells discarded for malformed framing or unknown
@@ -168,8 +165,6 @@ func (r *Relay) handle(net transport.Transport, msg transport.Message) {
 //
 //	[key 16][cidIn 4][cidOut 4][exit 1][addrlen 2][next addr][inner setup bytes]
 func (r *Relay) handleSetup(net transport.Transport, msg transport.Message) {
-	sp := r.tel.Start("onion.relay.setup", telemetry.A("relay", r.Name))
-	defer sp.End()
 	wire := msg.Payload[1:]
 	if len(wire) < hpke.NEnc+16 {
 		r.dropped++
@@ -221,8 +216,6 @@ func cidHandle(cid uint32) string {
 }
 
 func (r *Relay) handleCell(net transport.Transport, msg transport.Message) {
-	sp := r.tel.Start("onion.relay.cell", telemetry.A("relay", r.Name))
-	defer sp.End()
 	r.tel.Count(telemetry.MetricOnionCells, "Onion cells processed per relay.", 1,
 		telemetry.A("relay", r.Name))
 	if len(msg.Payload) != 1+CellSize {
@@ -262,8 +255,6 @@ func (r *Relay) handleCell(net transport.Transport, msg transport.Message) {
 // deliverExit handles a fully unwrapped forward cell at the exit: parse
 // the framing and forward the plaintext request to the origin.
 func (r *Relay) deliverExit(net transport.Transport, entry *circuitEntry, body []byte) {
-	sp := r.tel.Start("onion.relay.exit", telemetry.A("relay", r.Name))
-	defer sp.End()
 	cmd := body[0]
 	if cmd == cmdChaff {
 		return // chaff is absorbed here

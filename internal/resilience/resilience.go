@@ -23,7 +23,6 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"decoupling/internal/telemetry"
@@ -57,7 +56,7 @@ var ErrExhausted = errors.New("resilience: all decoupled paths exhausted")
 
 // Policy bundles the retry knobs for one protocol client.
 type Policy struct {
-	// Protocol labels telemetry series and spans ("odoh", "mixnet"...).
+	// Protocol labels telemetry series ("odoh", "mixnet"...).
 	Protocol string
 	// MaxAttempts is the total attempt budget across all endpoints
 	// (<= 0 means exactly one attempt).
@@ -118,8 +117,7 @@ func (p Policy) Backoff(seed uint64, attempt int) time.Duration {
 type Sleeper func(time.Duration)
 
 // Do runs op with retries under the policy. The attempt number (0-based)
-// is passed through; each attempt opens a telemetry span, retries and
-// exhaustions feed counters.
+// is passed through; retries and exhaustions feed counters.
 func Do(p Policy, tel *telemetry.Telemetry, seed uint64, sleep Sleeper, op func(attempt int) error) error {
 	_, err := DoFailover(p, tel, seed, sleep, 1, func(attempt, _ int) error { return op(attempt) })
 	return err
@@ -149,11 +147,7 @@ func DoFailover(p Policy, tel *telemetry.Telemetry, seed uint64, sleep Sleeper, 
 				sleep(d)
 			}
 		}
-		sp := tel.Start("resilience.attempt", proto,
-			telemetry.A("attempt", strconv.Itoa(attempt)),
-			telemetry.A("endpoint", strconv.Itoa(endpoint)))
 		err := op(attempt, endpoint)
-		sp.End()
 		if err == nil {
 			return endpoint, nil
 		}
@@ -229,10 +223,7 @@ func RetryAsync(c Clock, tel *telemetry.Telemetry, p Policy, seed uint64, start 
 		if done() {
 			return
 		}
-		sp := tel.Start("resilience.attempt", proto, telemetry.A("attempt", strconv.Itoa(attempt)))
-		err := start(attempt)
-		sp.End()
-		if err != nil {
+		if err := start(attempt); err != nil {
 			next(attempt, err)
 			return
 		}

@@ -281,7 +281,7 @@ func TestWatchdog(t *testing.T) {
 // exposition round-trips byte-identically through the strict parser.
 func TestResilienceMetricsRoundTrip(t *testing.T) {
 	m := telemetry.NewMetrics()
-	tel := telemetry.New("resilience-test", false, m)
+	tel := telemetry.New(false, m)
 
 	// Failover + retries + a fail-closed exhaustion.
 	DoFailover(Policy{Protocol: "odoh", MaxAttempts: 3, BaseDelay: time.Millisecond}, tel, 1, nil, 2,

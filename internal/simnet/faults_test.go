@@ -462,7 +462,7 @@ func TestZeroJitterBoundary(t *testing.T) {
 	var at time.Duration
 	n.Register("b", func(n transport.Transport, m transport.Message) { at = n.Now() })
 	n.Register("c", func(n transport.Transport, m transport.Message) {})
-	n.SetLink("a", "b", Link{Latency: 7 * time.Millisecond})
+	n.SetDefaultLink(Link{Latency: 7 * time.Millisecond})
 	n.ApplyFaults(faults.NewPlan().Loss("a", "c", 0.5, 0, 0))
 	if err := n.Send("a", "b", nil); err != nil {
 		t.Fatal(err)

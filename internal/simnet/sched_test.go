@@ -189,7 +189,13 @@ func TestSchedulerKeepsVirtualTimeMonotone(t *testing.T) {
 	n := New(1)
 	var times []time.Duration
 	n.Register("b", func(n transport.Transport, m transport.Message) { times = append(times, n.Now()) })
-	n.SetLink("fast", "b", Link{Latency: 1 * time.Millisecond})
+	// The burst's links run 10ms (1ms plus a 9ms spike); "fast" runs 1ms.
+	n.SetDefaultLink(Link{Latency: time.Millisecond})
+	plan := faults.NewPlan()
+	for i := 0; i < 8; i++ {
+		plan.LatencySpike(transport.Addr(fmt.Sprintf("s%02d", i)), "b", 9*time.Millisecond, 0, 0)
+	}
+	n.ApplyFaults(plan)
 	n.SetScheduler(NewSeededScheduler(5))
 	sendBurst(n, "b", 8)
 	n.Send("fast", "b", []byte("early"))

@@ -22,7 +22,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -38,7 +37,7 @@ import (
 var _ transport.Runner = (*Network)(nil)
 var _ transport.ContextSender = (*Network)(nil)
 
-// Link describes delivery characteristics between a pair of nodes.
+// Link describes delivery characteristics between nodes.
 type Link struct {
 	Latency time.Duration
 }
@@ -55,12 +54,9 @@ type event struct {
 	owner     transport.Addr
 	cancelled bool
 
-	// Telemetry context, populated only when the network is
-	// instrumented: the virtual send time and the span that was current
-	// when Send was called (so relay-hop chains nest: a handler that
-	// forwards a message parents the next hop's delivery span).
+	// sentAt is the virtual send time; the latency histogram reads it
+	// at delivery.
 	sentAt time.Duration
-	parent *telemetry.Span
 }
 
 type eventQueue []*event
@@ -87,18 +83,17 @@ func (q *eventQueue) Pop() any {
 // methods are safe to call from handlers (which run on the event loop)
 // and from the test goroutine between Run calls.
 type Network struct {
-	mu          sync.Mutex
-	now         time.Duration
-	seq         uint64
-	seed        int64
-	rng         *rand.Rand
-	nodes       map[transport.Addr]transport.Handler
-	links       map[[2]transport.Addr]Link
-	defaultLink Link
-	queue       eventQueue
-	capture     []transport.PacketRecord
-	delivered   uint64
-	lost        uint64
+	mu        sync.Mutex
+	now       time.Duration
+	seq       uint64
+	seed      int64
+	rng       *rand.Rand
+	nodes     map[transport.Addr]transport.Handler
+	link      Link
+	queue     eventQueue
+	capture   []transport.PacketRecord
+	delivered uint64
+	lost      uint64
 
 	// Fault-injection state (see faults.go): the merged plan, the set of
 	// currently crashed nodes, drops attributable to faults, and the
@@ -132,39 +127,28 @@ func (n *Network) pushLocked(e *event) { heap.Push(&n.queue, e) }
 // latency of 10ms.
 func New(seed int64) *Network {
 	return &Network{
-		seed:        seed,
-		rng:         rand.New(rand.NewSource(seed)),
-		nodes:       map[transport.Addr]transport.Handler{},
-		links:       map[[2]transport.Addr]Link{},
-		defaultLink: Link{Latency: 10 * time.Millisecond},
+		seed:  seed,
+		rng:   rand.New(rand.NewSource(seed)),
+		nodes: map[transport.Addr]transport.Handler{},
+		link:  Link{Latency: 10 * time.Millisecond},
 	}
 }
 
-// Instrument attaches a telemetry sink: every delivery becomes a trace
-// span (parented on the span current at send time, so multi-hop chains
-// nest) and feeds the per-link message/byte counters and the latency
-// histogram. The tracer's clock is bound to this network's virtual
-// clock. Call before Run; a nil tel is a no-op.
+// Instrument attaches a telemetry sink: every delivery feeds the
+// per-link message/byte counters and the virtual latency histogram,
+// and fault drops feed the loss counters. Spans are the wire-trace
+// plane's job (SendTraced). Call before Run; a nil tel is a no-op.
 func (n *Network) Instrument(tel *telemetry.Telemetry) {
 	n.mu.Lock()
 	n.tel = tel
 	n.mu.Unlock()
-	tel.SetClock(n.Now)
 }
 
-// SetDefaultLink sets the link profile used for pairs without an
-// explicit SetLink.
+// SetDefaultLink sets the link profile every pair of nodes uses.
 func (n *Network) SetDefaultLink(l Link) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.defaultLink = l
-}
-
-// SetLink sets the link profile for the directed pair (src, dst).
-func (n *Network) SetLink(src, dst transport.Addr, l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[[2]transport.Addr{src, dst}] = l
+	n.link = l
 }
 
 // Register attaches a handler to addr, creating the node. Registering
@@ -220,10 +204,6 @@ func (n *Network) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretr
 		n.dropLocked("partition", src, dst)
 		return nil // partitions are silent: only timeouts notice
 	}
-	l, ok := n.links[[2]transport.Addr{src, dst}]
-	if !ok {
-		l = n.defaultLink
-	}
 	// A fault plan's loss draws from the deterministic per-link
 	// faults.LossDraw stream — shared with nettransport, so the same
 	// plan + seed drop the same datagrams on either transport. The draw
@@ -243,18 +223,10 @@ func (n *Network) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretr
 			return nil // silently dropped, as the wire would
 		}
 	}
-	delay := l.Latency + n.plan.SpikeAt(src, dst, n.now)
+	delay := n.link.Latency + n.plan.SpikeAt(src, dst, n.now)
 	msg := &transport.Message{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), Trace: ctx}
 	n.seq++
-	e := &event{at: n.now + delay, seq: n.seq, deliver: msg}
-	if n.tel != nil {
-		// Capture the span context at send time; the delivery span will
-		// nest under whatever the sender was doing (a protocol phase, or
-		// the previous hop's handler span).
-		e.sentAt = n.now
-		e.parent = n.tel.Current()
-	}
-	heap.Push(&n.queue, e)
+	heap.Push(&n.queue, &event{at: n.now + delay, seq: n.seq, deliver: msg, sentAt: n.now})
 	return nil
 }
 
@@ -338,20 +310,14 @@ func (n *Network) RunUntil(deadline time.Duration) uint64 {
 			fire()
 		}
 		if h != nil {
-			var sp *telemetry.Span
 			if tel != nil {
 				src, dst := telemetry.A("src", string(msg.Src)), telemetry.A("dst", string(msg.Dst))
-				sp = tel.StartAt(e.parent, "simnet.deliver", e.sentAt,
-					src, dst, telemetry.A("bytes", strconv.Itoa(len(msg.Payload))))
 				tel.Count(telemetry.MetricSimnetMessages, "Datagrams delivered per link.", 1, src, dst)
 				tel.Count(telemetry.MetricSimnetBytes, "Payload bytes delivered per link.", uint64(len(msg.Payload)), src, dst)
 				tel.Observe(telemetry.MetricSimnetLatency, "Virtual per-hop delivery latency.",
 					telemetry.LatencyBuckets, (e.at - e.sentAt).Seconds(), src, dst)
 			}
 			h(n, msg)
-			// The handler runs at the delivery instant; any spans it
-			// opened are children stamped at the same virtual time.
-			sp.EndAt(e.at)
 		}
 	}
 }

@@ -38,20 +38,6 @@ func TestSendToUnregisteredFails(t *testing.T) {
 	}
 }
 
-func TestPerLinkLatency(t *testing.T) {
-	n := New(1)
-	var times []time.Duration
-	n.Register("b", func(n transport.Transport, m transport.Message) { times = append(times, n.Now()) })
-	n.SetLink("slow", "b", Link{Latency: 100 * time.Millisecond})
-	n.SetLink("fast", "b", Link{Latency: 1 * time.Millisecond})
-	n.Send("slow", "b", []byte("s"))
-	n.Send("fast", "b", []byte("f"))
-	n.Run()
-	if len(times) != 2 || times[0] != 1*time.Millisecond || times[1] != 100*time.Millisecond {
-		t.Errorf("delivery times = %v", times)
-	}
-}
-
 func TestFIFOForEqualTimestamps(t *testing.T) {
 	n := New(1)
 	var order []string
@@ -94,7 +80,7 @@ func TestAfterTimer(t *testing.T) {
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	n := New(1)
 	n.Register("b", func(n transport.Transport, m transport.Message) {})
-	n.SetLink("a", "b", Link{Latency: time.Second})
+	n.SetDefaultLink(Link{Latency: time.Second})
 	n.Send("a", "b", nil)
 	if d := n.RunUntil(500 * time.Millisecond); d != 0 {
 		t.Errorf("delivered %d before deadline", d)

@@ -3,9 +3,9 @@ package telemetry
 // Sampler is the time-series half of the live observability plane: a
 // periodic wall-clock snapshot of run health (tracked variables plus
 // goroutine count, heap, and GC pauses) appended as one JSON object
-// per line. Where the tracer answers "what happened, in what order"
-// after a deterministic run, the sampler answers "what is happening
-// right now" during a live one — a 10^6-client loadgen run stops being
+// per line. Where the wire spans answer "what happened, in what order"
+// after a run, the sampler answers "what is happening right now"
+// during a live one — a 10^6-client loadgen run stops being
 // a black box between start and exit.
 //
 // Wall-clock use is deliberate and confined here (see the clock-guard
@@ -167,6 +167,14 @@ func (s *Sampler) Sample() error {
 	s.lastAt = now
 	_, err := s.w.WriteString(b.String())
 	return err
+}
+
+func jsonString(s string) []byte {
+	b, err := json.Marshal(s)
+	if err != nil { // strings always marshal
+		panic(err)
+	}
+	return b
 }
 
 // SampleRecord is one decoded sampler line: every field is numeric.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilEverything exercises every entry point on nil receivers: the
@@ -14,33 +13,6 @@ import (
 // values.
 func TestNilEverything(t *testing.T) {
 	t.Parallel()
-	var tr *Tracer
-	tr.SetClock(func() time.Duration { return time.Second })
-	if sp := tr.Start("x"); sp != nil {
-		t.Errorf("nil tracer Start = %v, want nil", sp)
-	}
-	if sp := tr.StartAt(nil, "x", 0); sp != nil {
-		t.Errorf("nil tracer StartAt = %v, want nil", sp)
-	}
-	if cur := tr.Current(); cur != nil {
-		t.Errorf("nil tracer Current = %v, want nil", cur)
-	}
-	if n := tr.Len(); n != 0 {
-		t.Errorf("nil tracer Len = %d, want 0", n)
-	}
-	if name := tr.Name(); name != "" {
-		t.Errorf("nil tracer Name = %q, want empty", name)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil tracer WriteJSONL: err=%v len=%d", err, buf.Len())
-	}
-
-	var sp *Span
-	sp.End()
-	sp.EndAt(time.Second)
-	sp.Annotate(A("k", "v"))
-
 	var m *Metrics
 	m.Counter("c", "h").Add(1)
 	m.Histogram("h", "h", LatencyBuckets).Observe(0.5)
@@ -55,21 +27,14 @@ func TestNilEverything(t *testing.T) {
 	}
 
 	var tel *Telemetry
-	tel.SetClock(func() time.Duration { return 0 })
-	if sp := tel.Start("x"); sp != nil {
-		t.Errorf("nil telemetry Start = %v, want nil", sp)
+	end := tel.Phase("x")
+	if p := tel.CurrentPhase(); p != "" {
+		t.Errorf("nil telemetry CurrentPhase = %q, want empty", p)
 	}
-	if sp := tel.StartAt(nil, "x", 0); sp != nil {
-		t.Errorf("nil telemetry StartAt = %v, want nil", sp)
-	}
-	if cur := tel.Current(); cur != nil {
-		t.Errorf("nil telemetry Current = %v, want nil", cur)
-	}
+	end()
+	end()
 	tel.Count("c", "h", 1)
 	tel.Observe("h", "h", LatencyBuckets, 0.5)
-	if tr := tel.Tracer(); tr != nil {
-		t.Errorf("nil telemetry Tracer = %v, want nil", tr)
-	}
 	if m := tel.Metrics(); m != nil {
 		t.Errorf("nil telemetry Metrics = %v, want nil", m)
 	}
@@ -79,198 +44,78 @@ func TestNilEverything(t *testing.T) {
 }
 
 // TestNewDisabledReturnsNil: both sinks off means the whole handle is
-// nil, so instrumented code pays only a pointer check.
+// nil, so instrumented code pays only a pointer check; a metrics-only
+// handle records no phases.
 func TestNewDisabledReturnsNil(t *testing.T) {
 	t.Parallel()
-	if tel := New("E0", false, nil); tel != nil {
+	if tel := New(false, nil); tel != nil {
 		t.Fatalf("New with both sinks off = %v, want nil", tel)
 	}
-	if tel := New("E0", true, nil); tel == nil || tel.Tracer() == nil || tel.Metrics() != nil {
-		t.Fatalf("trace-only handle wrong: %+v", tel)
+	if tel := New(true, nil); tel == nil || tel.Metrics() != nil {
+		t.Fatalf("phase-only handle wrong: %+v", tel)
 	}
-	if tel := New("E0", false, NewMetrics()); tel == nil || tel.Tracer() != nil || tel.Metrics() == nil {
+	tel := New(false, NewMetrics())
+	if tel == nil || tel.Metrics() == nil {
 		t.Fatalf("metrics-only handle wrong: %+v", tel)
 	}
+	end := tel.Phase("forward")
+	if p := tel.CurrentPhase(); p != "" {
+		t.Errorf("metrics-only handle recorded phase %q", p)
+	}
+	end()
 }
 
-// TestSpanNesting checks the synchronous stack model: Start parents on
-// the innermost open span and End pops it.
-func TestSpanNesting(t *testing.T) {
+// currentIs fails the test unless tel's innermost open phase is want.
+func currentIs(t *testing.T, tel *Telemetry, want string) {
+	t.Helper()
+	if got := tel.CurrentPhase(); got != want {
+		t.Errorf("CurrentPhase = %q, want %q", got, want)
+	}
+}
+
+// TestPhaseNesting checks the stack model: Phase pushes, CurrentPhase
+// reports the innermost open phase, and closing one returns to the
+// phase that encloses it.
+func TestPhaseNesting(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer("T")
-	root := tr.Start("root")
-	child := tr.Start("child")
-	if child.Parent != root.ID {
-		t.Errorf("child parent = %d, want %d", child.Parent, root.ID)
-	}
-	if cur := tr.Current(); cur != child {
-		t.Errorf("Current = %v, want child", cur)
-	}
-	grand := tr.Start("grand")
-	if grand.Parent != child.ID {
-		t.Errorf("grand parent = %d, want %d", grand.Parent, child.ID)
-	}
-	grand.End()
-	child.End()
-	if cur := tr.Current(); cur != root {
-		t.Errorf("Current after pops = %v, want root", cur)
-	}
-	sibling := tr.Start("sibling")
-	if sibling.Parent != root.ID {
-		t.Errorf("sibling parent = %d, want %d", sibling.Parent, root.ID)
-	}
-	sibling.End()
-	root.End()
-	if cur := tr.Current(); cur != nil {
-		t.Errorf("Current after all ended = %v, want nil", cur)
-	}
-	if tr.Len() != 4 {
-		t.Errorf("Len = %d, want 4", tr.Len())
-	}
+	tel := New(true, nil)
+	currentIs(t, tel, "")
+	endForward := tel.Phase("forward")
+	currentIs(t, tel, "forward")
+	endReply := tel.Phase("reply")
+	currentIs(t, tel, "reply")
+	endReply()
+	currentIs(t, tel, "forward")
+	endBatch := tel.Phase("batch")
+	currentIs(t, tel, "batch")
+	endBatch()
+	endForward()
+	currentIs(t, tel, "")
 }
 
-// TestStartAtExplicitParent checks the simulator's usage: a span opened
-// with a parent captured earlier (possibly already ended) still nests
-// under it, and a nil parent yields a root span.
-func TestStartAtExplicitParent(t *testing.T) {
-	t.Parallel()
-	tr := NewTracer("T")
-	send := tr.Start("send")
-	send.End()
-	hop := tr.StartAt(send, "hop", 5*time.Millisecond)
-	if hop.Parent != send.ID {
-		t.Errorf("hop parent = %d, want %d", hop.Parent, send.ID)
-	}
-	if hop.Start != 5*time.Millisecond {
-		t.Errorf("hop start = %v, want 5ms", hop.Start)
-	}
-	hop.EndAt(7 * time.Millisecond)
-	root := tr.StartAt(nil, "root", 0)
-	if root.Parent != 0 {
-		t.Errorf("nil-parent span parent = %d, want 0", root.Parent)
-	}
-	root.End()
-}
-
-// TestEndSemantics: EndAt clamps end >= start, and a second End is a
-// no-op.
+// TestEndSemantics: closing removes the phase wherever it sits, so
+// closing an outer phase first leaves the inner one current; two open
+// phases with one name stay distinct; and a second close is a no-op.
 func TestEndSemantics(t *testing.T) {
 	t.Parallel()
-	tr := NewTracer("T")
-	sp := tr.StartAt(nil, "x", 10*time.Millisecond)
-	sp.EndAt(3 * time.Millisecond) // before start: clamp
-	if sp.EndTime != 10*time.Millisecond {
-		t.Errorf("clamped end = %v, want 10ms", sp.EndTime)
-	}
-	sp.EndAt(20 * time.Millisecond) // already ended: ignored
-	if sp.EndTime != 10*time.Millisecond {
-		t.Errorf("double End changed end to %v", sp.EndTime)
-	}
-}
+	tel := New(true, nil)
+	endOuter := tel.Phase("outer")
+	endInner := tel.Phase("inner")
+	endOuter()
+	currentIs(t, tel, "inner")
+	endOuter()
+	currentIs(t, tel, "inner")
 
-// TestClock: spans are stamped from the bound clock, zero before any
-// clock is set.
-func TestClock(t *testing.T) {
-	t.Parallel()
-	tr := NewTracer("T")
-	early := tr.Start("early")
-	early.End()
-	if early.Start != 0 || early.EndTime != 0 {
-		t.Errorf("pre-clock span times = %v..%v, want 0..0", early.Start, early.EndTime)
-	}
-	now := 5 * time.Millisecond
-	tr.SetClock(func() time.Duration { return now })
-	sp := tr.Start("timed")
-	now = 9 * time.Millisecond
-	sp.End()
-	if sp.Start != 5*time.Millisecond || sp.EndTime != 9*time.Millisecond {
-		t.Errorf("span times = %v..%v, want 5ms..9ms", sp.Start, sp.EndTime)
-	}
-}
-
-func buildTrace(t *testing.T) *Tracer {
-	t.Helper()
-	tr := NewTracer("E2")
-	now := time.Duration(0)
-	tr.SetClock(func() time.Duration { return now })
-	root := tr.Start("experiment", A("id", "E2"))
-	phase := tr.Start("phase:forward")
-	now = 2 * time.Millisecond
-	hop := tr.StartAt(phase, "simnet.deliver", time.Millisecond,
-		A("src", "alice"), A("dst", `mix"1`), A("bytes", strconv.Itoa(146)))
-	hop.Annotate(A("late", "value\nwith newline"))
-	hop.End()
-	phase.End()
-	open := tr.Start("never-ended")
-	_ = open
-	root.EndAt(4 * time.Millisecond)
-	return tr
-}
-
-// TestWriteJSONLDeterministic: the same span sequence renders to the
-// same bytes, and the output survives a strict parse that agrees with
-// the recorded spans (including an unended span emitted with end ==
-// start).
-func TestWriteJSONLDeterministic(t *testing.T) {
-	t.Parallel()
-	var a, b bytes.Buffer
-	if err := buildTrace(t).WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildTrace(t).WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("identical traces rendered differently:\n%s\n---\n%s", a.String(), b.String())
-	}
-	recs, err := ParseJSONL(&a)
-	if err != nil {
-		t.Fatalf("ParseJSONL: %v", err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("parsed %d spans, want 4", len(recs))
-	}
-	if recs[0].Name != "experiment" || recs[0].Parent != 0 || recs[0].EndNS != int64(4*time.Millisecond) {
-		t.Errorf("root record wrong: %+v", recs[0])
-	}
-	if recs[2].Name != "simnet.deliver" || recs[2].Parent != recs[1].Span {
-		t.Errorf("hop record wrong: %+v", recs[2])
-	}
-	if recs[2].Attrs["dst"] != `mix"1` || recs[2].Attrs["late"] != "value\nwith newline" {
-		t.Errorf("attrs did not survive JSON round-trip: %v", recs[2].Attrs)
-	}
-	if recs[3].Name != "never-ended" || recs[3].EndNS != recs[3].StartNS {
-		t.Errorf("unended span not emitted with end == start: %+v", recs[3])
-	}
-}
-
-// TestParseJSONLRejects enumerates the validation rules.
-func TestParseJSONLRejects(t *testing.T) {
-	t.Parallel()
-	cases := map[string]string{
-		"unknown field":    `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0,"bogus":1}`,
-		"missing name":     `{"trace":"T","span":1,"parent":0,"name":"","start_ns":0,"end_ns":0}`,
-		"missing trace":    `{"trace":"","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}`,
-		"span id zero":     `{"trace":"T","span":0,"parent":0,"name":"x","start_ns":0,"end_ns":0}`,
-		"end before start": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":5,"end_ns":4}`,
-		"orphan parent":    `{"trace":"T","span":1,"parent":9,"name":"x","start_ns":0,"end_ns":0}`,
-		"duplicate id": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}
-{"trace":"T","span":1,"parent":0,"name":"y","start_ns":0,"end_ns":0}`,
-		"not json":       `garbage`,
-		"trailing bytes": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}garbage`,
-		"trailing value": `{"trace":"T","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0} {"junk":1}`,
-	}
-	for name, input := range cases {
-		if _, err := ParseJSONL(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ParseJSONL accepted invalid input", name)
-		}
-	}
-	// Span ids are per trace: the same id in two traces is fine.
-	ok := `{"trace":"A","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}
-{"trace":"B","span":1,"parent":0,"name":"x","start_ns":0,"end_ns":0}`
-	if _, err := ParseJSONL(strings.NewReader(ok)); err != nil {
-		t.Errorf("per-trace ids rejected: %v", err)
-	}
+	endFirst := tel.Phase("same")
+	endSecond := tel.Phase("same")
+	endSecond()
+	currentIs(t, tel, "same")
+	endSecond()
+	currentIs(t, tel, "same")
+	endFirst()
+	currentIs(t, tel, "inner")
+	endInner()
+	currentIs(t, tel, "")
 }
 
 // TestCounter checks counter registration, accumulation, and series
@@ -404,7 +249,7 @@ func TestParseExpositionRejects(t *testing.T) {
 func TestTelemetryBaseLabels(t *testing.T) {
 	t.Parallel()
 	m := NewMetrics()
-	tel := New("E2", false, m, A("experiment", "E2"))
+	tel := New(false, m, A("experiment", "E2"))
 	tel.Count("c_total", "C.", 3, A("src", "alice"))
 	series := m.CounterSeries("c_total")
 	if len(series) != 1 || series[0].Label("experiment") != "E2" || series[0].Label("src") != "alice" {
@@ -421,26 +266,30 @@ func TestTelemetryBaseLabels(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdates hammers a shared registry and a tracer from
-// many goroutines; meaningful under -race.
+// TestConcurrentUpdates hammers a shared registry and a shared phase
+// marker from many goroutines; meaningful under -race.
 func TestConcurrentUpdates(t *testing.T) {
 	t.Parallel()
 	m := NewMetrics()
+	tel := New(true, m)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr := NewTracer(strconv.Itoa(g)) // tracers are per-goroutine, like per-experiment
 			for i := 0; i < 200; i++ {
-				sp := tr.Start("op", A("i", strconv.Itoa(i)))
+				end := tel.Phase("op")
+				if tel.CurrentPhase() != "op" {
+					t.Error("no phase current while one is open")
+				}
 				m.Counter("ops_total", "Ops.", A("g", strconv.Itoa(g))).Add(1)
 				m.Histogram("op_size", "Sizes.", SizeBuckets).Observe(float64(i))
-				sp.End()
+				end()
 			}
 		}(g)
 	}
 	wg.Wait()
+	currentIs(t, tel, "")
 	total := uint64(0)
 	for _, sv := range m.CounterSeries("ops_total") {
 		total += uint64(sv.Value)
@@ -465,33 +314,18 @@ func TestConcurrentUpdates(t *testing.T) {
 // handle. Compare ns/op — they should all be ~1ns (a pointer check)
 // and allocate nothing.
 
-var sinkSpan *Span
-
 func BenchmarkBaseline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 	}
 }
 
-func BenchmarkDisabledSpan(b *testing.B) {
+func BenchmarkDisabledPhase(b *testing.B) {
 	var tel *Telemetry
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := tel.Start("simnet.deliver")
-		sp.End()
-		sinkSpan = sp
-	}
-}
-
-func BenchmarkDisabledStartAt(b *testing.B) {
-	var tel *Telemetry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := tel.StartAt(nil, "simnet.deliver", 0)
-		sp.EndAt(0)
-		sinkSpan = sp
+		tel.Phase("forward")()
 	}
 }
 
@@ -523,13 +357,12 @@ func BenchmarkDisabledCachedCounter(b *testing.B) {
 	}
 }
 
-func BenchmarkEnabledSpan(b *testing.B) {
-	tel := New("bench", true, nil)
+func BenchmarkEnabledPhase(b *testing.B) {
+	tel := New(true, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := tel.Start("simnet.deliver")
-		sp.End()
+		tel.Phase("forward")()
 	}
 }
 
