@@ -69,19 +69,15 @@ type Bank struct {
 	deposited int
 }
 
-// NewBank creates a bank with a fresh blind-signing key of the given
-// modulus size. lg may be nil (no instrumentation).
-func NewBank(bits int, lg *ledger.Ledger) (*Bank, error) {
-	key, err := blindrsa.GenerateKey(bits)
-	if err != nil {
-		return nil, err
-	}
+// NewBank creates a bank that signs coins with key, a key from
+// blindrsa.GenerateKey. lg may be nil (no instrumentation).
+func NewBank(key *rsa.PrivateKey, lg *ledger.Ledger) *Bank {
 	return &Bank{
 		key:      key,
 		lg:       lg,
 		accounts: map[string]int64{},
 		spent:    map[string]bool{},
-	}, nil
+	}
 }
 
 // PublicKey returns the bank's coin-verification key.

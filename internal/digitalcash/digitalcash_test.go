@@ -1,21 +1,29 @@
 package digitalcash
 
 import (
+	"crypto/rsa"
 	"fmt"
+	"sync"
 	"testing"
 
 	"decoupling/internal/adversary"
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/ledger"
 )
 
-const testKeyBits = 1024
+// testKey returns the signing key the package's tests share, generated
+// once: signing only reads it.
+var testKey = sync.OnceValue(func() *rsa.PrivateKey {
+	key, err := blindrsa.GenerateKey(1024)
+	if err != nil {
+		panic(err)
+	}
+	return key
+})
 
 func TestWithdrawSpendDeposit(t *testing.T) {
-	bank, err := NewBank(testKeyBits, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bank := NewBank(testKey(), nil)
 	bank.OpenAccount("alice", 10)
 	bank.OpenAccount("bookshop", 0)
 
@@ -41,7 +49,7 @@ func TestWithdrawSpendDeposit(t *testing.T) {
 }
 
 func TestDoubleSpendRejected(t *testing.T) {
-	bank, _ := NewBank(testKeyBits, nil)
+	bank := NewBank(testKey(), nil)
 	bank.OpenAccount("alice", 10)
 	buyer := NewBuyer("alice", bank)
 	coin, err := buyer.WithdrawCoin()
@@ -57,7 +65,7 @@ func TestDoubleSpendRejected(t *testing.T) {
 }
 
 func TestForgedCoinRejected(t *testing.T) {
-	bank, _ := NewBank(testKeyBits, nil)
+	bank := NewBank(testKey(), nil)
 	forged := Coin{Serial: []byte("forged serial, no signature"), Sig: make([]byte, 128)}
 	if err := bank.Deposit("shop", forged, "retail"); err != ErrBadCoin {
 		t.Errorf("deposit of forged coin error = %v", err)
@@ -69,7 +77,7 @@ func TestForgedCoinRejected(t *testing.T) {
 }
 
 func TestWithdrawErrors(t *testing.T) {
-	bank, _ := NewBank(testKeyBits, nil)
+	bank := NewBank(testKey(), nil)
 	buyer := NewBuyer("nobody", bank)
 	if _, err := buyer.WithdrawCoin(); err != ErrUnknownAccount {
 		t.Errorf("unknown account error = %v", err)
@@ -87,10 +95,7 @@ func TestWithdrawErrors(t *testing.T) {
 func TestDecouplingTable(t *testing.T) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
-	bank, err := NewBank(testKeyBits, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bank := NewBank(testKey(), lg)
 	bank.OpenAccount("bookshop", 0)
 	seller := NewSeller("bookshop", "retail-books", bank, lg)
 	cls.RegisterIdentity("bookshop", "", "", core.NonSensitive)
@@ -139,10 +144,7 @@ func TestDecouplingTable(t *testing.T) {
 func TestUnlinkabilityUnderFullCollusion(t *testing.T) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
-	bank, err := NewBank(testKeyBits, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bank := NewBank(testKey(), lg)
 	bank.OpenAccount("shop", 0)
 	seller := NewSeller("shop", "retail", bank, lg)
 	for i := 0; i < 8; i++ {
@@ -166,7 +168,7 @@ func TestUnlinkabilityUnderFullCollusion(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	bank, _ := NewBank(testKeyBits, nil)
+	bank := NewBank(testKey(), nil)
 	bank.OpenAccount("a", 5)
 	buyer := NewBuyer("a", bank)
 	for i := 0; i < 3; i++ {
@@ -187,10 +189,7 @@ func TestStats(t *testing.T) {
 }
 
 func BenchmarkWithdrawSpendDeposit(b *testing.B) {
-	bank, err := NewBank(testKeyBits, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bank := NewBank(testKey(), nil)
 	bank.OpenAccount("alice", int64(b.N)+1)
 	bank.OpenAccount("shop", 0)
 	buyer := NewBuyer("alice", bank)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"crypto/rsa"
 	"sync"
 
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
@@ -36,7 +38,7 @@ type Ctx struct {
 	transport func(seed int64) transport.Runner
 
 	// pool, when set, is the Runner's worker pool, on which Each queues
-	// its parts.
+	// its parts and which holds the run's signing key.
 	pool *pool
 }
 
@@ -65,6 +67,18 @@ func (c Ctx) Each(n int, fn func(i int) error) error {
 		errs[i] = callPart(fn, i)
 	}
 	return firstError(errs)
+}
+
+// SigningKey returns a keyBits blind-RSA signing key. Under a Runner
+// every experiment of one Run gets the same key, generated on the first
+// request, so a run pays for one key generation. Sharing is safe:
+// signers only read the key, and no experiment redeems another's tokens
+// or coins. Outside a Runner each call generates a fresh key.
+func (c Ctx) SigningKey() (*rsa.PrivateKey, error) {
+	if c.pool != nil {
+		return c.pool.signingKey()
+	}
+	return blindrsa.GenerateKey(keyBits)
 }
 
 // netHooks is the shared hook state behind a Ctx. It lives behind a

@@ -106,7 +106,7 @@ func TestE8RenderGolden(t *testing.T) {
 	checkGolden(t, "e8_render", r.Render())
 }
 
-// TestE5RenderGolden pins E5 (PGPP), whose seven mobility simulations
+// TestE5RenderGolden pins E5 (PGPP), whose six mobility simulations
 // run as runner parts: the report must be the same bytes whether the
 // parts run inline under a zero Ctx or on a runner's workers.
 func TestE5RenderGolden(t *testing.T) {

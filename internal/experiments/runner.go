@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"crypto/rsa"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"time"
 
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/telemetry"
 	"decoupling/internal/telemetry/wiretrace"
 	"decoupling/internal/transport"
@@ -79,8 +81,7 @@ func (r *Runner) Run(exps []Experiment) []RunnerResult {
 	// Every experiment is queued from the start, so its queue wait is
 	// its pickup time minus this.
 	queued := time.Now()
-	p := &pool{experiments: len(exps)}
-	p.wake.L = &p.mu
+	p := newPool(len(exps))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -138,6 +139,24 @@ type pool struct {
 	next        int // the next experiment to start
 	experiments int
 	running     int // experiments started and not yet returned
+
+	// signingKey returns the run's blind-RSA key (Ctx.SigningKey),
+	// generated on the first call; keysGenerated counts generations.
+	// Both live as long as the pool, one Run.
+	signingKey    func() (*rsa.PrivateKey, error)
+	keysGenerated int
+}
+
+// newPool returns the pool for one Run of the given number of
+// experiments.
+func newPool(experiments int) *pool {
+	p := &pool{experiments: experiments}
+	p.wake.L = &p.mu
+	p.signingKey = sync.OnceValues(func() (*rsa.PrivateKey, error) {
+		p.keysGenerated++
+		return blindrsa.GenerateKey(keyBits)
+	})
+	return p
 }
 
 // group is one Each call's parts.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/rsa"
 	"errors"
 	"fmt"
 	"runtime"
@@ -332,6 +333,72 @@ func TestRunnerQueueWaitCountsWholeQueue(t *testing.T) {
 		}
 	}
 	t.Fatalf("no %q line in the exposition:\n%s", prefix, b.String())
+}
+
+// TestRunnerSharesOneSigningKey checks Ctx.SigningKey: under a Runner
+// four experiments that ask at once get one key, generated once; a Run
+// in which no experiment asks generates none; a zero Ctx generates a
+// fresh key on every call.
+func TestRunnerSharesOneSigningKey(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	keys := make([]*rsa.PrivateKey, n)
+	pools := make([]*pool, n)
+	var exps []Experiment
+	for i := 0; i < n; i++ {
+		exps = append(exps, Experiment{ID: fmt.Sprintf("K%d", i), Run: func(ctx Ctx) (*Result, error) {
+			pools[i] = ctx.pool
+			// No experiment asks before all four are in flight.
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(time.Minute):
+				return nil, errors.New("the other experiments never started")
+			}
+			key, err := ctx.SigningKey()
+			keys[i] = key
+			return &Result{Pass: err == nil}, err
+		}})
+	}
+	for _, rr := range (&Runner{Workers: n}).Run(exps) {
+		if rr.Err != nil {
+			t.Fatalf("%s: %v", rr.ID, rr.Err)
+		}
+	}
+	if got := pools[0].keysGenerated; got != 1 {
+		t.Errorf("run generated %d keys, want 1", got)
+	}
+	for i := range keys {
+		if pools[i] != pools[0] || keys[i] == nil || keys[i] != keys[0] {
+			t.Errorf("K%d got key %p from pool %p, K0 got %p from %p", i, keys[i], pools[i], keys[0], pools[0])
+		}
+	}
+	if bits := keys[0].N.BitLen(); bits != keyBits {
+		t.Errorf("key is %d bits, want %d", bits, keyBits)
+	}
+
+	var idle *pool
+	quiet := Experiment{ID: "Q", Run: func(ctx Ctx) (*Result, error) {
+		idle = ctx.pool
+		return &Result{Pass: true}, nil
+	}}
+	(&Runner{Workers: 2}).Run([]Experiment{quiet})
+	if got := idle.keysGenerated; got != 0 {
+		t.Errorf("a run that never asked generated %d keys", got)
+	}
+
+	a, errA := Ctx{}.SigningKey()
+	b, errB := Ctx{}.SigningKey()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a == b || a.N.Cmp(b.N) == 0 {
+		t.Error("a zero Ctx returned the same key twice")
+	}
 }
 
 // TestRunnerParallelMatchesSequential is the determinism guarantee for

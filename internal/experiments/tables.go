@@ -4,9 +4,9 @@ import (
 	"encoding/base64"
 	"fmt"
 	"net"
+	"slices"
 
 	"decoupling/internal/core"
-	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/dcrypto/token"
 	"decoupling/internal/ech"
 	"decoupling/internal/ledger"
@@ -22,8 +22,10 @@ import (
 	"decoupling/internal/digitalcash"
 )
 
-// keyBits is the blind-RSA modulus used across experiments; modest so
-// the full suite runs in seconds while still exercising real math.
+// keyBits is the modulus of the blind-RSA key that E1's bank, E3's and
+// E6's Privacy Pass issuers and E5's PGPP gateways sign with
+// (Ctx.SigningKey; a Runner generates one per Run). Modest so the full
+// suite runs in about a second while still exercising real math.
 const keyBits = 1024
 
 // E1DigitalCash reproduces the §3.1.1 blind-signature digital-currency
@@ -35,10 +37,11 @@ func E1DigitalCash(ctx Ctx) (*Result, error) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
 	lg.Instrument(tel)
-	bank, err := digitalcash.NewBank(keyBits, lg)
+	key, err := ctx.SigningKey()
 	if err != nil {
 		return nil, err
 	}
+	bank := digitalcash.NewBank(key, lg)
 	bank.OpenAccount("bookshop", 0)
 	seller := digitalcash.NewSeller("bookshop", "retail-books", bank, lg)
 	cls.RegisterIdentity("bookshop", "", "", core.NonSensitive)
@@ -140,10 +143,11 @@ func E3PrivacyPass(ctx Ctx) (*Result, error) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
 	lg.Instrument(tel)
-	issuer, err := privacypass.NewIssuer("issuer.example", keyBits, lg)
+	key, err := ctx.SigningKey()
 	if err != nil {
 		return nil, err
 	}
+	issuer := privacypass.NewIssuer("issuer.example", key, lg)
 	origin := privacypass.NewOrigin("origin.example", "issuer.example", issuer.PublicKey(), lg)
 
 	const clients, tokensEach = 8, 3
@@ -234,24 +238,10 @@ func tupleRows(s *core.System) [][]string {
 	return rows
 }
 
-// E5PGPP reproduces the §3.2.3 table (with the ▲_H/▲_N decomposition)
-// and adds the shuffle-policy ablation the PGPP design motivates.
-func E5PGPP(ctx Ctx) (*Result, error) {
-	tel := ctx.Tel
-	r := &Result{ID: "E5", Title: "Pretty Good Phone Privacy", Section: "3.2.3"}
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	lg.Instrument(tel)
-	cfg := pgpp.DefaultSimConfig()
-	// One gateway key serves every PGPP simulation: tokens are random,
-	// so no row depends on which key signed them.
-	key, err := blindrsa.GenerateKey(keyBits)
-	if err != nil {
-		return nil, err
-	}
-	cfg.GatewayKey = key
-
-	policies := []struct {
+// e5Policies are the rows of E5's tracking-accuracy ablation, and
+// e5Deployments the rows of its continuity-attack table.
+var (
+	e5Policies = []struct {
 		label  string
 		pgppOn bool
 		policy pgpp.ShufflePolicy
@@ -261,44 +251,88 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 		{"PGPP", true, pgpp.ShuffleDaily},
 		{"PGPP", true, pgpp.ShufflePerAttach},
 	}
-	deployments := []struct {
+	e5Deployments = []struct {
 		label        string
 		users, cells int
 	}{
 		{"sparse (4 users / 50 cells)", 4, 50},
 		{"dense (30 users / 6 cells)", 30, 6},
 	}
-	// The seven simulations are independent, so they run as parts:
-	// part 0 fills the ledger for the table, parts 1-4 score the
-	// shuffle policies and parts 5-6 the continuity attack. Each keeps
-	// only the accuracies its row prints.
-	sims := []pgpp.SimConfig{cfg}
-	for _, p := range policies {
-		c := cfg
-		c.PGPP, c.Policy = p.pgppOn, p.policy
-		sims = append(sims, c)
-	}
-	for _, d := range deployments {
-		c := cfg
-		c.Users, c.Cells = d.users, d.cells
-		c.Policy = pgpp.ShufflePerAttach
-		sims = append(sims, c)
-	}
-	naive := make([]float64, len(sims))
-	chained := make([]float64, len(sims))
-	err = ctx.Each(len(sims), func(i int) error {
-		if i == 0 {
-			_, err := pgpp.RunSim(sims[0], lg)
-			return err
+)
+
+// e5Plan lists the distinct simulations E5 runs and the one behind
+// each of its rows. Rows with equal configs share a run: a simulation
+// is determined by its config, and the ledger a run fills does not
+// change what its core logs.
+type e5Plan struct {
+	sims        []pgpp.SimConfig
+	table       int   // the run that fills the table's ledger
+	policies    []int // the run behind each e5Policies row
+	deployments []int // the run behind each e5Deployments row
+}
+
+// planE5 plans E5's simulations for def, the table's config; each
+// row's config is def with the row's fields set.
+func planE5(def pgpp.SimConfig) e5Plan {
+	var p e5Plan
+	run := func(c pgpp.SimConfig) int {
+		if i := slices.Index(p.sims, c); i >= 0 {
+			return i
 		}
-		res, err := pgpp.RunSim(sims[i], nil)
+		p.sims = append(p.sims, c)
+		return len(p.sims) - 1
+	}
+	p.table = run(def)
+	for _, row := range e5Policies {
+		c := def
+		c.PGPP, c.Policy = row.pgppOn, row.policy
+		p.policies = append(p.policies, run(c))
+	}
+	for _, row := range e5Deployments {
+		c := def
+		c.Users, c.Cells = row.users, row.cells
+		c.Policy = pgpp.ShufflePerAttach
+		p.deployments = append(p.deployments, run(c))
+	}
+	return p
+}
+
+// E5PGPP reproduces the §3.2.3 table (with the ▲_H/▲_N decomposition)
+// and adds the shuffle-policy ablation the PGPP design motivates.
+func E5PGPP(ctx Ctx) (*Result, error) {
+	tel := ctx.Tel
+	r := &Result{ID: "E5", Title: "Pretty Good Phone Privacy", Section: "3.2.3"}
+	cls := ledger.NewClassifier()
+	lg := ledger.New(cls, nil)
+	lg.Instrument(tel)
+	cfg := pgpp.DefaultSimConfig()
+	// The run's signing key serves every PGPP simulation: tokens are
+	// random, so no row depends on which key signed them.
+	key, err := ctx.SigningKey()
+	if err != nil {
+		return nil, err
+	}
+	cfg.GatewayKey = key
+
+	// The simulations are independent, so they run as parts. The
+	// table's run fills the ledger; each run keeps only the accuracies
+	// its rows print.
+	plan := planE5(cfg)
+	naive := make([]float64, len(plan.sims))
+	chained := make([]float64, len(plan.sims))
+	err = ctx.Each(len(plan.sims), func(i int) error {
+		var sink *ledger.Ledger
+		if i == plan.table {
+			sink = lg
+		}
+		res, err := pgpp.RunSim(plan.sims[i], sink)
 		if err != nil {
 			return err
 		}
 		log := res.Core.Log()
 		naive[i] = pgpp.TrackingAccuracy(log, res.NetIDOwner)
-		if i > len(policies) {
-			chained[i] = pgpp.ContinuityAttack(log, res.NetIDOwner, sims[i].Cells, 1)
+		if slices.Contains(plan.deployments, i) {
+			chained[i] = pgpp.ContinuityAttack(log, res.NetIDOwner, plan.sims[i].Cells, 1)
 		}
 		return nil
 	})
@@ -319,8 +353,8 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 		Columns: []string{"architecture", "shuffle policy", "tracking accuracy"},
 	}
 	var prev float64 = 2
-	for k, p := range policies {
-		acc := naive[1+k]
+	for k, p := range e5Policies {
+		acc := naive[plan.policies[k]]
 		ablation.Rows = append(ablation.Rows, []string{p.label, p.policy.String(), fmt.Sprintf("%.3f", acc)})
 		if acc > prev+1e-9 {
 			r.Pass = false
@@ -339,8 +373,8 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 		Title:   "Continuity attack on per-attach shuffling: density matters",
 		Columns: []string{"deployment", "naive tracking", "continuity-chained tracking"},
 	}
-	for k, d := range deployments {
-		i := 1 + len(policies) + k
+	for k, d := range e5Deployments {
+		i := plan.deployments[k]
 		continuity.Rows = append(continuity.Rows, []string{
 			d.label, fmt.Sprintf("%.3f", naive[i]), fmt.Sprintf("%.3f", chained[i]),
 		})
@@ -364,10 +398,11 @@ func E6MPR(ctx Ctx) (*Result, error) {
 	// composition: the first hop authenticates subscribers without
 	// learning what they browse). The issuer is not an entity of this
 	// table — its own table is E3 — so it is not instrumented here.
-	issuer, err := privacypass.NewIssuer("relay-access-issuer", keyBits, nil)
+	key, err := ctx.SigningKey()
 	if err != nil {
 		return nil, err
 	}
+	issuer := privacypass.NewIssuer("relay-access-issuer", key, nil)
 	accessGate := privacypass.NewOrigin("relay1.access", "relay-access-issuer", issuer.PublicKey(), nil)
 	validate := func(tok string) error {
 		raw, err := base64.StdEncoding.DecodeString(tok)

@@ -64,19 +64,16 @@ type Issuer struct {
 	total    int
 }
 
-// NewIssuer creates an issuer with a fresh blind-signing key.
-func NewIssuer(name string, bits int, lg *ledger.Ledger) (*Issuer, error) {
-	key, err := blindrsa.GenerateKey(bits)
-	if err != nil {
-		return nil, err
-	}
+// NewIssuer creates an issuer that signs tokens with key, a key from
+// blindrsa.GenerateKey. lg may be nil (no instrumentation).
+func NewIssuer(name string, key *rsa.PrivateKey, lg *ledger.Ledger) *Issuer {
 	return &Issuer{
 		Name:     name,
 		key:      key,
 		lg:       lg,
 		accounts: map[string]bool{},
 		issued:   map[string]int{},
-	}, nil
+	}
 }
 
 // PublicKey returns the token verification key origins trust.

@@ -1,23 +1,31 @@
 package privacypass
 
 import (
+	"crypto/rsa"
 	"fmt"
+	"sync"
 	"testing"
 
 	"decoupling/internal/adversary"
 	"decoupling/internal/core"
+	"decoupling/internal/dcrypto/blindrsa"
 	"decoupling/internal/dcrypto/token"
 	"decoupling/internal/ledger"
 )
 
-const testKeyBits = 1024
+// testKey returns the signing key the package's tests share, generated
+// once: signing only reads it.
+var testKey = sync.OnceValue(func() *rsa.PrivateKey {
+	key, err := blindrsa.GenerateKey(1024)
+	if err != nil {
+		panic(err)
+	}
+	return key
+})
 
 func setup(t testing.TB, lg *ledger.Ledger) (*Issuer, *Origin, *Client) {
 	t.Helper()
-	is, err := NewIssuer("issuer.example", testKeyBits, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	is := NewIssuer("issuer.example", testKey(), lg)
 	is.Enroll("client-1")
 	origin := NewOrigin("origin.example", "issuer.example", is.PublicKey(), lg)
 	return is, origin, NewClient("client-1", is.PublicKey())
@@ -114,10 +122,7 @@ func TestTamperedTokenRejected(t *testing.T) {
 func TestDecouplingTable(t *testing.T) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
-	is, err := NewIssuer("issuer.example", testKeyBits, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	is := NewIssuer("issuer.example", testKey(), lg)
 	origin := NewOrigin("origin.example", "issuer.example", is.PublicKey(), lg)
 
 	for i := 0; i < 6; i++ {
@@ -161,10 +166,7 @@ func TestDecouplingTable(t *testing.T) {
 func TestIssuerOriginCollusionCannotLink(t *testing.T) {
 	cls := ledger.NewClassifier()
 	lg := ledger.New(cls, nil)
-	is, err := NewIssuer("issuer.example", testKeyBits, lg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	is := NewIssuer("issuer.example", testKey(), lg)
 	origin := NewOrigin("origin.example", "issuer.example", is.PublicKey(), lg)
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("client-%d", i)
