@@ -149,7 +149,9 @@ func parseLayer(plain []byte) (typ byte, next transport.Addr, inner []byte, err 
 
 // Mix is one relay node. It batches incoming messages and flushes them
 // in shuffled order when the batch reaches Threshold messages or
-// Timeout elapses since the first queued message, whichever is first.
+// Timeout elapses since the batch's first message, whichever is first.
+// Each batch has its own timeout: a batch that fills stops its timer,
+// so a later batch never inherits it.
 type Mix struct {
 	Name string // ledger entity name, e.g. "Mix 1"
 	Addr transport.Addr
@@ -157,7 +159,8 @@ type Mix struct {
 	// Threshold is the batch size that triggers a flush. 1 disables
 	// batching (the ablation baseline: a plain FIFO relay).
 	Threshold int
-	// Timeout bounds queueing delay; <= 0 means wait for a full batch.
+	// Timeout bounds queueing delay, counted from the batch's first
+	// message; <= 0 means wait for a full batch.
 	Timeout time.Duration
 
 	kp   *hpke.KeyPair
@@ -165,10 +168,12 @@ type Mix struct {
 	tel  *telemetry.Telemetry
 	wire *wiretrace.Plane
 
-	queue        []outbound
-	pendingFlush bool // a timeout flush is scheduled
-	flushes      int
-	dropped      int
+	queue []outbound
+	// stopTimeout stops the current batch's timeout; nil when no timer
+	// is armed.
+	stopTimeout func() bool
+	flushes     int
+	dropped     int
 }
 
 type outbound struct {
@@ -227,7 +232,6 @@ func (m *Mix) handle(net transport.Transport, msg transport.Message) {
 func (m *Mix) handleOnion(net transport.Transport, msg transport.Message) {
 	hop := m.wire.Hop(m.Name, "mixnet.hop", msg.Trace, string(msg.Src), "")
 	defer hop.End()
-	inHandle := ledger.Hash(msg.Payload[1:])
 	plain, err := open(m.kp, msg.Payload[1:])
 	if err != nil {
 		m.dropped++
@@ -242,6 +246,7 @@ func (m *Mix) handleOnion(net transport.Transport, msg transport.Message) {
 		// The mix sees the previous hop's address and the re-encrypted
 		// inner bytes. Its two handles are the digests of the wire bytes
 		// it shared with its neighbors. One layer-strip, one batch.
+		inHandle := ledger.Hash(msg.Payload[1:])
 		outHandle := ledger.Hash(inner)
 		m.lg.SawBatch(m.Name, []ledger.Entry{
 			{Kind: core.Identity, Value: string(msg.Src), Handles: []string{inHandle, outHandle}},
@@ -253,23 +258,31 @@ func (m *Mix) handleOnion(net transport.Transport, msg transport.Message) {
 		hop.Observe(core.Identity, string(msg.Src))
 		hop.Observe(core.Data, "onion:"+outHandle)
 	}
-	m.queue = append(m.queue, outbound{next: next, wire: inner, tag: tagOnion, trace: hop.Forward()})
+	m.enqueue(net, outbound{next: next, wire: inner, tag: tagOnion, trace: hop.Forward()})
+}
+
+// enqueue adds o to the batch queue, which forward onions and replies
+// share. The message that makes the queue non-empty arms that batch's
+// timeout; the message that fills it flushes at once.
+func (m *Mix) enqueue(net transport.Transport, o outbound) {
+	m.queue = append(m.queue, o)
 	if m.Threshold > 1 && len(m.queue) < m.Threshold {
-		if m.Timeout > 0 && !m.pendingFlush {
-			m.pendingFlush = true
-			net.After(m.Timeout, func() {
-				m.pendingFlush = false
-				m.flush(net)
-			})
+		if m.Timeout > 0 && len(m.queue) == 1 {
+			m.stopTimeout = net.After(m.Timeout, func() { m.flush(net) })
 		}
 		return
 	}
 	m.flush(net)
 }
 
-// flush shuffles the queue (Fisher-Yates over the network's seeded RNG)
-// and forwards everything.
+// flush stops the batch's timeout (a no-op when the timeout is what
+// called it), shuffles the queue (Fisher-Yates over the network's
+// seeded RNG) and forwards everything.
 func (m *Mix) flush(net transport.Transport) {
+	if m.stopTimeout != nil {
+		m.stopTimeout()
+		m.stopTimeout = nil
+	}
 	if len(m.queue) == 0 {
 		return
 	}
@@ -342,7 +355,6 @@ func (r *Receiver) handle(net transport.Transport, msg transport.Message) {
 		r.drop()
 		return
 	}
-	inHandle := ledger.Hash(msg.Payload[1:])
 	plain, err := open(r.kp, msg.Payload[1:])
 	if err != nil {
 		r.drop()
@@ -367,6 +379,7 @@ func (r *Receiver) handle(net transport.Transport, msg transport.Message) {
 		body = inner[4 : 4+n]
 	}
 	if r.lg != nil {
+		inHandle := ledger.Hash(msg.Payload[1:])
 		r.lg.SawBatch(r.Name, []ledger.Entry{
 			{Kind: core.Identity, Value: string(msg.Src), Handles: []string{inHandle}},
 			{Kind: core.Data, Value: string(body), Handles: []string{inHandle}},

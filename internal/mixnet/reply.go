@@ -192,18 +192,7 @@ func (m *Mix) handleReply(net transport.Transport, msg transport.Message) {
 		hop.Observe(core.Data, "reply:"+outHandle)
 	}
 	out.trace = hop.Forward()
-	m.queue = append(m.queue, out)
-	if m.Threshold > 1 && len(m.queue) < m.Threshold {
-		if m.Timeout > 0 && !m.pendingFlush {
-			m.pendingFlush = true
-			net.After(m.Timeout, func() {
-				m.pendingFlush = false
-				m.flush(net)
-			})
-		}
-		return
-	}
-	m.flush(net)
+	m.enqueue(net, out)
 }
 
 // DeliveredReply is a reply that reached the original sender.

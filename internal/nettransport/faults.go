@@ -129,14 +129,17 @@ func (t *Net) transition(addr transport.Addr, down bool) {
 }
 
 // drainInbox empties a freshly-crashed node's queue: queued datagrams
-// are injected "crash" drops, queued timers are cancelled outright. The
-// dispatcher may be draining concurrently; it applies the same rules.
+// are injected "crash" drops, queued timers are cancelled outright
+// (unless a stop already claimed them). The dispatcher may be draining
+// concurrently; it applies the same rules.
 func (t *Net) drainInbox(n *node) {
 	for {
 		select {
 		case it := <-n.inbox:
-			if it.fire != nil {
-				t.finish(1)
+			if it.tm != nil {
+				if it.tm.claim() {
+					t.finish(1)
+				}
 			} else {
 				t.dropInjected(1, "crash")
 			}

@@ -88,16 +88,33 @@ type Options struct {
 	ShedAfter time.Duration
 }
 
+// item is one unit of dispatcher work: a delivered datagram, or (tm
+// set) the fire of a timer the node armed.
 type item struct {
-	msg  transport.Message
-	fire func()
-	// owned timers carry the arming node's crash epoch: a timer armed
-	// before its owner crashed must not fire after (or across) the
-	// crash — the wall-clock analogue of simnet cancelling a crashed
-	// node's queue events.
-	epoch uint64
-	owned bool
+	msg transport.Message
+	tm  *timer
 }
+
+// timer is one armed After. Its pending unit is released exactly once,
+// by whichever of its fire, its stop or its cancellation (a crash, a
+// closed transport) claims it first, and fn runs only if the fire
+// claimed it.
+type timer struct {
+	fn func()
+	// epoch is the owning node's crash epoch when the timer was armed:
+	// a timer armed before its owner crashed must not fire after (or
+	// across) the crash — the wall-clock analogue of simnet cancelling
+	// a crashed node's queue events. Unused for timers armed outside a
+	// handler.
+	epoch   uint64
+	wt      *time.Timer
+	claimed atomic.Bool
+}
+
+func (tm *timer) claim() bool { return tm.claimed.CompareAndSwap(false, true) }
+
+// neverArmed is the stop of a timer After refused to arm.
+func neverArmed() bool { return false }
 
 type node struct {
 	addr  transport.Addr
@@ -177,8 +194,9 @@ type Net struct {
 	out   map[transport.Addr]*outQueue
 
 	// pending counts accepted-but-not-finished work: datagrams from
-	// Send acceptance to handler completion, timers from arming to
-	// firing. Run quiesces on it reaching zero.
+	// Send acceptance to handler completion, timers from arming until
+	// they fire, are stopped or are cancelled. Run quiesces on it
+	// reaching zero.
 	pending   atomic.Int64
 	delivered atomic.Uint64
 	lost      atomic.Uint64
@@ -354,25 +372,29 @@ func (t *Net) dispatch(n *node) {
 		case <-t.stop:
 			return
 		case it := <-n.inbox:
-			if ih := t.instr.Load(); ih != nil {
+			ih := t.instr.Load()
+			if ih != nil {
 				if n.depthGauge == nil {
 					n.depthGauge = ih.tel.Metrics().Gauge(telemetry.MetricTransportInboxDepth,
 						"Dispatch-queue depth per node, sampled at dequeue.",
 						append(ih.tel.BaseLabels(), telemetry.A("node", string(n.addr)))...)
 				}
 				n.depthGauge.Set(float64(len(n.inbox)))
-				if it.fire != nil {
-					ih.timerFires.Add(1)
-				}
 			}
-			if it.fire != nil {
-				// A timer owned by a node that crashed after arming it is
-				// cancelled: the epoch moved (or the node is still down).
-				if it.owned && (n.isDown() || it.epoch != n.epoch.Load()) {
-					t.finish(1)
+			if tm := it.tm; tm != nil {
+				if !tm.claim() {
+					// Stopped after its fire was queued; stop released
+					// its pending unit.
 					continue
 				}
-				it.fire()
+				if ih != nil {
+					ih.timerFires.Add(1)
+				}
+				// A timer owned by a node that crashed after arming it is
+				// cancelled: the epoch moved (or the node is still down).
+				if !n.isDown() && tm.epoch == n.epoch.Load() {
+					tm.fn()
+				}
 				t.finish(1)
 				continue
 			}
@@ -878,13 +900,18 @@ func (t *Net) deliver(msg transport.Message) {
 // After schedules fn after delay. Armed outside any handler it runs on
 // its own goroutine (the analogue of simnet's owner-less timers);
 // handlers arm timers through their nodeView, which serializes them
-// with the owning node.
-func (t *Net) After(delay time.Duration, fn func()) {
+// with the owning node. stop stops the wall-clock timer and releases
+// the timer's pending unit, so Run never waits for a stopped timer.
+func (t *Net) After(delay time.Duration, fn func()) (stop func() bool) {
 	if t.closed.Load() {
-		return
+		return neverArmed
 	}
+	tm := &timer{fn: fn}
 	t.pending.Add(1)
-	time.AfterFunc(delay, func() {
+	tm.wt = time.AfterFunc(delay, func() {
+		if !tm.claim() {
+			return
+		}
 		defer t.finish(1)
 		if ih := t.instr.Load(); ih != nil {
 			ih.timerFires.Add(1)
@@ -893,17 +920,30 @@ func (t *Net) After(delay time.Duration, fn func()) {
 			fn()
 		}
 	})
+	return func() bool { return t.stopTimer(tm) }
+}
+
+// stopTimer claims tm for its stop: the wall-clock timer is stopped, a
+// fire it already queued in the owner's inbox will be skipped, and the
+// pending unit is released here.
+func (t *Net) stopTimer(tm *timer) bool {
+	if !tm.claim() {
+		return false
+	}
+	tm.wt.Stop()
+	t.finish(1)
+	return true
 }
 
 // Run waits until the transport quiesces — every accepted datagram
-// delivered (or lost) and every armed timer fired — and returns the
-// number of messages delivered during this call. Unlike the simulator,
-// where nothing moves before Run, a real wire delivers concurrently
-// with sending: messages handled before Run is entered are not in its
-// return value, so callers wanting totals read Delivered, not Run's
-// delta. If in-flight work makes no progress for stallTimeout, Run stops
-// waiting and returns, so a frame lost without being counted cannot
-// hang the caller.
+// delivered (or lost) and every armed timer fired, stopped or
+// cancelled — and returns the number of messages delivered during this
+// call. Unlike the simulator, where nothing moves before Run, a real
+// wire delivers concurrently with sending: messages handled before Run
+// is entered are not in its return value, so callers wanting totals
+// read Delivered, not Run's delta. If in-flight work makes no progress
+// for stallTimeout, Run stops waiting and returns, so a frame lost
+// without being counted cannot hang the caller.
 func (t *Net) Run() uint64 {
 	startDelivered := t.delivered.Load()
 	lastSeen := startDelivered + t.lost.Load()
@@ -994,21 +1034,24 @@ func (v *nodeView) Register(addr transport.Addr, h transport.Handler) { v.t.Regi
 func (v *nodeView) Now() time.Duration                                { return v.t.Now() }
 func (v *nodeView) Rand(max int) int                                  { return v.t.Rand(max) }
 
-func (v *nodeView) After(delay time.Duration, fn func()) {
+func (v *nodeView) After(delay time.Duration, fn func()) (stop func() bool) {
 	t := v.t
 	if t.closed.Load() || v.n.isDown() {
 		// A crashed node arms nothing; and any timer armed here carries
 		// the node's crash epoch so a later crash cancels it at fire
 		// time (simnet cancels the queue events of a crashed owner).
-		return
+		return neverArmed
 	}
-	ep := v.n.epoch.Load()
+	tm := &timer{fn: fn, epoch: v.n.epoch.Load()}
 	t.pending.Add(1)
-	time.AfterFunc(delay, func() {
+	tm.wt = time.AfterFunc(delay, func() {
 		select {
-		case v.n.inbox <- item{fire: fn, epoch: ep, owned: true}:
+		case v.n.inbox <- item{tm: tm}:
 		case <-t.stop:
-			t.finish(1)
+			if tm.claim() {
+				t.finish(1)
+			}
 		}
 	})
+	return func() bool { return t.stopTimer(tm) }
 }

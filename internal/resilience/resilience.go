@@ -168,10 +168,14 @@ func exhausted(p Policy, tel *telemetry.Telemetry, lastErr error) error {
 }
 
 // Clock is the virtual-clock surface the asynchronous helpers need;
-// *simnet.Network satisfies it.
+// *simnet.Network and every transport.Transport satisfy it. After's
+// stop returns true exactly when fn had not started and now never
+// will (false once it has started, on a second call, or for a timer
+// that was never armed), and a stopped timer no longer counts as
+// pending work.
 type Clock interface {
 	Now() time.Duration
-	After(d time.Duration, fn func())
+	After(d time.Duration, fn func()) (stop func() bool)
 }
 
 // Watchdog arms a one-shot timeout on the clock: if done() is still

@@ -25,7 +25,7 @@ func newWallClock() *wallClock { return &wallClock{start: time.Now()} }
 
 func (c *wallClock) Now() time.Duration { return time.Since(c.start) }
 
-func (c *wallClock) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
+func (c *wallClock) After(d time.Duration, fn func()) func() bool { return time.AfterFunc(d, fn).Stop }
 
 // waitFor polls cond with a generous deadline; wall-clock tests assert
 // eventual outcomes, never exact timings.

@@ -25,7 +25,8 @@
 //
 // Crashed nodes drop inbound datagrams (counted as fault drops), refuse
 // new sends with faults.ErrNodeDown, and have their pending After timers
-// cancelled — a mix's batch-timeout flush does not survive its crash.
+// cancelled — a mix's batch-timeout flush does not survive its crash,
+// though the next batch arms a timeout of its own.
 package simnet
 
 import (

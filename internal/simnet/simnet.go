@@ -57,6 +57,10 @@ type event struct {
 	// sentAt is the virtual send time; the latency histogram reads it
 	// at delivery.
 	sentAt time.Duration
+
+	// index is the event's position in the queue, -1 once popped; a
+	// timer's stop removes it from there.
+	index int
 }
 
 type eventQueue []*event
@@ -68,13 +72,21 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *eventQueue) Push(x any) {
+	e := x.(*event)
+	e.index = len(*q)
+	*q = append(*q, e)
+}
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
+	e.index = -1
 	*q = old[:n-1]
 	return e
 }
@@ -247,12 +259,25 @@ func (n *Network) dropLocked(reason string, src, dst transport.Addr) {
 // After schedules fn to run on the event loop after delay. It models
 // node-local timers (mix batch timeouts, chaff generators). A timer
 // armed from inside a node's handler belongs to that node and dies with
-// it if the node crashes before the timer fires.
-func (n *Network) After(delay time.Duration, fn func()) {
+// it if the node crashes before the timer fires. stop removes the
+// timer's event from the queue, so a stopped timer never fires, never
+// advances the clock and never reaches a Scheduler; it returns false
+// once the event has left the queue.
+func (n *Network) After(delay time.Duration, fn func()) (stop func() bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.seq++
-	heap.Push(&n.queue, &event{at: n.now + delay, seq: n.seq, fire: fn, owner: n.running})
+	e := &event{at: n.now + delay, seq: n.seq, fire: fn, owner: n.running}
+	heap.Push(&n.queue, e)
+	return func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if e.index < 0 {
+			return false
+		}
+		heap.Remove(&n.queue, e.index)
+		return true
+	}
 }
 
 // Run processes events until the queue drains, returning the number of

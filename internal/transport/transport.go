@@ -81,7 +81,15 @@ type Transport interface {
 	// a node's handler belongs to that node: it runs serialized with
 	// the node's handler and dies with the node where the
 	// implementation models crashes.
-	After(delay time.Duration, fn func())
+	//
+	// stop disarms the timer, like time.Timer.Stop: it returns true
+	// exactly when fn had not started and now never will, and false
+	// once fn has started, on a second call, and for a timer that was
+	// never armed (a closed transport, a crashed owner). A stopped
+	// timer no longer counts as pending: Run does not wait for it. stop
+	// may be called from any goroutine; callers with no use for it
+	// ignore the result.
+	After(delay time.Duration, fn func()) (stop func() bool)
 	// Now returns the transport's clock: virtual time on the
 	// simulator, elapsed wall time on the real transport. Handlers and
 	// ledgers must use this — never time.Now() — so runs on the
