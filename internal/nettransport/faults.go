@@ -135,8 +135,8 @@ func (t *Net) transition(addr transport.Addr, down bool) {
 func (t *Net) drainInbox(n *node) {
 	for {
 		select {
-		case it := <-n.inbox:
-			if it.tm != nil {
+		case <-n.inbox.ready:
+			if it := n.inbox.take(); it.tm != nil {
 				if it.tm.claim() {
 					t.finish(1)
 				}

@@ -295,6 +295,67 @@ func TestSendShedsUnderOverloadTyped(t *testing.T) {
 	net.Run()
 }
 
+// TestDeliverShedsOnFullInbox is the inbox side of the bound: while a
+// node's handler is stuck, one later message fills its depth-1 inbox
+// and every delivery after that waits ShedAfter and is shed, counted
+// under where="deliver". Released, the node drains and Run quiesces
+// with nothing pending.
+func TestDeliverShedsOnFullInbox(t *testing.T) {
+	net := newTest(t, Options{Seed: 1, InboxDepth: 1, ShedAfter: 2 * time.Millisecond})
+	reg := telemetry.NewMetrics()
+	net.Instrument(telemetry.New(false, reg))
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock) // runs before newTest's Close, which would wait on the handler
+	var s countSink
+	net.Register("srv", func(tr transport.Transport, msg transport.Message) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		s.handle(tr, msg)
+	})
+	net.Register("cli", nil)
+	send := func() {
+		if err := net.Send("cli", "srv", []byte("x")); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	send()
+	<-entered
+	const later = 6
+	for i := 0; i < later; i++ {
+		send()
+	}
+	// The shed counter ticks before the labelled series, so wait on the
+	// series.
+	deliverSheds := func() (n float64) {
+		for _, sv := range reg.CounterSeries(telemetry.MetricTransportShed) {
+			if sv.Label("where") != "deliver" {
+				t.Fatalf("shed series %v, want where=deliver only", sv.Labels)
+			}
+			n += sv.Value
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for deliverSheds() < later-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("where=deliver shed series = %v, want %d", deliverSheds(), later-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+	net.Run()
+	if got := s.count(); got != 2 {
+		t.Fatalf("handled %d, want 2 (the stuck message and the one queued)", got)
+	}
+	if net.Shed() != later-1 || net.Pending() != 0 {
+		t.Fatalf("Shed() = %d, Pending() = %d after Run, want %d and 0", net.Shed(), net.Pending(), later-1)
+	}
+}
+
 // TestCloseNoGoroutineLeakMidFlight is the regression for shutdown
 // hygiene: Close during a chaos storm of in-flight sends, owned timers,
 // and a crash window must return with every transport goroutine gone

@@ -71,15 +71,17 @@ type Options struct {
 	// Seed feeds the Rand stream protocol code draws shuffles and
 	// route picks from.
 	Seed int64
-	// InboxDepth is each node's dispatch-queue depth; senders feel
-	// backpressure beyond it. 0 means 4096.
+	// InboxDepth bounds each node's dispatch queue; senders feel
+	// backpressure beyond it. 0 means 4096. The depth is a bound, not an
+	// allocation: the queue's storage grows with its backlog.
 	InboxDepth int
 	// DisableCapture turns off the passive-observer packet log. The
 	// million-client loadgen sweep sets it; everything audit-shaped
 	// leaves it on.
 	DisableCapture bool
-	// OutDepth is each destination's writer-queue depth. 0 means 4096.
-	// Chaos runs shrink it to make overload reachable at test scale.
+	// OutDepth bounds each destination's writer queue. 0 means 4096. Like
+	// InboxDepth it is a bound, not an allocation. Chaos runs shrink it
+	// to make overload reachable at test scale.
 	OutDepth int
 	// ShedAfter bounds how long a send may wait on a full writer queue
 	// (and a delivery on a full inbox) before the frame is shed: the
@@ -118,7 +120,13 @@ func neverArmed() bool { return false }
 
 type node struct {
 	addr  transport.Addr
-	inbox chan item
+	inbox *fifo[item]
+
+	// out is the node's writer queue, drained by the one writer that
+	// streams to the node: created with the writer on first use and
+	// read lock-free after.
+	outOnce sync.Once
+	out     *fifo[wireItem]
 
 	// depthGauge mirrors the inbox depth seen by the dispatcher; only
 	// the node's single dispatcher goroutine reads or writes the field,
@@ -169,12 +177,6 @@ type wireItem struct {
 	poison bool
 }
 
-// outQueue is the writer side of one destination endpoint: a frame
-// queue drained by one writer goroutine that batches frames per write.
-type outQueue struct {
-	ch chan wireItem
-}
-
 // Net is a real loopback transport. Construct with New; Close releases
 // sockets and goroutines.
 type Net struct {
@@ -189,9 +191,6 @@ type Net struct {
 
 	mu    sync.Mutex
 	nodes map[transport.Addr]*node
-
-	outMu sync.Mutex
-	out   map[transport.Addr]*outQueue
 
 	// pending counts accepted-but-not-finished work: datagrams from
 	// Send acceptance to handler completion, timers from arming until
@@ -247,7 +246,6 @@ func New(opts Options) *Net {
 		stop:  make(chan struct{}),
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		nodes: map[transport.Addr]*node{},
-		out:   map[transport.Addr]*outQueue{},
 	}
 }
 
@@ -321,7 +319,7 @@ func (t *Net) Register(addr transport.Addr, h transport.Handler) {
 		n.setHandler(h)
 		return
 	}
-	n := &node{addr: addr, inbox: make(chan item, t.opts.InboxDepth), h: h}
+	n := &node{addr: addr, inbox: newFIFO[item](t.opts.InboxDepth), h: h}
 	t.nodes[addr] = n
 	t.mu.Unlock()
 
@@ -371,7 +369,8 @@ func (t *Net) dispatch(n *node) {
 		select {
 		case <-t.stop:
 			return
-		case it := <-n.inbox:
+		case <-n.inbox.ready:
+			it := n.inbox.take()
 			ih := t.instr.Load()
 			if ih != nil {
 				if n.depthGauge == nil {
@@ -379,7 +378,7 @@ func (t *Net) dispatch(n *node) {
 						"Dispatch-queue depth per node, sampled at dequeue.",
 						append(ih.tel.BaseLabels(), telemetry.A("node", string(n.addr)))...)
 				}
-				n.depthGauge.Set(float64(len(n.inbox)))
+				n.depthGauge.Set(float64(len(n.inbox.ready)))
 			}
 			if tm := it.tm; tm != nil {
 				if !tm.claim() {
@@ -558,13 +557,13 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 				// hurt the way a TCP wire fails: the stream resets
 				// mid-frame.
 				t.countLost(1, "loss", true)
-				t.offerPoison(dst, n, frame)
+				t.offerPoison(n, frame)
 				return nil // silently dropped, as the wire would
 			}
 		}
 		it.delay = pl.SpikeAt(src, dst, now)
 	}
-	q := t.queueFor(dst, n)
+	q := t.queueFor(n)
 	level := t.pending.Add(1)
 	ih := t.instr.Load()
 	if ih != nil {
@@ -576,7 +575,8 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 	// a writer-queue stall — the wire (or its writer) is not keeping up
 	// with producers — which the live plane counts.
 	select {
-	case q.ch <- it:
+	case q.slots <- struct{}{}:
+		q.put(it)
 		return nil
 	default:
 	}
@@ -587,7 +587,8 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 		timer := time.NewTimer(t.opts.ShedAfter)
 		defer timer.Stop()
 		select {
-		case q.ch <- it:
+		case q.slots <- struct{}{}:
+			q.put(it)
 			return nil
 		case <-timer.C:
 			t.shedFrame("send")
@@ -598,7 +599,8 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 		}
 	}
 	select {
-	case q.ch <- it:
+	case q.slots <- struct{}{}:
+		q.put(it)
 		return nil
 	case <-t.stop:
 		t.dropFrames(1, "closed")
@@ -610,27 +612,25 @@ func (t *Net) SendTraced(src, dst transport.Addr, payload []byte, ctx wiretrace.
 // injected drop is visible on the wire. The loss is already accounted;
 // if the writer queue is saturated the wire symptom is skipped, never
 // the accounting.
-func (t *Net) offerPoison(dst transport.Addr, n *node, frame []byte) {
-	q := t.queueFor(dst, n)
+func (t *Net) offerPoison(n *node, frame []byte) {
+	q := t.queueFor(n)
 	select {
-	case q.ch <- wireItem{frame: frame, poison: true}:
+	case q.slots <- struct{}{}:
+		q.put(wireItem{frame: frame, poison: true})
 	default:
 	}
 }
 
-// queueFor returns the destination's writer queue, starting its writer
-// on first use. One writer per stream preserves per-destination FIFO.
-func (t *Net) queueFor(dst transport.Addr, n *node) *outQueue {
-	t.outMu.Lock()
-	defer t.outMu.Unlock()
-	if q := t.out[dst]; q != nil {
-		return q
-	}
-	q := &outQueue{ch: make(chan wireItem, t.opts.OutDepth)}
-	t.out[dst] = q
-	t.wg.Add(1)
-	go t.tcpWriter(q, n)
-	return q
+// queueFor returns the writer queue of destination n, starting its
+// writer on first use. One writer per stream preserves per-destination
+// FIFO.
+func (t *Net) queueFor(n *node) *fifo[wireItem] {
+	n.outOnce.Do(func() {
+		n.out = newFIFO[wireItem](t.opts.OutDepth)
+		t.wg.Add(1)
+		go t.tcpWriter(n)
+	})
+	return n.out
 }
 
 // work is one drained unit of writer work: either a coalesced batch of
@@ -649,7 +649,7 @@ type work struct {
 // are queued, up to batchBytes, into a single write. Special items
 // (poison, delayed) never coalesce: one pulled mid-batch is stashed
 // for the next call so nothing reorders. ok is false on shutdown.
-func (t *Net) nextWork(q *outQueue, stash *wireItem, stashed *bool) (w work, ok bool) {
+func (t *Net) nextWork(q *fifo[wireItem], stash *wireItem, stashed *bool) (w work, ok bool) {
 	var first wireItem
 	if *stashed {
 		first, *stashed = *stash, false
@@ -657,7 +657,8 @@ func (t *Net) nextWork(q *outQueue, stash *wireItem, stashed *bool) (w work, ok 
 		select {
 		case <-t.stop:
 			return work{}, false
-		case first = <-q.ch:
+		case <-q.ready:
+			first = q.take()
 		}
 	}
 	if first.poison {
@@ -669,7 +670,8 @@ func (t *Net) nextWork(q *outQueue, stash *wireItem, stashed *bool) (w work, ok 
 	}
 	for len(w.batch) < batchBytes {
 		select {
-		case f := <-q.ch:
+		case <-q.ready:
+			f := q.take()
 			if f.poison || f.delay > 0 {
 				*stash, *stashed = f, true
 				return w, true
@@ -709,7 +711,7 @@ var dialRetry = resilience.Policy{
 	JitterFrac:  0.25,
 }
 
-func (t *Net) tcpWriter(q *outQueue, n *node) {
+func (t *Net) tcpWriter(n *node) {
 	defer t.wg.Done()
 	var conn net.Conn
 	var stash wireItem
@@ -721,7 +723,7 @@ func (t *Net) tcpWriter(q *outQueue, n *node) {
 		}
 	}()
 	for {
-		w, ok := t.nextWork(q, &stash, &stashed)
+		w, ok := t.nextWork(n.out, &stash, &stashed)
 		if !ok {
 			return
 		}
@@ -871,7 +873,8 @@ func (t *Net) deliver(msg transport.Message) {
 		return
 	}
 	select {
-	case n.inbox <- item{msg: msg}:
+	case n.inbox.slots <- struct{}{}:
+		n.inbox.put(item{msg: msg})
 		return
 	default:
 	}
@@ -882,7 +885,8 @@ func (t *Net) deliver(msg transport.Message) {
 		timer := time.NewTimer(t.opts.ShedAfter)
 		defer timer.Stop()
 		select {
-		case n.inbox <- item{msg: msg}:
+		case n.inbox.slots <- struct{}{}:
+			n.inbox.put(item{msg: msg})
 		case <-timer.C:
 			t.shedFrame("deliver")
 		case <-t.stop:
@@ -891,7 +895,8 @@ func (t *Net) deliver(msg transport.Message) {
 		return
 	}
 	select {
-	case n.inbox <- item{msg: msg}:
+	case n.inbox.slots <- struct{}{}:
+		n.inbox.put(item{msg: msg})
 	case <-t.stop:
 		t.dropFrames(1, "closed")
 	}
@@ -1046,7 +1051,8 @@ func (v *nodeView) After(delay time.Duration, fn func()) (stop func() bool) {
 	t.pending.Add(1)
 	tm.wt = time.AfterFunc(delay, func() {
 		select {
-		case v.n.inbox <- item{tm: tm}:
+		case v.n.inbox.slots <- struct{}{}:
+			v.n.inbox.put(item{tm: tm})
 		case <-t.stop:
 			if tm.claim() {
 				t.finish(1)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,6 +86,45 @@ func TestTCPPerDestinationFIFO(t *testing.T) {
 		if got := int(m.Payload[0])<<8 | int(m.Payload[1]); got != i {
 			t.Fatalf("position %d carries sequence %d: TCP per-destination FIFO violated", i, got)
 		}
+	}
+}
+
+// TestFIFOTwoSendersOneDestination sends from two goroutines at once
+// into one destination's writer queue and inbox, both kept shallow so
+// senders block on them: each sender's messages must arrive in its
+// order.
+func TestFIFOTwoSendersOneDestination(t *testing.T) {
+	net := newTest(t, Options{InboxDepth: 4, OutDepth: 4})
+	var s sink
+	net.Register("sink", s.handle)
+	const n = 500
+	var wg sync.WaitGroup
+	for _, src := range []transport.Addr{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := net.Send(src, "sink", []byte{byte(i >> 8), byte(i)}); err != nil {
+					t.Errorf("Send %s %d: %v", src, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	net.Run()
+	if got := net.Delivered(); got != 2*n {
+		t.Fatalf("delivered %d, want %d", got, 2*n)
+	}
+	next := map[transport.Addr]int{}
+	for _, m := range s.msgs {
+		if got := int(m.Payload[0])<<8 | int(m.Payload[1]); got != next[m.Src] {
+			t.Fatalf("%s's message %d arrived in place of %d: per-sender FIFO violated", m.Src, got, next[m.Src])
+		}
+		next[m.Src]++
+	}
+	if next["a"] != n || next["b"] != n {
+		t.Fatalf("sink saw %d from a and %d from b, want %d each", next["a"], next["b"], n)
 	}
 }
 
@@ -256,6 +297,17 @@ func TestLiveInstrumentation(t *testing.T) {
 	pending := m.Gauge(telemetry.MetricTransportPending, "", telemetry.A("mode", "tcp"))
 	if got := pending.Value(); got != 0 {
 		t.Errorf("pending gauge after quiescence = %v, want 0", got)
+	}
+	// The dispatcher registers the depth gauge at its first dequeue;
+	// m.Gauge below would register a missing series itself.
+	var registered bool
+	for _, f := range m.Snapshot() {
+		for _, s := range f.Samples {
+			registered = registered || f.Name == telemetry.MetricTransportInboxDepth && strings.Contains(s.Labels, `node="sink"`)
+		}
+	}
+	if !registered {
+		t.Error("no inbox depth gauge for node sink")
 	}
 	depth := m.Gauge(telemetry.MetricTransportInboxDepth, "", telemetry.A("node", "sink"))
 	if got := depth.Value(); got < 0 {
