@@ -163,24 +163,6 @@ func TimingCorrelate(entries, exits []Event) (correct, total int) {
 	return correct, n
 }
 
-// SizeLink counts how many entry events can be uniquely matched to an
-// exit event by payload size alone. Fixed-size cells (Tor's defense,
-// §4.3) drive uniqueness to zero.
-func SizeLink(entrySizes, exitSizes map[string]int) (unique int) {
-	// entrySizes/exitSizes map subject -> observed size.
-	bySize := map[int][]string{}
-	for s, size := range exitSizes {
-		bySize[size] = append(bySize[size], s)
-	}
-	for subject, size := range entrySizes {
-		candidates := bySize[size]
-		if len(candidates) == 1 && candidates[0] == subject {
-			unique++
-		}
-	}
-	return unique
-}
-
 // Entropy returns the Shannon entropy (bits) of a count distribution.
 func Entropy(counts map[string]int) float64 {
 	total := 0
@@ -214,22 +196,6 @@ func NormalizedEntropy(counts map[string]int) float64 {
 		return 0
 	}
 	return Entropy(counts) / math.Log2(float64(n))
-}
-
-// AnonymitySet computes, for each subject, the number of candidate
-// subjects an observer cannot distinguish them from, given the
-// observer's view as a map from subject to the observable value (e.g.
-// pseudonym, exit address). Subjects sharing a value form one set.
-func AnonymitySet(view map[string]string) map[string]int {
-	sizes := map[string]int{}
-	for _, v := range view {
-		sizes[v]++
-	}
-	out := map[string]int{}
-	for s, v := range view {
-		out[s] = sizes[v]
-	}
-	return out
 }
 
 // Round is one mix batch as a passive observer sees it: who sent into

@@ -170,20 +170,6 @@ func TestTimingCorrelateShuffledBatch(t *testing.T) {
 	}
 }
 
-func TestSizeLink(t *testing.T) {
-	entries := map[string]int{"a": 100, "b": 200, "c": 512, "d": 512}
-	exits := map[string]int{"a": 100, "b": 200, "c": 512, "d": 512}
-	if got := SizeLink(entries, exits); got != 2 {
-		t.Errorf("unique size links = %d, want 2 (a and b; c/d share a size)", got)
-	}
-	// Fixed-size cells: nothing unique.
-	fixedE := map[string]int{"a": 512, "b": 512, "c": 512}
-	fixedX := map[string]int{"a": 512, "b": 512, "c": 512}
-	if got := SizeLink(fixedE, fixedX); got != 0 {
-		t.Errorf("fixed cells leaked %d unique links", got)
-	}
-}
-
 func TestEntropy(t *testing.T) {
 	if got := Entropy(map[string]int{"a": 1, "b": 1}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("Entropy(uniform 2) = %v, want 1", got)
@@ -214,19 +200,6 @@ func TestNormalizedEntropy(t *testing.T) {
 	}
 	if got := NormalizedEntropy(map[string]int{"a": 3}); got != 0 {
 		t.Errorf("NormalizedEntropy(single) = %v", got)
-	}
-}
-
-func TestAnonymitySet(t *testing.T) {
-	view := map[string]string{
-		"alice": "exit-1",
-		"bob":   "exit-1",
-		"carol": "exit-1",
-		"dave":  "exit-2",
-	}
-	sets := AnonymitySet(view)
-	if sets["alice"] != 3 || sets["dave"] != 1 {
-		t.Errorf("sets = %v", sets)
 	}
 }
 

@@ -67,29 +67,6 @@ func Mul(a, b Elem) Elem {
 	return Reduce(r)
 }
 
-// Pow returns a^e mod P by square-and-multiply.
-func Pow(a Elem, e uint64) Elem {
-	result := Elem(1)
-	base := a
-	for e > 0 {
-		if e&1 == 1 {
-			result = Mul(result, base)
-		}
-		base = Mul(base, base)
-		e >>= 1
-	}
-	return result
-}
-
-// Inv returns the multiplicative inverse of a, or 0 for a == 0 (callers
-// must treat inversion of zero as a protocol error).
-func Inv(a Elem) Elem {
-	if a == 0 {
-		return 0
-	}
-	return Pow(a, P-2) // Fermat
-}
-
 // Random returns a uniformly random field element from crypto/rand.
 func Random() (Elem, error) {
 	var buf [8]byte

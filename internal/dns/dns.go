@@ -54,8 +54,7 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	return nil
 }
 
-// Lookup returns records of the given type at name, following one level
-// of CNAME indirection within the zone.
+// Lookup returns records of the given type at name.
 func (z *Zone) Lookup(name string, t dnswire.Type) ([]dnswire.RR, dnswire.RCode) {
 	name = dnswire.CanonicalName(name)
 	z.mu.RLock()
@@ -66,17 +65,6 @@ func (z *Zone) Lookup(name string, t dnswire.Type) ([]dnswire.RR, dnswire.RCode)
 	}
 	if rrs := types[t]; len(rrs) > 0 {
 		return append([]dnswire.RR(nil), rrs...), dnswire.RCodeNoError
-	}
-	if cn := types[dnswire.TypeCNAME]; len(cn) > 0 {
-		target, err := dnswire.CNAMETarget(cn[0])
-		if err != nil {
-			return nil, dnswire.RCodeServFail
-		}
-		out := append([]dnswire.RR(nil), cn[0])
-		if tt, ok := z.rrs[target]; ok {
-			out = append(out, tt[t]...)
-		}
-		return out, dnswire.RCodeNoError
 	}
 	// Name exists but not this type.
 	return nil, dnswire.RCodeNoError

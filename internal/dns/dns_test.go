@@ -18,9 +18,6 @@ func testEcosystem(t *testing.T, lg *ledger.Ledger, clock func() time.Duration) 
 			t.Fatal(err)
 		}
 	}
-	if err := z.Add(dnswire.CNAME("alias.example.com", 300, "www.example.com")); err != nil {
-		t.Fatal(err)
-	}
 	auth := &AuthServer{Name: "Origin", Zones: []*Zone{z}, Ledger: lg}
 	return NewResolver("Resolver", []Authority{auth}, lg, clock), auth
 }
@@ -33,17 +30,6 @@ func TestResolveA(t *testing.T) {
 	}
 	if resp.Answers[0].Data[3] != 0 {
 		t.Errorf("A rdata = %v", resp.Answers[0].Data)
-	}
-}
-
-func TestResolveCNAMEChase(t *testing.T) {
-	r, _ := testEcosystem(t, nil, nil)
-	resp := r.Resolve("client-1", dnswire.NewQuery(2, "alias.example.com", dnswire.TypeA))
-	if len(resp.Answers) != 2 {
-		t.Fatalf("answers = %d, want CNAME + A", len(resp.Answers))
-	}
-	if resp.Answers[0].Type != dnswire.TypeCNAME || resp.Answers[1].Type != dnswire.TypeA {
-		t.Errorf("answer types = %v, %v", resp.Answers[0].Type, resp.Answers[1].Type)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	mrand "math/rand"
 	"sync"
 
@@ -32,20 +31,6 @@ const (
 	// resolver sees ALL queries for its slice of names).
 	StripeByName
 )
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StripeRandom:
-		return "random"
-	case StripeRoundRobin:
-		return "round-robin"
-	case StripeByName:
-		return "by-name"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
 
 // ErrNoResolvers is returned when a striped client has no upstreams.
 var ErrNoResolvers = errors.New("dns: striped client needs at least one resolver")

@@ -5,8 +5,8 @@
 // whose whole point is to carry these messages where different parties
 // can and cannot read them.
 //
-// Supported record types cover what the experiments need (A, AAAA,
-// CNAME, TXT, NS); unknown types round-trip as opaque RDATA.
+// The experiments build A records and TXT RDATA; records of any type
+// round-trip as opaque RDATA.
 package dnswire
 
 import (
@@ -399,44 +399,4 @@ func Decode(msg []byte) (*Message, error) {
 // A builds an A record; addr must be 4 bytes.
 func A(name string, ttl uint32, addr [4]byte) RR {
 	return RR{Name: name, Type: TypeA, Class: ClassIN, TTL: ttl, Data: addr[:]}
-}
-
-// AAAA builds an AAAA record; addr must be 16 bytes.
-func AAAA(name string, ttl uint32, addr [16]byte) RR {
-	return RR{Name: name, Type: TypeAAAA, Class: ClassIN, TTL: ttl, Data: addr[:]}
-}
-
-// NS builds an NS record pointing at the given nameserver host.
-func NS(name string, ttl uint32, host string) RR {
-	data, err := appendName(nil, host, map[string]int{})
-	if err != nil {
-		panic(err)
-	}
-	return RR{Name: name, Type: TypeNS, Class: ClassIN, TTL: ttl, Data: data}
-}
-
-// TXT builds a TXT record.
-func TXT(name string, ttl uint32, value string) RR {
-	return RR{Name: name, Type: TypeTXT, Class: ClassIN, TTL: ttl, Data: TXTData(value)}
-}
-
-// CNAME builds a CNAME record pointing at target (encoded uncompressed
-// in RDATA for simplicity — decoders handle both forms).
-func CNAME(name string, ttl uint32, target string) RR {
-	data, err := appendName(nil, target, map[string]int{})
-	if err != nil {
-		// Target names in this module are program constants; a bad one
-		// is a programming error.
-		panic(err)
-	}
-	return RR{Name: name, Type: TypeCNAME, Class: ClassIN, TTL: ttl, Data: data}
-}
-
-// CNAMETarget decodes the target of a CNAME record.
-func CNAMETarget(rr RR) (string, error) {
-	if rr.Type != TypeCNAME {
-		return "", fmt.Errorf("dnswire: CNAMETarget on %s record", rr.Type)
-	}
-	name, _, err := readName(rr.Data, 0)
-	return name, err
 }

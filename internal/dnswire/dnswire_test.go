@@ -35,8 +35,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	r := q.Reply()
 	r.Authoritative = true
 	r.Answers = append(r.Answers, A("host.example.org", 300, [4]byte{192, 0, 2, 1}))
-	r.Answers = append(r.Answers, TXT("host.example.org", 60, "hello world"))
-	r.Authorities = append(r.Authorities, CNAME("alias.example.org", 30, "host.example.org"))
+	r.Answers = append(r.Answers, RR{Name: "host.example.org", Type: TypeTXT, Class: ClassIN, TTL: 60, Data: TXTData("hello world")})
+	r.Authorities = append(r.Authorities, A("alias.example.org", 30, [4]byte{192, 0, 2, 2}))
 
 	wire, err := r.Encode()
 	if err != nil {
@@ -59,9 +59,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil || txt != "hello world" {
 		t.Errorf("TXT = %q, %v", txt, err)
 	}
-	target, err := CNAMETarget(got.Authorities[0])
-	if err != nil || target != "host.example.org." {
-		t.Errorf("CNAME target = %q, %v", target, err)
+	if !bytes.Equal(got.Authorities[0].Data, []byte{192, 0, 2, 2}) {
+		t.Errorf("authority rdata = %v", got.Authorities[0].Data)
 	}
 }
 
@@ -264,34 +263,5 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		if _, err := Decode(wire); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestAAAAAndNSBuilders(t *testing.T) {
-	t.Parallel()
-	var v6 [16]byte
-	v6[15] = 1
-	rr := AAAA("host.example", 300, v6)
-	if rr.Type != TypeAAAA || len(rr.Data) != 16 || rr.Data[15] != 1 {
-		t.Errorf("AAAA = %+v", rr)
-	}
-	ns := NS("example.com", 300, "ns1.example.com")
-	if ns.Type != TypeNS {
-		t.Errorf("NS type = %v", ns.Type)
-	}
-	name, _, err := readName(ns.Data, 0)
-	if err != nil || name != "ns1.example.com." {
-		t.Errorf("NS target = %q, %v", name, err)
-	}
-	// Round trip through a message.
-	m := NewQuery(1, "example.com", TypeNS).Reply()
-	m.Answers = append(m.Answers, ns, rr)
-	wire, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(wire)
-	if err != nil || len(got.Answers) != 2 {
-		t.Fatalf("decode: %v", err)
 	}
 }

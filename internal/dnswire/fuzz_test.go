@@ -13,7 +13,7 @@ func FuzzDecode(f *testing.F) {
 	q, _ := NewQuery(1, "www.example.com", TypeA).Encode()
 	f.Add(q)
 	r := NewQuery(2, "host.test", TypeTXT).Reply()
-	r.Answers = append(r.Answers, TXT("host.test", 60, "seed"))
+	r.Answers = append(r.Answers, RR{Name: "host.test", Type: TypeTXT, Class: ClassIN, TTL: 60, Data: TXTData("seed")})
 	rw, _ := r.Encode()
 	f.Add(rw)
 	f.Add([]byte{})

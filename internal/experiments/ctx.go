@@ -100,19 +100,9 @@ func WithNetHook(tel *telemetry.Telemetry, hook func(index int, n *simnet.Networ
 	return Ctx{Tel: tel, hooks: &netHooks{hook: hook}}
 }
 
-// WithTransport returns a Ctx whose NewRunner builds transports with
-// factory instead of the simulator. Experiments that only need the
-// transport.Runner contract (E2's mixnet cascade, the audit scenarios)
-// then run unchanged over real sockets; experiments that reach for
-// simulator-only machinery (fault plans, schedule control) keep using
-// NewNet and are out of a transport override's reach by construction.
-func WithTransport(tel *telemetry.Telemetry, factory func(seed int64) transport.Runner) Ctx {
-	return Ctx{Tel: tel, transport: factory}
-}
-
 // NewRunner constructs the experiment's next network as an abstract
 // transport.Runner: the simulator by default (through NewNet, so
-// schedule-explorer hooks still see it), or whatever a WithTransport
+// schedule-explorer hooks still see it), or whatever the transport
 // factory builds. Callers own the result and should Close it.
 func (c Ctx) NewRunner(seed int64) transport.Runner {
 	if c.transport != nil {

@@ -61,7 +61,7 @@ func TestTransportEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on simnet: %v", exp.ID, err)
 			}
-			realRes, err := exp.Run(WithTransport(nil, realTransport))
+			realRes, err := exp.Run(Ctx{transport: realTransport})
 			if err != nil {
 				t.Fatalf("%s on real transport: %v", exp.ID, err)
 			}

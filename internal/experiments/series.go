@@ -180,19 +180,18 @@ func E11Striping(ctx Ctx) (*Result, error) {
 		}
 		browsing.Names = allNames // query the zone's names
 
-		// Ground truth: each user's distinct name set. Queries go
-		// through the library's striping client (§5.1's mechanism) over
-		// the shared Zipf browsing workload.
-		userNames := map[string]map[string]bool{}
+		// Ground truth: each user's query stream. Queries go through the
+		// library's striping client (§5.1's mechanism) over the shared
+		// Zipf browsing workload.
+		userNames := map[string][]string{}
 		for u := 0; u < users; u++ {
 			who := fmt.Sprintf("user-%02d", u)
-			userNames[who] = map[string]bool{}
+			userNames[who] = browsing.Stream(u, queriesPerUser)
 			sc, err := dns.NewStripedClient(who, resolvers, dns.StripeRandom, int64(k*1000+u))
 			if err != nil {
 				return nil, err
 			}
-			for q, name := range browsing.Stream(u, queriesPerUser) {
-				userNames[who][dnswire.CanonicalName(name)] = true
+			for q, name := range userNames[who] {
 				sc.Resolve(dnswire.NewQuery(uint16(q), name, dnswire.TypeA))
 			}
 		}
@@ -201,26 +200,22 @@ func E11Striping(ctx Ctx) (*Result, error) {
 		// distinct names visible in one resolver's log.
 		var sum, max float64
 		var count int
-		var entropySum float64
-		for _, res := range resolvers {
-			seen := map[string]map[string]bool{}
-			nameCounts := map[string]int{}
-			for _, e := range res.Log() {
-				if seen[e.Client] == nil {
-					seen[e.Client] = map[string]bool{}
-				}
-				seen[e.Client][e.Name] = true
-				nameCounts[e.Name]++
-			}
-			entropySum += adversary.NormalizedEntropy(nameCounts)
-			for who, names := range userNames {
-				frac := float64(len(seen[who])) / float64(len(names))
+		for who, names := range userNames {
+			for _, frac := range dns.ProfileCompleteness(who, resolvers, names) {
 				sum += frac
 				count++
 				if frac > max {
 					max = frac
 				}
 			}
+		}
+		var entropySum float64
+		for _, res := range resolvers {
+			nameCounts := map[string]int{}
+			for _, e := range res.Log() {
+				nameCounts[e.Name]++
+			}
+			entropySum += adversary.NormalizedEntropy(nameCounts)
 		}
 		avg := sum / float64(count)
 		table.Rows = append(table.Rows, []string{

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"decoupling/internal/core"
@@ -37,26 +36,6 @@ var staticBindings = map[string][]string{
 	"E14": {"odoh"},
 	"E15": {"odoh"},
 	"E16": {"odoh-failopen"},
-}
-
-// StaticBindings returns the scenario ids whose schemas must bound the
-// experiment's measured knowledge (nil when the experiment measures no
-// decoupling table).
-func StaticBindings(experimentID string) []string {
-	return append([]string(nil), staticBindings[experimentID]...)
-}
-
-// BoundExperiments returns the experiment ids with static bindings, sorted.
-func BoundExperiments() []string {
-	out := make([]string, 0, len(staticBindings))
-	for id := range staticBindings {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		// numeric id order: E1 < E2 < ... < E16
-		return len(out[i]) < len(out[j]) || (len(out[i]) == len(out[j]) && out[i] < out[j])
-	})
-	return out
 }
 
 // StaticConformance is one scenario's static ⊇ measured check for one

@@ -50,8 +50,8 @@ func TestStaticCoversMeasured(t *testing.T) {
 					continue
 				}
 				if confs == nil {
-					if len(StaticBindings(rr.ID)) != 0 {
-						t.Errorf("%s: bound to %v but StaticCheck returned nothing", rr.ID, StaticBindings(rr.ID))
+					if len(staticBindings[rr.ID]) != 0 {
+						t.Errorf("%s: bound to %v but StaticCheck returned nothing", rr.ID, staticBindings[rr.ID])
 					}
 					continue
 				}
@@ -71,7 +71,7 @@ func TestStaticCoversMeasured(t *testing.T) {
 			}
 			// Every bound experiment must have been checked: 13 bound ids,
 			// E4 contributing two scenarios.
-			if want := len(BoundExperiments()) + 1; checked != want {
+			if want := len(staticBindings) + 1; checked != want {
 				t.Errorf("checked %d (experiment, scenario) pairs, want %d", checked, want)
 			}
 		})
@@ -108,23 +108,22 @@ func TestRenderStaticByteStable(t *testing.T) {
 	}
 }
 
-// TestStaticBindingsShape pins the binding table's invariants: sorted
-// experiment-id order, defensive copies, and the E4 double binding.
+// TestStaticBindingsShape pins the binding table: which experiments are
+// bound, and the E4 double binding.
 func TestStaticBindingsShape(t *testing.T) {
-	bound := BoundExperiments()
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E13", "E14", "E15", "E16"}
-	if strings.Join(bound, ",") != strings.Join(want, ",") {
-		t.Errorf("BoundExperiments() = %v, want %v", bound, want)
+	if len(staticBindings) != len(want) {
+		t.Errorf("%d bound experiments, want %d (%v)", len(staticBindings), len(want), want)
 	}
-	b := StaticBindings("E4")
-	if len(b) != 2 || b[0] != "odns" || b[1] != "odoh" {
-		t.Errorf("StaticBindings(E4) = %v", b)
+	for _, id := range want {
+		if len(staticBindings[id]) == 0 {
+			t.Errorf("%s has no static bindings", id)
+		}
 	}
-	b[0] = "mutated"
-	if StaticBindings("E4")[0] != "odns" {
-		t.Error("StaticBindings returned a shared slice")
+	if b := staticBindings["E4"]; len(b) != 2 || b[0] != "odns" || b[1] != "odoh" {
+		t.Errorf("staticBindings[E4] = %v", b)
 	}
-	if StaticBindings("E10") != nil {
+	if staticBindings["E10"] != nil {
 		t.Errorf("E10 should have no bindings")
 	}
 }

@@ -447,7 +447,7 @@ func E6MPR(ctx Ctx) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, conn, err := stack.FetchConn(path, base64.StdEncoding.EncodeToString(tok.Marshal()), "", func(localAddr string) {
+		_, conn, err := stack.FetchConn(path, base64.StdEncoding.EncodeToString(tok.Marshal()), func(localAddr string) {
 			cls.RegisterIdentity(localAddr, who, "", core.Sensitive)
 		})
 		if conn != nil {

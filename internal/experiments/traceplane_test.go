@@ -34,7 +34,7 @@ func tracePlaneTransports() []struct {
 		ctx  func() Ctx
 	}{
 		{"simnet", func() Ctx { return Ctx{} }},
-		{"tcp", func() Ctx { return WithTransport(nil, realTransport) }},
+		{"tcp", func() Ctx { return Ctx{transport: realTransport} }},
 	}
 }
 

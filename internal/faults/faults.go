@@ -397,16 +397,6 @@ func NamedPlans() []string {
 	return names
 }
 
-// NamedPlanSpecs returns a copy of the name -> spec table (for fuzz
-// seeding and help text).
-func NamedPlanSpecs() map[string]string {
-	out := make(map[string]string, len(namedPlans))
-	for k, v := range namedPlans {
-		out[k] = v
-	}
-	return out
-}
-
 // PlanFromSpec resolves a -faults argument: a registered plan name or a
 // ParsePlan spec string. Empty means no plan (nil).
 func PlanFromSpec(spec string) (*Plan, error) {

@@ -91,8 +91,8 @@ func (r *Relay) Start() (addr string, err error) {
 	return r.ln.Addr().String(), nil
 }
 
-// Close stops the listener and waits for active tunnels to wind down is
-// not attempted — tunnels die with their connections.
+// Close stops the listener and waits for the accept loop to exit. It
+// does not wait for open tunnels: they die with their connections.
 func (r *Relay) Close() error {
 	r.mu.Lock()
 	r.closed = true
@@ -324,9 +324,6 @@ func (o *Origin) Start() (addr string, err error) {
 			h := r.RemoteAddr
 			o.lg.SawIdentity(o.Name, r.RemoteAddr, h)
 			o.lg.SawData(o.Name, r.URL.Path, h)
-			if geo := r.Header.Get("Geohint"); geo != "" {
-				o.lg.SawData(o.Name, "geo:"+geo, h)
-			}
 		}
 		fmt.Fprintf(w, "origin content for %s", r.URL.Path)
 	})
@@ -410,7 +407,7 @@ func (s *Stack) Close() {
 
 // Fetch performs one HTTP GET through the stack and returns the body.
 func (s *Stack) Fetch(path, token string, onDial func(string)) (string, error) {
-	body, conn, err := s.FetchConn(path, token, "", onDial)
+	body, conn, err := s.FetchConn(path, token, onDial)
 	if conn != nil {
 		conn.Close()
 	}
@@ -421,25 +418,7 @@ func (s *Stack) Fetch(path, token string, onDial func(string)) (string, error) {
 // measurement runs hold connections so ephemeral ports registered as
 // client identities cannot be recycled into relay-side dials during the
 // run. The caller must close the returned connection.
-func (s *Stack) FetchConn(path, token, geoHint string, onDial func(string)) (string, net.Conn, error) {
-	return s.fetch(path, token, geoHint, onDial)
-}
-
-// FetchWithGeoHint is Fetch with the §4.4 "real-world regression" knob:
-// a coarse location hint sent to the origin so geo-dependent services
-// (DRM, licensing) keep working even though the relays hide the
-// client's IP. Sharing it is privacy-preserving in granularity but, as
-// the paper notes, is information the pure architecture would have
-// withheld — the origin's measured tuple gains a partial component.
-func (s *Stack) FetchWithGeoHint(path, token, geoHint string, onDial func(string)) (string, error) {
-	body, conn, err := s.fetch(path, token, geoHint, onDial)
-	if conn != nil {
-		conn.Close()
-	}
-	return body, err
-}
-
-func (s *Stack) fetch(path, token, geoHint string, onDial func(string)) (string, net.Conn, error) {
+func (s *Stack) FetchConn(path, token string, onDial func(string)) (string, net.Conn, error) {
 	conn, err := Dial(s.Relay1Addr, s.Relay2Addr, s.OriginAddr, s.ClientConfig(token, onDial))
 	if err != nil {
 		return "", nil, err
@@ -447,9 +426,6 @@ func (s *Stack) fetch(path, token, geoHint string, onDial func(string)) (string,
 	req, err := http.NewRequest(http.MethodGet, "https://origin.decoupling.test"+path, nil)
 	if err != nil {
 		return "", conn, err
-	}
-	if geoHint != "" {
-		req.Header.Set("Geohint", geoHint)
 	}
 	if err := req.Write(conn); err != nil {
 		return "", conn, err

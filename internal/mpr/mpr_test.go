@@ -126,7 +126,7 @@ func TestDecouplingTable(t *testing.T) {
 		who := fmt.Sprintf("user-%d", i)
 		path := fmt.Sprintf("/secret/%d", i)
 		cls.RegisterData(path, who, "", core.Sensitive)
-		_, conn, err := stack.FetchConn(path, "", "", func(localAddr string) {
+		_, conn, err := stack.FetchConn(path, "", func(localAddr string) {
 			cls.RegisterIdentity(localAddr, who, "", core.Sensitive)
 		})
 		if conn != nil {
@@ -171,7 +171,7 @@ func TestCollusionStructure(t *testing.T) {
 		who := fmt.Sprintf("user-%d", i)
 		path := fmt.Sprintf("/secret/%d", i)
 		cls.RegisterData(path, who, "", core.Sensitive)
-		_, conn, err := stack.FetchConn(path, "", "", func(localAddr string) {
+		_, conn, err := stack.FetchConn(path, "", func(localAddr string) {
 			cls.RegisterIdentity(localAddr, who, "", core.Sensitive)
 		})
 		if conn != nil {
@@ -264,56 +264,6 @@ func BenchmarkFetchThroughStack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := stack.Fetch("/bench", "", nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// TestGeoHintRegression exercises the §4.4 "real-world regression": a
-// coarse location hint shared with the origin keeps geo-dependent
-// services working but adds a partially sensitive datum to the origin's
-// measured knowledge — visible in the ledger, absent without the hint.
-func TestGeoHintRegression(t *testing.T) {
-	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
-	stack, err := NewStack(lg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stack.Close()
-	cls.RegisterData("geo:EU-west", "alice", "", core.Partial)
-
-	if _, err := stack.FetchWithGeoHint("/stream", "", "EU-west", func(localAddr string) {
-		cls.RegisterIdentity(localAddr, "alice", "", core.Sensitive)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var sawGeo bool
-	for _, o := range lg.ByObserver(OriginName) {
-		if o.Value == "geo:EU-west" {
-			if o.Level != core.Partial {
-				t.Errorf("geo hint level = %v, want partial", o.Level)
-			}
-			sawGeo = true
-		}
-	}
-	if !sawGeo {
-		t.Error("origin did not observe the geo hint")
-	}
-	// The relays never see it (it travels inside origin TLS).
-	for _, name := range []string{Relay1Name, Relay2Name} {
-		for _, o := range lg.ByObserver(name) {
-			if strings.Contains(o.Value, "EU-west") {
-				t.Errorf("%s observed the geo hint: %q", name, o.Value)
-			}
-		}
-	}
-	// Without the hint, the origin's view stays hint-free.
-	if _, err := stack.Fetch("/stream2", "", nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range lg.ByObserver(OriginName) {
-		if strings.Contains(o.Value, "stream2") && strings.Contains(o.Value, "geo:") {
-			t.Error("hint leaked on hintless fetch")
 		}
 	}
 }

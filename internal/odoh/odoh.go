@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"decoupling/internal/core"
@@ -61,19 +60,8 @@ const (
 var (
 	ErrMalformed  = errors.New("odoh: malformed oblivious message")
 	ErrUnknownKey = errors.New("odoh: unknown key id")
-	// ErrStaleKey reports a query sealed to a key config that WAS valid
-	// but has been expired by rotation — distinct from ErrUnknownKey
-	// (never published) so a client racing ExpireOldKeys can refetch the
-	// config and retry instead of treating the failure as fatal.
-	ErrStaleKey = errors.New("odoh: stale key id (expired by rotation)")
-	ErrType     = errors.New("odoh: unexpected message type")
+	ErrType       = errors.New("odoh: unexpected message type")
 )
-
-// IsStaleKey reports whether err is (or carries, after a trip through
-// an HTTP error body) the stale-key condition.
-func IsStaleKey(err error) bool {
-	return err != nil && (errors.Is(err, ErrStaleKey) || strings.Contains(err.Error(), ErrStaleKey.Error()))
-}
 
 // Message is the ObliviousDoHMessage envelope.
 type Message struct {
@@ -118,11 +106,9 @@ func UnmarshalMessage(data []byte) (*Message, error) {
 	return m, nil
 }
 
-// Target is the Oblivious Target: it holds the HPKE keys and resolves
-// decrypted queries through an upstream authority. Targets publish key
-// configs with a lifecycle: RotateKey mints a new current config while
-// previous configs keep decrypting (clients refresh configs lazily);
-// ExpireOldKeys ends the grace period.
+// Target is the Oblivious Target: it holds the one HPKE key pair whose
+// config it publishes and resolves decrypted queries through an
+// upstream authority.
 type Target struct {
 	Name     string
 	lg       *ledger.Ledger
@@ -130,41 +116,22 @@ type Target struct {
 	wire     *wiretrace.Plane
 	Upstream dns.Authority
 
+	kp    *hpke.KeyPair
+	keyID []byte // first 8 bytes of SHA-256 of the public key
+
 	mu      sync.Mutex
-	keys    map[string]*hpke.KeyPair // keyID -> key, all accepted
-	expired map[string]bool          // keyIDs rotated out by ExpireOldKeys
-	current string                   // keyID of the published config
 	handled int
 }
 
-func keyIDOf(pub []byte) []byte {
-	sum := sha256.Sum256(pub)
-	return sum[:8]
-}
-
-// NewTarget creates a target resolving through upstream.
+// NewTarget creates a target resolving through upstream, with a fresh
+// key pair.
 func NewTarget(name string, upstream dns.Authority, lg *ledger.Ledger) (*Target, error) {
-	t := &Target{Name: name, lg: lg, Upstream: upstream,
-		keys: map[string]*hpke.KeyPair{}, expired: map[string]bool{}}
-	if _, _, err := t.RotateKey(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RotateKey generates and publishes a fresh key config. Queries sealed
-// to previous configs continue to decrypt until ExpireOldKeys.
-func (t *Target) RotateKey() (keyID, pub []byte, err error) {
 	kp, err := hpke.GenerateKeyPair()
 	if err != nil {
-		return nil, nil, fmt.Errorf("odoh: target key: %w", err)
+		return nil, fmt.Errorf("odoh: target key: %w", err)
 	}
-	id := keyIDOf(kp.PublicKey())
-	t.mu.Lock()
-	t.keys[string(id)] = kp
-	t.current = string(id)
-	t.mu.Unlock()
-	return id, kp.PublicKey(), nil
+	sum := sha256.Sum256(kp.PublicKey())
+	return &Target{Name: name, lg: lg, Upstream: upstream, kp: kp, keyID: sum[:8]}, nil
 }
 
 // Instrument attaches a telemetry sink: each handled query feeds the
@@ -178,28 +145,9 @@ func (t *Target) Instrument(tel *telemetry.Telemetry) { t.tel = tel }
 // the target is a decoupling boundary. Nil-safe.
 func (t *Target) InstrumentWire(p *wiretrace.Plane) { t.wire = p }
 
-// ExpireOldKeys drops every config except the current one. Expired ids
-// are remembered so an in-flight query racing the rotation gets the
-// typed ErrStaleKey (refetch and retry) rather than the fatal
-// ErrUnknownKey.
-func (t *Target) ExpireOldKeys() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id := range t.keys {
-		if id != t.current {
-			delete(t.keys, id)
-			t.expired[id] = true
-		}
-	}
-}
-
-// KeyConfig returns (keyID, public key) of the current published
-// config.
+// KeyConfig returns (keyID, public key) of the published config.
 func (t *Target) KeyConfig() (keyID, pub []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kp := t.keys[t.current]
-	return []byte(t.current), kp.PublicKey()
+	return bytes.Clone(t.keyID), t.kp.PublicKey()
 }
 
 // Handled reports the number of successfully answered queries.
@@ -222,20 +170,13 @@ func (t *Target) HandleQuery(from string, raw []byte) ([]byte, error) {
 	if m.Type != MessageTypeQuery {
 		return nil, ErrType
 	}
-	t.mu.Lock()
-	kp, ok := t.keys[string(m.KeyID)]
-	stale := t.expired[string(m.KeyID)]
-	t.mu.Unlock()
-	if !ok {
-		if stale {
-			return nil, ErrStaleKey
-		}
+	if !bytes.Equal(m.KeyID, t.keyID) {
 		return nil, ErrUnknownKey
 	}
 	if len(m.Body) < hpke.NEnc+16 {
 		return nil, ErrMalformed
 	}
-	ctx, err := hpke.SetupRecipient(m.Body[:hpke.NEnc], kp, []byte(queryInfo))
+	ctx, err := hpke.SetupRecipient(m.Body[:hpke.NEnc], t.kp, []byte(queryInfo))
 	if err != nil {
 		return nil, err
 	}
@@ -385,14 +326,6 @@ func (c *Client) InstrumentWire(p *wiretrace.Plane) { c.wire = p }
 // NewClient creates a client for the given target key config.
 func NewClient(id string, keyID, targetPub []byte) *Client {
 	return &Client{ID: id, targetKey: targetPub, keyID: keyID}
-}
-
-// SetKeyConfig swaps in a freshly fetched key config (after a rotation
-// signalled by ErrStaleKey). Not safe concurrently with Query on the
-// same client; refresh between attempts, as ResilientClient does.
-func (c *Client) SetKeyConfig(keyID, targetPub []byte) {
-	c.keyID = append([]byte(nil), keyID...)
-	c.targetKey = append([]byte(nil), targetPub...)
 }
 
 // ForwardFunc relays an oblivious query and returns the raw response.

@@ -1,6 +1,7 @@
 package odoh
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -64,12 +65,42 @@ func TestNXDomainPropagates(t *testing.T) {
 	}
 }
 
+// TestWrongKeyIDRejected: a query sealed to a key config the target
+// never published fails with ErrUnknownKey, and the target records no
+// observation for it.
 func TestWrongKeyIDRejected(t *testing.T) {
-	proxy, target := ecosystem(t, nil)
-	_, pub := target.KeyConfig()
-	client := NewClient("client-1", []byte("bogus-id"), pub)
-	if _, err := client.Query("www.example.com", dnswire.TypeA, proxy.Forward); err == nil {
-		t.Error("query with wrong key id succeeded")
+	other, err := NewTarget("other", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherID, otherPub := other.KeyConfig()
+	for _, tc := range []struct {
+		name string
+		cfg  func(target *Target) (keyID, pub []byte)
+	}{
+		{"bogus id", func(target *Target) ([]byte, []byte) {
+			_, pub := target.KeyConfig()
+			return []byte("bogus-id"), pub
+		}},
+		{"another target's config", func(*Target) ([]byte, []byte) { return otherID, otherPub }},
+	} {
+		lg := ledger.New(nil, nil)
+		proxy, target := ecosystem(t, lg)
+		keyID, pub := tc.cfg(target)
+		client := NewClient("client-1", keyID, pub)
+		if _, err := client.Query("www.example.com", dnswire.TypeA, proxy.Forward); !errors.Is(err, ErrUnknownKey) {
+			t.Errorf("%s: err = %v, want ErrUnknownKey", tc.name, err)
+		}
+		if obs := lg.ByObserver(TargetName); len(obs) != 0 {
+			t.Errorf("%s: target recorded %d observations, want none", tc.name, len(obs))
+		}
+		// The published config still works and is observed.
+		if _, err := newClient(t, target, "client-2").Query("www.example.com", dnswire.TypeA, proxy.Forward); err != nil {
+			t.Fatalf("%s: published config: %v", tc.name, err)
+		}
+		if len(lg.ByObserver(TargetName)) == 0 {
+			t.Errorf("%s: target recorded nothing for a published config", tc.name)
+		}
 	}
 }
 
@@ -248,36 +279,5 @@ func BenchmarkQueryHTTP(b *testing.B) {
 		if _, err := client.Query("www.example.com", dnswire.TypeA, fwd); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestKeyRotationLifecycle: a client holding the old config keeps
-// working through the grace period and fails after expiry; fresh
-// configs work throughout.
-func TestKeyRotationLifecycle(t *testing.T) {
-	proxy, target := ecosystem(t, nil)
-	oldClient := newClient(t, target, "old")
-	if _, err := oldClient.Query("www.example.com", dnswire.TypeA, proxy.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := target.RotateKey(); err != nil {
-		t.Fatal(err)
-	}
-	// Grace period: old config still accepted.
-	if _, err := oldClient.Query("mail.example.com", dnswire.TypeA, proxy.Forward); err != nil {
-		t.Errorf("old config rejected during grace period: %v", err)
-	}
-	// New config works too.
-	newClientC := newClient(t, target, "new")
-	if _, err := newClientC.Query("www.example.com", dnswire.TypeA, proxy.Forward); err != nil {
-		t.Fatal(err)
-	}
-	// Expiry ends the grace period.
-	target.ExpireOldKeys()
-	if _, err := oldClient.Query("secret.example.com", dnswire.TypeA, proxy.Forward); err == nil {
-		t.Error("expired config still accepted")
-	}
-	if _, err := newClientC.Query("secret.example.com", dnswire.TypeA, proxy.Forward); err != nil {
-		t.Errorf("current config rejected after expiry: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 // ResilientClient: the ODoH client wrapped in the shared resilience
-// layer — failover across a set of oblivious proxies, stale-key
-// refresh after a rotation race, and an explicit degradation policy.
+// layer — failover across a set of oblivious proxies and an explicit
+// degradation policy.
 //
 // Degradation policy: FAIL-CLOSED by default. Every proxy in Forwards
 // is a decoupled path (each sees identity but only ciphertext); when
@@ -21,10 +21,6 @@ import (
 	"decoupling/internal/telemetry"
 )
 
-// KeyFetch re-fetches the target's current key config (what a real
-// client does by re-querying the proxy-advertised HTTPS record).
-type KeyFetch func() (keyID, pub []byte, err error)
-
 // FallbackFunc resolves a query outside the oblivious path. Any use of
 // it re-couples identity with data; see package comment.
 type FallbackFunc func(name string, qtype dnswire.Type) (*dnswire.Message, error)
@@ -37,9 +33,6 @@ type ResilientClient struct {
 	Policy resilience.Policy
 	// Forwards are the decoupled paths, tried in failover rotation.
 	Forwards []ForwardFunc
-	// Refetch, when set, refreshes the key config after ErrStaleKey so
-	// the next attempt re-seals under the rotated key.
-	Refetch KeyFetch
 	// Fallback is the deliberate misconfiguration hook: only consulted
 	// when Policy.Mode is resilience.FailOpen and every decoupled path
 	// is exhausted. Leave nil.
@@ -54,8 +47,7 @@ type ResilientClient struct {
 func (rc *ResilientClient) Instrument(tel *telemetry.Telemetry) { rc.tel = tel }
 
 // Query resolves (name, qtype) through the proxy set under the policy.
-// A stale-key failure triggers a key-config refetch so the retry
-// succeeds; transport failures rotate to the next proxy.
+// Transport failures rotate to the next proxy.
 func (rc *ResilientClient) Query(name string, qtype dnswire.Type) (*dnswire.Message, error) {
 	// Jitter seed: a stable hash of the query identity, so backoff
 	// schedules are deterministic per query and uncorrelated across
@@ -71,11 +63,6 @@ func (rc *ResilientClient) Query(name string, qtype dnswire.Type) (*dnswire.Mess
 		func(attempt, endpoint int) error {
 			r, qerr := rc.Client.Query(name, qtype, rc.Forwards[endpoint])
 			if qerr != nil {
-				if IsStaleKey(qerr) && rc.Refetch != nil {
-					if id, pub, ferr := rc.Refetch(); ferr == nil {
-						rc.Client.SetKeyConfig(id, pub)
-					}
-				}
 				return qerr
 			}
 			resp = r

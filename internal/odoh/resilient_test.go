@@ -8,94 +8,6 @@ import (
 	"decoupling/internal/resilience"
 )
 
-// TestStaleKeyIsTyped: a query sealed to a rotated-out config gets the
-// typed ErrStaleKey (refetchable), while a never-published key id stays
-// the fatal ErrUnknownKey.
-func TestStaleKeyIsTyped(t *testing.T) {
-	proxy, target := ecosystem(t, nil)
-	client := newClient(t, target, "client-1")
-
-	if _, _, err := target.RotateKey(); err != nil {
-		t.Fatal(err)
-	}
-	// Grace period: the old config still decrypts.
-	if _, err := client.Query("www.example.com", dnswire.TypeA, proxy.Forward); err != nil {
-		t.Fatalf("query during rotation grace period: %v", err)
-	}
-
-	target.ExpireOldKeys()
-	_, err := client.Query("www.example.com", dnswire.TypeA, proxy.Forward)
-	if !IsStaleKey(err) {
-		t.Fatalf("query with expired config: %v, want stale-key", err)
-	}
-	if errors.Is(err, ErrUnknownKey) {
-		t.Error("stale key misreported as unknown")
-	}
-}
-
-// TestResilientClientRefetchesAfterRotationRace is the regression test
-// for the ExpireOldKeys race: a client whose key config is expired
-// mid-flight must refetch the rotated config and succeed on the retry
-// instead of failing the query.
-func TestResilientClientRefetchesAfterRotationRace(t *testing.T) {
-	proxy, target := ecosystem(t, nil)
-	client := newClient(t, target, "client-1")
-
-	// Rotate + expire AFTER the client fetched its config: the first
-	// attempt is sealed to a key the target no longer holds.
-	if _, _, err := target.RotateKey(); err != nil {
-		t.Fatal(err)
-	}
-	target.ExpireOldKeys()
-
-	refetches := 0
-	rc := &ResilientClient{
-		Client:   client,
-		Policy:   resilience.Default("odoh"),
-		Forwards: []ForwardFunc{proxy.Forward},
-		Refetch: func() (keyID, pub []byte, err error) {
-			refetches++
-			id, p := target.KeyConfig()
-			return id, p, nil
-		},
-	}
-	resp, err := rc.Query("www.example.com", dnswire.TypeA)
-	if err != nil {
-		t.Fatalf("query across a key rotation race: %v", err)
-	}
-	if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if refetches != 1 {
-		t.Errorf("refetches = %d, want exactly 1", refetches)
-	}
-	if target.Handled() != 1 {
-		t.Errorf("target handled %d, want 1 (only the re-sealed retry)", target.Handled())
-	}
-}
-
-// TestResilientClientWithoutRefetchFailsClosed: the same race without a
-// Refetch hook exhausts its attempts and errors — it must not succeed by
-// accident or fall back anywhere.
-func TestResilientClientWithoutRefetchFailsClosed(t *testing.T) {
-	proxy, target := ecosystem(t, nil)
-	client := newClient(t, target, "client-1")
-	if _, _, err := target.RotateKey(); err != nil {
-		t.Fatal(err)
-	}
-	target.ExpireOldKeys()
-
-	rc := &ResilientClient{
-		Client:   client,
-		Policy:   resilience.Default("odoh"),
-		Forwards: []ForwardFunc{proxy.Forward},
-	}
-	_, err := rc.Query("www.example.com", dnswire.TypeA)
-	if !errors.Is(err, resilience.ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-}
-
 // TestResilientClientFailsOverAcrossProxies: dead proxies rotate out;
 // the healthy one answers; no error escapes.
 func TestResilientClientFailsOverAcrossProxies(t *testing.T) {

@@ -601,25 +601,3 @@ func (c *Client) Dropped() int {
 	defer c.mu.Unlock()
 	return c.dropped
 }
-
-// ScheduleChaff arms a periodic dummy-cell generator on the circuit:
-// one chaff cell every interval, count times (count <= 0 disables).
-// On the wire the chaff is indistinguishable from data cells, raising
-// the cost of volume-counting adversaries at a measured bandwidth
-// price (§4.3).
-func (circ *Circuit) ScheduleChaff(interval time.Duration, count int) {
-	if count <= 0 {
-		return
-	}
-	var tick func(remaining int)
-	tick = func(remaining int) {
-		if remaining <= 0 {
-			return
-		}
-		// Errors on chaff are ignorable by design: dummies are best
-		// effort and must never disturb the data path.
-		_ = circ.SendChaff()
-		circ.client.net.After(interval, func() { tick(remaining - 1) })
-	}
-	circ.client.net.After(interval, func() { tick(count) })
-}

@@ -286,27 +286,3 @@ func BenchmarkRequestResponse3Hop(b *testing.B) {
 		net.Run()
 	}
 }
-
-func TestScheduleChaff(t *testing.T) {
-	net := simnet.New(1)
-	infos, _, origin := buildPath(t, net, 2, nil)
-	client := NewClient(net, "alice")
-	circ, err := client.BuildCircuit(infos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run()
-	pre := net.Delivered()
-	circ.ScheduleChaff(10*time.Millisecond, 5)
-	net.Run()
-	// 5 chaff cells, 2 hops each = 10 deliveries; none reach the origin.
-	if got := net.Delivered() - pre; got != 10 {
-		t.Errorf("chaff deliveries = %d, want 10", got)
-	}
-	if len(origin.Requests()) != 0 {
-		t.Errorf("chaff leaked to origin: %v", origin.Requests())
-	}
-	// Zero count is a no-op.
-	circ.ScheduleChaff(time.Millisecond, 0)
-	net.Run()
-}

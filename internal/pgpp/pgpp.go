@@ -148,7 +148,7 @@ type LocationEvent struct {
 	Step  int
 }
 
-// Core is the NGC: attach, mobility, paging. In PGPP mode it verifies
+// Core is the NGC: attach and mobility. In PGPP mode it verifies
 // gateway tokens; in baseline mode it authenticates permanent IMSIs
 // against its subscriber database (and, in the bundled-billing baseline,
 // knows the owning account).
@@ -160,7 +160,7 @@ type Core struct {
 	mu          sync.Mutex
 	subscribers map[string]string // imsi -> account (baseline only)
 	spent       map[string]bool
-	location    map[string]int // netID -> current cell
+	attached    map[string]bool // netIDs with a recorded presence
 	log         []LocationEvent
 }
 
@@ -170,7 +170,7 @@ func NewCore(pgppMode bool, gatewayKey *rsa.PublicKey, lg *ledger.Ledger) *Core 
 		PGPP: pgppMode, gatewayKey: gatewayKey, lg: lg,
 		subscribers: map[string]string{},
 		spent:       map[string]bool{},
-		location:    map[string]int{},
+		attached:    map[string]bool{},
 	}
 }
 
@@ -220,7 +220,7 @@ func (c *Core) Attach(netID string, tok *AttachToken, cell, step int) error {
 // Update processes a mobility event (handover / tracking-area update).
 func (c *Core) Update(netID string, cell, step int) error {
 	c.mu.Lock()
-	_, attached := c.location[netID]
+	attached := c.attached[netID]
 	c.mu.Unlock()
 	if !attached {
 		return ErrNotAttached
@@ -231,7 +231,7 @@ func (c *Core) Update(netID string, cell, step int) error {
 
 func (c *Core) recordPresence(netID string, cell, step int) {
 	c.mu.Lock()
-	c.location[netID] = cell
+	c.attached[netID] = true
 	c.log = append(c.log, LocationEvent{NetID: netID, Cell: cell, Step: step})
 	c.mu.Unlock()
 	if c.lg != nil {
@@ -239,18 +239,6 @@ func (c *Core) recordPresence(netID string, cell, step int) {
 		c.lg.SawIdentity(CoreName, netID, h)
 		c.lg.SawData(CoreName, fmt.Sprintf("presence:%d@%d", cell, step), h)
 	}
-}
-
-// Page locates a device for incoming traffic — the connectivity
-// function that keeps working under PGPP.
-func (c *Core) Page(netID string) (cell int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cell, ok := c.location[netID]
-	if !ok {
-		return 0, ErrNotAttached
-	}
-	return cell, nil
 }
 
 // Log returns a copy of the location-management log.

@@ -30,7 +30,8 @@ func smallConfig(pgppMode bool, policy ShufflePolicy) SimConfig {
 }
 
 // TestBaselineAttachAndPage runs the baseline with no gateway: devices
-// authenticate by IMSI alone.
+// authenticate by IMSI alone, and the core's location log places a
+// device in the cell it last moved to.
 func TestBaselineAttachAndPage(t *testing.T) {
 	nc := NewCore(false, nil, nil)
 	rng := mrand.New(mrand.NewSource(1))
@@ -44,9 +45,9 @@ func TestBaselineAttachAndPage(t *testing.T) {
 	if err := d.Move(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	cell, err := nc.Page(d.NetID())
-	if err != nil || cell != 4 {
-		t.Errorf("Page = %d, %v", cell, err)
+	log := nc.Log()
+	if last := log[len(log)-1]; last.NetID != d.NetID() || last.Cell != 4 {
+		t.Errorf("core located %s in cell %d, want cell 4", last.NetID, last.Cell)
 	}
 }
 
@@ -250,20 +251,25 @@ func TestGatewayCoreCollusionCannotLink(t *testing.T) {
 }
 
 // TestPagingStillWorksUnderPGPP: the functionality claim — connectivity
-// (reaching a device) survives the decoupling.
+// (locating a device) survives the decoupling: the core's location log
+// places each device's current pseudonym in its true current cell.
 func TestPagingStillWorksUnderPGPP(t *testing.T) {
 	res, err := RunSim(smallConfig(true, ShufflePerAttach), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := map[string]int{} // netID -> cell of its latest location event
+	for _, e := range res.Core.Log() {
+		last[e.NetID] = e.Cell
+	}
 	for _, d := range res.Devices {
-		cell, err := res.Core.Page(d.NetID())
-		if err != nil {
-			t.Fatalf("paging %s: %v", d.Account, err)
+		cell, ok := last[d.NetID()]
+		if !ok {
+			t.Fatalf("core cannot locate %s", d.Account)
 		}
 		trace := res.Traces[d.Account]
 		if got := trace[len(trace)-1]; got != cell {
-			t.Errorf("paged %s to cell %d, truth %d", d.Account, cell, got)
+			t.Errorf("located %s in cell %d, truth %d", d.Account, cell, got)
 		}
 	}
 }

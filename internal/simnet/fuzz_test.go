@@ -23,8 +23,12 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Add("loss:a>b:1@1ms-2ms")
 	f.Add("spike:exit>origin:40ms@50ms-90ms")
 	f.Add("crash:mix2@25ms-120ms;loss:*>mix1:0.3@0-;spike:exit>origin:40ms@50ms-90ms")
-	for _, spec := range faults.NamedPlanSpecs() {
-		f.Add(spec)
+	for _, name := range faults.NamedPlans() {
+		p, err := faults.PlanFromSpec(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p.Spec())
 	}
 	f.Add(";;;")
 	f.Add("crash:@1ms-")

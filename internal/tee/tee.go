@@ -127,9 +127,6 @@ type Enclave struct {
 	invokes int
 }
 
-// Measurement returns the running program's digest.
-func (e *Enclave) Measurement() [32]byte { return e.program.Measurement() }
-
 // Invokes reports how many times the host called in.
 func (e *Enclave) Invokes() int {
 	e.mu.Lock()

@@ -139,23 +139,15 @@ func (o *Origin) Start() (addr string, err error) {
 // Close shuts the origin down.
 func (o *Origin) Close() error { return o.srv.Close() }
 
-// Fetch performs one GET of originURL through the VPN at vpnAddr.
-// onDial receives the client's local address before the request is
-// sent (classification ground truth hook).
-func Fetch(vpnAddr, originURL string, onDial func(localAddr string)) (string, error) {
-	body, conn, err := FetchConn(vpnAddr, originURL, onDial)
-	if conn != nil {
-		conn.Close()
-	}
-	return body, err
-}
-
-// FetchConn is Fetch but returns the client connection still open.
-// Measurement runs hold these connections until the run ends so the
-// OS cannot recycle a client's ephemeral port into a server-side dial,
-// which would contaminate address-based classification ground truth.
-// The caller owns the returned connection (non-nil even on some error
-// paths) and must close it.
+// FetchConn performs one GET of originURL through the VPN at vpnAddr
+// and returns the body with the client connection still open. onDial
+// receives the client's local address before the request is sent
+// (classification ground truth hook). Measurement runs hold these
+// connections until the run ends so the OS cannot recycle a client's
+// ephemeral port into a server-side dial, which would contaminate
+// address-based classification ground truth. The caller owns the
+// returned connection (non-nil even on some error paths) and must
+// close it.
 func FetchConn(vpnAddr, originURL string, onDial func(localAddr string)) (string, net.Conn, error) {
 	proxyURL, err := url.Parse("http://" + vpnAddr)
 	if err != nil {

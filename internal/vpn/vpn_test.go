@@ -1,7 +1,11 @@
 package vpn
 
 import (
+	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"testing"
 
 	"decoupling/internal/adversary"
@@ -25,10 +29,19 @@ func stack(t testing.TB, lg *ledger.Ledger) (vpnAddr, originAddr string, cleanup
 	return vpnAddr, originAddr, func() { srv.Close(); origin.Close() }
 }
 
+// fetch GETs url through the VPN at vpnAddr and closes the connection.
+func fetch(vpnAddr, url string) (string, error) {
+	body, conn, err := FetchConn(vpnAddr, url, nil)
+	if conn != nil {
+		conn.Close()
+	}
+	return body, err
+}
+
 func TestFetchThroughVPN(t *testing.T) {
 	vpnAddr, originAddr, cleanup := stack(t, nil)
 	defer cleanup()
-	body, err := Fetch(vpnAddr, "http://"+originAddr+"/doc", nil)
+	body, err := fetch(vpnAddr, "http://"+originAddr+"/doc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +50,8 @@ func TestFetchThroughVPN(t *testing.T) {
 	}
 }
 
+// TestNonProxyRequestRejected: a request with a relative URI is not a
+// forward-proxy request. The VPN answers 400 and observes nothing.
 func TestNonProxyRequestRejected(t *testing.T) {
 	lg := ledger.New(ledger.NewClassifier(), nil)
 	srv := NewServer(lg)
@@ -45,18 +60,31 @@ func TestNonProxyRequestRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// A relative-URI fetch of the proxy itself must 400.
-	if _, err := Fetch(vpnAddr, "http://"+vpnAddr+"/not-a-proxy-request", nil); err == nil {
-		// The URL is absolute but points at the VPN itself; it will try
-		// to proxy to itself and loop once, producing a 400 inside.
-		t.Log("self-referential fetch did not error; acceptable but unusual")
+	conn, err := net.Dial("tcp", vpnAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /x HTTP/1.1\r\nHost: "+vpnAddr+"\r\nConnection: close\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status = %s, want 400", resp.Status)
+	}
+	if obs := lg.ByObserver(ServerName); len(obs) != 0 {
+		t.Errorf("%s recorded %d observations of a rejected request, want none", ServerName, len(obs))
 	}
 }
 
 func TestUnreachableOrigin(t *testing.T) {
 	vpnAddr, _, cleanup := stack(t, nil)
 	defer cleanup()
-	if _, err := Fetch(vpnAddr, "http://127.0.0.1:1/nothing", nil); err == nil {
+	if _, err := fetch(vpnAddr, "http://127.0.0.1:1/nothing"); err == nil {
 		t.Error("fetch of unreachable origin succeeded")
 	}
 }
@@ -138,7 +166,7 @@ func BenchmarkFetchThroughVPN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fetch(vpnAddr, url, nil); err != nil {
+		if _, err := fetch(vpnAddr, url); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,18 +37,6 @@ func (a *Arrivals) Next() time.Duration {
 	return time.Duration(gap * float64(time.Second))
 }
 
-// Offsets returns the first n arrival times relative to the start of
-// the process (cumulative gaps, strictly ordered).
-func (a *Arrivals) Offsets(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	var at time.Duration
-	for i := range out {
-		at += a.Next()
-		out[i] = at
-	}
-	return out
-}
-
 // Sessions generates session lengths and churn: how many requests a
 // client issues before departing, log-normal-ish so most sessions are
 // short and a heavy tail stays connected through many requests —

@@ -38,13 +38,13 @@ func TestArrivalsExponentialShape(t *testing.T) {
 func TestArrivalsDeterministicAndOrdered(t *testing.T) {
 	a1, _ := NewArrivals(7, 50)
 	a2, _ := NewArrivals(7, 50)
-	o1, o2 := a1.Offsets(100), a2.Offsets(100)
-	for i := range o1 {
-		if o1[i] != o2[i] {
-			t.Fatalf("offset %d differs across same-seed processes: %v vs %v", i, o1[i], o2[i])
+	for i := 0; i < 100; i++ {
+		g1, g2 := a1.Next(), a2.Next()
+		if g1 != g2 {
+			t.Fatalf("gap %d differs across same-seed processes: %v vs %v", i, g1, g2)
 		}
-		if i > 0 && o1[i] < o1[i-1] {
-			t.Fatalf("offsets not ordered at %d: %v < %v", i, o1[i], o1[i-1])
+		if g1 < 0 {
+			t.Fatalf("gap %d is negative: %v", i, g1)
 		}
 	}
 }

@@ -65,15 +65,6 @@ func (b *Browsing) Stream(user, n int) []string {
 	return out
 }
 
-// Distinct returns the distinct-name set of a stream.
-func Distinct(stream []string) map[string]bool {
-	out := map[string]bool{}
-	for _, s := range stream {
-		out[s] = true
-	}
-	return out
-}
-
 // Telemetry generates bounded integer measurements (crash counts,
 // latencies bucketed, etc.) with a right-skewed distribution, for the
 // PPM experiments.
@@ -92,16 +83,4 @@ func NewTelemetry(seed int64, max uint64) *Telemetry {
 func (t *Telemetry) Next() uint64 {
 	f := t.rng.Float64()
 	return uint64(f * f * float64(t.max+1) * 0.999)
-}
-
-// Pairs generates communication partners for mix-net style experiments:
-// each of n senders gets one stable partner among m receivers, with
-// heavy hitters.
-func Pairs(seed int64, n, m int) map[string]string {
-	rng := rand.New(rand.NewSource(seed))
-	out := map[string]string{}
-	for i := 0; i < n; i++ {
-		out[fmt.Sprintf("sender%03d", i)] = fmt.Sprintf("recv%03d", rng.Intn(m))
-	}
-	return out
 }

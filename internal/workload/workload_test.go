@@ -88,9 +88,12 @@ func TestStreamAndDistinct(t *testing.T) {
 	if len(stream) != 50 {
 		t.Fatalf("stream length = %d", len(stream))
 	}
-	d := Distinct(stream)
-	if len(d) == 0 || len(d) > 50 {
-		t.Errorf("distinct = %d", len(d))
+	d := map[string]bool{}
+	for _, name := range stream {
+		d[name] = true
+	}
+	if len(d) < 2 {
+		t.Errorf("distinct = %d, want a mix of names", len(d))
 	}
 }
 
@@ -106,18 +109,5 @@ func TestTelemetryBoundsAndSkew(t *testing.T) {
 	}
 	if counts[0] <= counts[15] {
 		t.Errorf("distribution not right-skewed: P(0)=%d P(15)=%d", counts[0], counts[15])
-	}
-}
-
-func TestPairsStableAndInRange(t *testing.T) {
-	p1 := Pairs(11, 20, 5)
-	p2 := Pairs(11, 20, 5)
-	if len(p1) != 20 {
-		t.Fatalf("pairs = %d", len(p1))
-	}
-	for s, r := range p1 {
-		if p2[s] != r {
-			t.Error("pairs not deterministic")
-		}
 	}
 }
