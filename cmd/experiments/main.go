@@ -329,8 +329,9 @@ func writeWireSpans(path string, results []experiments.RunnerResult) error {
 }
 
 // runExplore executes the seed-sweep schedule explorer. ids filters
-// both the probes and the experiments (empty = everything); parallel
-// sizes the case worker pool (the report bytes do not depend on it).
+// explore.Cases, every probe and experiment, by id (empty =
+// everything); parallel sizes the case worker pool (the report bytes
+// do not depend on it).
 func runExplore(out, errw io.Writer, ids []string, seeds int, seedBase uint64, parallel int, tracesDir, metricsFile, listenAddr string) int {
 	if seeds < 1 {
 		fmt.Fprintln(errw, "experiments: -seeds must be at least 1")
@@ -359,29 +360,18 @@ func runExplore(out, errw io.Writer, ids []string, seeds int, seedBase uint64, p
 		fmt.Fprintf(errw, "experiments: observability on http://%s/metrics /statusz /debug/pprof\n", addr)
 	}
 	matched := map[string]bool{}
-	for _, p := range experiments.Scenarios() {
-		if len(want) > 0 && !want[p.ID] {
+	for _, c := range explore.Cases() {
+		if len(want) > 0 && !want[c.ID] {
 			continue
 		}
-		matched[p.ID] = true
-		opts.Probes = append(opts.Probes, p)
-	}
-	for _, c := range explore.DefaultExperimentCases() {
-		if len(want) > 0 && !want[c.Exp.ID] {
-			continue
-		}
-		matched[c.Exp.ID] = true
-		opts.Experiments = append(opts.Experiments, c)
+		matched[c.ID] = true
+		opts.Cases = append(opts.Cases, c)
 	}
 	for id := range want {
 		if !matched[id] {
 			fmt.Fprintf(errw, "experiments: no probe or experiment %q\n", id)
 			return 2
 		}
-	}
-	if len(opts.Probes)+len(opts.Experiments) == 0 {
-		fmt.Fprintln(errw, "experiments: nothing to explore")
-		return 2
 	}
 
 	report := explore.Sweep(opts)

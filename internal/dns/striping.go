@@ -1,8 +1,6 @@
 package dns
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	mrand "math/rand"
 	"sync"
@@ -15,84 +13,35 @@ import (
 // the information available about it at each (the paper's [18],
 // Hounsel et al., "Encryption without Centralization").
 
-// Strategy selects how a striped client spreads queries.
-type Strategy int
-
-// Striping strategies.
-const (
-	// StripeRandom picks a uniformly random resolver per query:
-	// strongest per-resolver profile reduction, worst cache locality.
-	StripeRandom Strategy = iota
-	// StripeRoundRobin rotates deterministically: even load, a resolver
-	// sees every 1/k-th query (including repeats of hot names).
-	StripeRoundRobin
-	// StripeByName hashes the query name to a resolver: each resolver
-	// sees a disjoint slice of the namespace (best cache behaviour; a
-	// resolver sees ALL queries for its slice of names).
-	StripeByName
-)
-
 // ErrNoResolvers is returned when a striped client has no upstreams.
 var ErrNoResolvers = errors.New("dns: striped client needs at least one resolver")
 
-// StripedClient distributes a client's queries over several resolvers.
+// StripedClient distributes a client's queries over several resolvers,
+// picking a uniformly random one per query: the strongest per-resolver
+// profile reduction, at the cost of cache locality.
 type StripedClient struct {
 	ID        string
 	Resolvers []*Resolver
-	Strategy  Strategy
 
-	mu   sync.Mutex
-	rng  *mrand.Rand
-	next int
-	sent []int // per-resolver query counts
+	mu  sync.Mutex
+	rng *mrand.Rand
 }
 
-// NewStripedClient creates a striping client. seed drives the random
-// strategy deterministically in tests.
-func NewStripedClient(id string, resolvers []*Resolver, strategy Strategy, seed int64) (*StripedClient, error) {
+// NewStripedClient creates a striping client. seed drives the resolver
+// choice deterministically.
+func NewStripedClient(id string, resolvers []*Resolver, seed int64) (*StripedClient, error) {
 	if len(resolvers) == 0 {
 		return nil, ErrNoResolvers
 	}
-	return &StripedClient{
-		ID: id, Resolvers: resolvers, Strategy: strategy,
-		rng:  mrand.New(mrand.NewSource(seed)),
-		sent: make([]int, len(resolvers)),
-	}, nil
+	return &StripedClient{ID: id, Resolvers: resolvers, rng: mrand.New(mrand.NewSource(seed))}, nil
 }
 
-// pick chooses the resolver index for a query name.
-func (c *StripedClient) pick(name string) int {
-	switch c.Strategy {
-	case StripeRoundRobin:
-		i := c.next
-		c.next = (c.next + 1) % len(c.Resolvers)
-		return i
-	case StripeByName:
-		sum := sha256.Sum256([]byte(dnswire.CanonicalName(name)))
-		return int(binary.BigEndian.Uint32(sum[:4]) % uint32(len(c.Resolvers)))
-	default:
-		return c.rng.Intn(len(c.Resolvers))
-	}
-}
-
-// Resolve sends one query via the strategy-selected resolver.
+// Resolve sends one query via a randomly chosen resolver.
 func (c *StripedClient) Resolve(q *dnswire.Message) *dnswire.Message {
-	name := ""
-	if len(q.Questions) == 1 {
-		name = q.Questions[0].Name
-	}
 	c.mu.Lock()
-	i := c.pick(name)
-	c.sent[i]++
+	i := c.rng.Intn(len(c.Resolvers))
 	c.mu.Unlock()
 	return c.Resolvers[i].Resolve(c.ID, q)
-}
-
-// Distribution returns the per-resolver query counts so far.
-func (c *StripedClient) Distribution() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.sent...)
 }
 
 // ProfileCompleteness computes, for each resolver, the fraction of the

@@ -27,61 +27,16 @@ func stripingEcosystem(t testing.TB, k int) ([]*Resolver, []string) {
 }
 
 func TestStripedResolutionWorks(t *testing.T) {
-	for _, strat := range []Strategy{StripeRandom, StripeRoundRobin, StripeByName} {
-		resolvers, names := stripingEcosystem(t, 4)
-		c, err := NewStripedClient("alice", resolvers, strat, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range names {
-			resp := c.Resolve(dnswire.NewQuery(uint16(i), n, dnswire.TypeA))
-			if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
-				t.Fatalf("%v: resolve %s failed: %+v", strat, n, resp)
-			}
-		}
-	}
-}
-
-func TestRoundRobinIsEven(t *testing.T) {
 	resolvers, names := stripingEcosystem(t, 4)
-	c, _ := NewStripedClient("alice", resolvers, StripeRoundRobin, 1)
-	for i := 0; i < 2; i++ {
-		for j, n := range names {
-			c.Resolve(dnswire.NewQuery(uint16(j), n, dnswire.TypeA))
+	c, err := NewStripedClient("alice", resolvers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range names {
+		resp := c.Resolve(dnswire.NewQuery(uint16(i), n, dnswire.TypeA))
+		if resp.RCode != dnswire.RCodeNoError || len(resp.Answers) != 1 {
+			t.Fatalf("resolve %s failed: %+v", n, resp)
 		}
-	}
-	for i, n := range c.Distribution() {
-		if n != 12 {
-			t.Errorf("resolver %d got %d queries, want 12", i, n)
-		}
-	}
-}
-
-func TestByNameIsSticky(t *testing.T) {
-	resolvers, _ := stripingEcosystem(t, 4)
-	c, _ := NewStripedClient("alice", resolvers, StripeByName, 1)
-	// The same name always hits the same resolver.
-	for i := 0; i < 10; i++ {
-		c.Resolve(dnswire.NewQuery(uint16(i), "site01.test", dnswire.TypeA))
-	}
-	nonZero := 0
-	for _, n := range c.Distribution() {
-		if n > 0 {
-			nonZero++
-		}
-	}
-	if nonZero != 1 {
-		t.Errorf("sticky name spread over %d resolvers", nonZero)
-	}
-	// And caching pays off: 1 miss, 9 hits at that resolver.
-	var hits, misses uint64
-	for _, r := range resolvers {
-		h, m := r.CacheStats()
-		hits += h
-		misses += m
-	}
-	if hits != 9 || misses != 1 {
-		t.Errorf("hits=%d misses=%d", hits, misses)
 	}
 }
 
@@ -89,7 +44,7 @@ func TestProfileCompletenessFallsWithK(t *testing.T) {
 	prev := 2.0
 	for _, k := range []int{1, 2, 4, 8} {
 		resolvers, names := stripingEcosystem(t, k)
-		c, _ := NewStripedClient("alice", resolvers, StripeRandom, 42)
+		c, _ := NewStripedClient("alice", resolvers, 42)
 		for pass := 0; pass < 2; pass++ {
 			for j, n := range names {
 				c.Resolve(dnswire.NewQuery(uint16(j), n, dnswire.TypeA))
@@ -111,26 +66,8 @@ func TestProfileCompletenessFallsWithK(t *testing.T) {
 	}
 }
 
-func TestByNamePartitionsNamespace(t *testing.T) {
-	// With by-name striping, each resolver sees a disjoint set of
-	// names: completeness fractions sum to exactly 1.
-	resolvers, names := stripingEcosystem(t, 4)
-	c, _ := NewStripedClient("alice", resolvers, StripeByName, 1)
-	for j, n := range names {
-		c.Resolve(dnswire.NewQuery(uint16(j), n, dnswire.TypeA))
-	}
-	fracs := ProfileCompleteness("alice", resolvers, names)
-	sum := 0.0
-	for _, f := range fracs {
-		sum += f
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("by-name completeness fractions sum to %.3f, want 1.0", sum)
-	}
-}
-
 func TestStripedClientErrors(t *testing.T) {
-	if _, err := NewStripedClient("x", nil, StripeRandom, 1); err != ErrNoResolvers {
+	if _, err := NewStripedClient("x", nil, 1); err != ErrNoResolvers {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -147,7 +84,7 @@ func TestProfileCompletenessEmptyTruth(t *testing.T) {
 
 func BenchmarkStripedResolve(b *testing.B) {
 	resolvers, names := stripingEcosystem(b, 4)
-	c, _ := NewStripedClient("bench", resolvers, StripeByName, 1)
+	c, _ := NewStripedClient("bench", resolvers, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -187,7 +187,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 		for u := 0; u < users; u++ {
 			who := fmt.Sprintf("user-%02d", u)
 			userNames[who] = browsing.Stream(u, queriesPerUser)
-			sc, err := dns.NewStripedClient(who, resolvers, dns.StripeRandom, int64(k*1000+u))
+			sc, err := dns.NewStripedClient(who, resolvers, int64(k*1000+u))
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"decoupling/internal/experiments"
 	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/transport"
 )
 
 func probe(t *testing.T, id string) experiments.Scenario {
@@ -17,6 +18,24 @@ func probe(t *testing.T, id string) experiments.Scenario {
 		t.Fatalf("probe %q not registered", id)
 	}
 	return p
+}
+
+// cases returns the named entries of Cases, in the order given.
+func cases(t *testing.T, ids ...string) []Case {
+	t.Helper()
+	byID := map[string]Case{}
+	for _, c := range Cases() {
+		byID[c.ID] = c
+	}
+	var out []Case
+	for _, id := range ids {
+		c, ok := byID[id]
+		if !ok {
+			t.Fatalf("no case %q", id)
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // --- Trace encoding -----------------------------------------------------
@@ -115,10 +134,8 @@ func TestSynthCaseDeterministicAndValid(t *testing.T) {
 
 func TestFailClosedProbesCleanUnderSweep(t *testing.T) {
 	r := Sweep(Options{
-		Seeds: SeedList(1, 4),
-		Probes: []experiments.Scenario{
-			probe(t, "odoh"), probe(t, "odns"),
-		},
+		Seeds:   SeedList(1, 4),
+		Cases:   cases(t, "odoh", "odns"),
 		Workers: 2,
 	})
 	if n := r.FailClosedViolations(); n != 0 {
@@ -133,13 +150,13 @@ func TestFailClosedProbesCleanUnderSweep(t *testing.T) {
 // is an ordinary explored case, not an error. The run reports
 // ErrNothingDelivered, and the oracles check its quiet ledger.
 func TestSilencingPlanIsACase(t *testing.T) {
-	p := probe(t, "mixnet")
-	tr := &Trace{Probe: p.ID, Clients: 2, Faults: "crash:mix1@0-"}
-	run, err := runCase(p, tr, 1, false)
+	c := cases(t, "mixnet")[0]
+	tr := &Trace{Probe: c.ID, Clients: 2, Faults: "crash:mix1@0-"}
+	run, err := execute(c, tr, 1, false)
 	if err != nil {
-		t.Fatalf("runCase: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
-	if vs := Check(run.lg, p.Expected(), healthyCase(p, tr)); len(vs) != 0 {
+	if vs := oracles(c, tr, run); len(vs) != 0 {
 		t.Errorf("silenced run violates oracles: %v", vs)
 	}
 }
@@ -147,7 +164,7 @@ func TestSilencingPlanIsACase(t *testing.T) {
 func TestSweepFindsAndShrinksPlantedViolation(t *testing.T) {
 	r := Sweep(Options{
 		Seeds:   SeedList(1, 4),
-		Probes:  []experiments.Scenario{probe(t, "odoh-failopen")},
+		Cases:   cases(t, "odoh-failopen"),
 		Workers: 2,
 	})
 	if !r.PlantedFound() {
@@ -187,8 +204,8 @@ func TestSweepFindsAndShrinksPlantedViolation(t *testing.T) {
 
 func TestSweepRenderIsWorkerIndependent(t *testing.T) {
 	opts := Options{
-		Seeds:  SeedList(1, 3),
-		Probes: []experiments.Scenario{probe(t, "odoh"), probe(t, "odoh-failopen")},
+		Seeds: SeedList(1, 3),
+		Cases: cases(t, "odoh", "odoh-failopen"),
 	}
 	opts.Workers = 1
 	a := Sweep(opts).Render()
@@ -203,7 +220,7 @@ func TestSweepEmitsTelemetryCounters(t *testing.T) {
 	m := telemetry.NewMetrics()
 	r := Sweep(Options{
 		Seeds:   SeedList(1, 2),
-		Probes:  []experiments.Scenario{probe(t, "odoh-failopen")},
+		Cases:   cases(t, "odoh-failopen"),
 		Workers: 1,
 		Tel:     telemetry.New(false, m),
 	})
@@ -303,47 +320,122 @@ func TestNonzeroDecisionsMetric(t *testing.T) {
 
 func TestSweepExperimentScheduleIndependenceShortCircuit(t *testing.T) {
 	// E1 drives no simnet, so its canonical run has zero decision
-	// points and one seed must cover the whole sweep.
-	var e1 ExperimentCase
-	for _, c := range DefaultExperimentCases() {
-		if c.Exp.ID == "E1" {
-			e1 = c
+	// points and one seed must cover the whole sweep. The odoh probe
+	// hits none either, but it synthesizes clients and faults per seed,
+	// and E2's mixnet has decision points, so both run every seed.
+	r := Sweep(Options{Seeds: SeedList(1, 8), Cases: cases(t, "odoh", "E1", "E2"), Workers: 2})
+	for i, want := range []int{8, 1, 8} {
+		s := r.Summaries[i]
+		if s.ScheduleIndependent != (want == 1) || s.Cases != want {
+			t.Errorf("%s: schedule-independent %v, %d cases; want %d cases", s.ID, s.ScheduleIndependent, s.Cases, want)
 		}
 	}
-	out := sweepExperiment(e1, SeedList(1, 16))
-	if !out.scheduleIndependent {
-		t.Error("E1 not detected as schedule-independent")
-	}
-	if out.cases != 1 {
-		t.Errorf("E1 ran %d cases, want 1", out.cases)
-	}
-	if len(out.violSeeds) != 0 {
-		t.Errorf("E1 violations: %v", out.violSeeds)
+	if n := r.FailClosedViolations(); n != 0 {
+		t.Errorf("%d violations:\n%s", n, r.Render())
 	}
 }
 
-func TestDefaultExperimentCasesConfiguration(t *testing.T) {
-	byID := map[string]ExperimentCase{}
-	for _, c := range DefaultExperimentCases() {
-		byID[c.Exp.ID] = c
-	}
-	if len(byID) != 16 {
-		t.Fatalf("%d experiment cases, want 16", len(byID))
-	}
-	for _, id := range []string{"E14", "E15", "E16"} {
-		if byID[id].Healthy {
-			t.Errorf("%s: chaos experiment must not assert tuple equality", id)
+func TestCasesConfiguration(t *testing.T) {
+	var exps []Case
+	for i, c := range Cases() {
+		if c.Kind == "experiment" {
+			exps = append(exps, c)
+		} else if len(exps) > 0 {
+			t.Errorf("case %d (%s %s) follows an experiment; probes come first", i, c.Kind, c.ID)
 		}
 	}
-	if !byID["E16"].SkipLedgerOracles {
+	if len(exps) != 16 {
+		t.Fatalf("%d experiment cases, want 16", len(exps))
+	}
+	runs := map[string]*caseRun{}
+	for _, c := range cases(t, "E2", "E6", "E8", "E16") {
+		tr := c.synth(1)
+		run, err := execute(c, tr, 1, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.ID, err)
+		}
+		if vs := oracles(c, tr, run); len(vs) != 0 {
+			t.Errorf("%s: %v", c.ID, vs)
+		}
+		runs[c.ID] = run
+	}
+	if runs["E16"].lg != nil {
 		t.Error("E16 retains the intentionally-coupled fail-open ledger; ledger oracles must be skipped")
 	}
 	for _, id := range []string{"E6", "E8"} {
-		if !byID[id].SkipAuditDeterminism {
-			t.Errorf("%s: real-loopback experiment needs the audit-determinism exemption", id)
+		if runs[id].lg == nil || runs[id].audit != "" {
+			t.Errorf("%s: real-loopback experiment needs its ledger checked and its audit bytes left uncompared", id)
 		}
 	}
-	if byID["E2"].SkipAuditDeterminism || !byID["E2"].Healthy {
+	// The full oracle set: PASS, every ledger oracle with tuple
+	// equality (a schedule-only trace is healthy), and the audit.
+	e2 := cases(t, "E2")[0]
+	if tr := e2.synth(1); runs["E2"].lg == nil || runs["E2"].audit == "" ||
+		tr.Faults != "" || tr.Clients != e2.clients {
 		t.Error("E2 should carry the full oracle set")
+	}
+}
+
+// orderExperiment is a planted schedule-dependent experiment: three
+// senders reach one receiver at the same virtual instant, the receiver
+// acknowledges each, and the experiment passes only when s0's message
+// arrives first, as in the canonical order.
+func orderExperiment(ctx experiments.Ctx) (*experiments.Result, error) {
+	n := ctx.NewNet(1)
+	var order []transport.Addr
+	n.Register("r", func(tr transport.Transport, m transport.Message) {
+		order = append(order, m.Src)
+		tr.Send("r", m.Src, []byte("ack"))
+	})
+	senders := []transport.Addr{"s0", "s1", "s2"}
+	for _, s := range senders {
+		n.Register(s, func(transport.Transport, transport.Message) {})
+	}
+	for _, s := range senders {
+		if err := n.Send(s, "r", []byte("hello")); err != nil {
+			return nil, err
+		}
+	}
+	n.Run()
+	return &experiments.Result{ID: "order", Pass: len(order) == 3 && order[0] == "s0"}, nil
+}
+
+// TestSweepFindsAndShrinksScheduleDependentExperiment: the shared
+// path must find an experiment whose PASS depends on the schedule,
+// shrink it to one divergent pick, and replay that trace to the same
+// violation.
+func TestSweepFindsAndShrinksScheduleDependentExperiment(t *testing.T) {
+	c := experimentCase(experiments.Experiment{ID: "order", Run: orderExperiment})
+	r := Sweep(Options{Seeds: SeedList(1, 8), Cases: []Case{c}, Workers: 2})
+	s := r.Summaries[0]
+	if s.ScheduleIndependent || s.Cases != 8 || len(s.ViolSeeds) == 0 {
+		t.Fatalf("schedule-dependent experiment not found:\n%s", r.Render())
+	}
+	f := r.Findings[0]
+	if f.Kind != "experiment" || f.Trace.Oracle != OracleReproduction {
+		t.Errorf("finding %s, oracle %q; want experiment, %q", f.Kind, f.Trace.Oracle, OracleReproduction)
+	}
+	if n := nonzeroDecisions(f.Trace); n != 1 || f.Trace.Events() != 1 {
+		t.Errorf("minimized to %d divergent picks, %d events (schedules %v); want 1, 1",
+			n, f.Trace.Events(), f.Trace.Schedules)
+	}
+	if f.OriginalEvents <= f.Trace.Events() {
+		t.Errorf("shrinking removed nothing: %d -> %d events", f.OriginalEvents, f.Trace.Events())
+	}
+
+	b, err := EncodeTrace(f.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DecodeTrace(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := replay(c, tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Reproduced {
+		t.Errorf("minimized trace did not reproduce oracle %s:\n%s", tr.Oracle, res.Render())
 	}
 }

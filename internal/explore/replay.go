@@ -3,8 +3,6 @@ package explore
 import (
 	"fmt"
 	"strings"
-
-	"decoupling/internal/experiments"
 )
 
 // ReplayResult is one trace replay: the violations the replayed
@@ -23,25 +21,23 @@ type ReplayResult struct {
 
 // Replay re-executes a serialized counterexample: the trace's probe or
 // experiment runs once under the recorded schedules (canonical where
-// the trace is silent), faults, and client count, then the oracle
-// library is asserted. Output is byte-identical across parallel values.
+// the trace is silent), faults, and client count, then the single-run
+// oracles are asserted. Output is byte-identical across parallel
+// values.
 func Replay(t *Trace, parallel int) (*ReplayResult, error) {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if probe, ok := experiments.FindScenario(t.Probe); ok {
-		return replayProbe(probe, t, parallel)
-	}
-	for _, c := range DefaultExperimentCases() {
-		if c.Exp.ID == t.Probe {
-			return replayExperiment(c, t)
+	for _, c := range Cases() {
+		if c.ID == t.Probe {
+			return replay(c, t, parallel)
 		}
 	}
 	return nil, fmt.Errorf("explore: trace names no known probe or experiment %q", t.Probe)
 }
 
-func replayProbe(probe experiments.Scenario, t *Trace, parallel int) (*ReplayResult, error) {
-	run, err := runCase(probe, t, parallel, true)
+func replay(c Case, t *Trace, parallel int) (*ReplayResult, error) {
+	if parallel < 1 {
+		parallel = 1
+	}
+	run, err := execute(c, t, parallel, true)
 	if err != nil {
 		if t.Oracle == OracleReproduction {
 			return &ReplayResult{Trace: t, Reproduced: true,
@@ -49,33 +45,7 @@ func replayProbe(probe experiments.Scenario, t *Trace, parallel int) (*ReplayRes
 		}
 		return nil, err
 	}
-	res := &ReplayResult{Trace: t, Violations: Check(run.lg, probe.Expected(), healthyCase(probe, t))}
-	audit, err := auditBytes(run.lg, probe.Expected())
-	if err != nil {
-		return nil, err
-	}
-	res.Artifact = string(audit)
-	res.Reproduced = violatesOracle(res.Violations, t.Oracle)
-	return res, nil
-}
-
-func replayExperiment(ec ExperimentCase, t *Trace) (*ReplayResult, error) {
-	run, err := runExperimentSeed(ec.Exp, t, true)
-	if err != nil {
-		if t.Oracle == OracleReproduction {
-			return &ReplayResult{Trace: t, Reproduced: true,
-				Violations: []Violation{{OracleReproduction, err.Error()}}}, nil
-		}
-		return nil, err
-	}
-	res := &ReplayResult{Trace: t, Artifact: run.res.Render()}
-	if !run.res.Pass {
-		res.Violations = append(res.Violations, Violation{OracleReproduction,
-			"experiment reports FAIL under replayed schedule"})
-	}
-	if !ec.SkipLedgerOracles && run.res.Ledger != nil && run.res.Expected != nil {
-		res.Violations = append(res.Violations, Check(run.res.Ledger, run.res.Expected, ec.Healthy)...)
-	}
+	res := &ReplayResult{Trace: t, Violations: oracles(c, t, run), Artifact: run.report}
 	res.Reproduced = violatesOracle(res.Violations, t.Oracle)
 	return res, nil
 }

@@ -46,12 +46,7 @@ func reproduces(run shrinkRunner, cand *Trace, oracle string) bool {
 	if err != nil {
 		return oracle == OracleReproduction
 	}
-	for _, v := range vs {
-		if v.Oracle == oracle {
-			return true
-		}
-	}
-	return false
+	return violatesOracle(vs, oracle)
 }
 
 // shrinkWith minimizes t against run, preserving t.Oracle. t is not

@@ -1,75 +1,26 @@
 package explore
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
-	"decoupling/internal/experiments"
 	"decoupling/internal/simnet"
 	"decoupling/internal/telemetry"
 )
 
-// ExperimentCase wraps a registered experiment for the sweep with the
-// oracle configuration its retained ledger supports.
-type ExperimentCase struct {
-	Exp experiments.Experiment
-	// Healthy asserts paper-table tuple EQUALITY on the retained
-	// ledger. False for the chaos experiments, whose internal fault
-	// injection legitimately erases knowledge (subsumption oracles
-	// still apply).
-	Healthy bool
-	// SkipLedgerOracles exempts the retained ledger entirely: E16
-	// retains the fail-open counterexample ledger, whose COUPLED
-	// verdict is the experiment's point, not a bug. The probe
-	// "odoh-failopen" covers that surface for the explorer.
-	SkipLedgerOracles bool
-	// SkipAuditDeterminism exempts the audit-byte comparison only: the
-	// real-loopback experiments (E6, E8) observe kernel-assigned
-	// ephemeral ports, so their linkage-handle aliases are
-	// run-dependent. Their rendered reports and schedules must still
-	// replay byte-for-byte.
-	SkipAuditDeterminism bool
-}
-
-// DefaultExperimentCases wraps every registered experiment with its
-// sweep configuration.
-func DefaultExperimentCases() []ExperimentCase {
-	var out []ExperimentCase
-	for _, e := range experiments.All() {
-		c := ExperimentCase{Exp: e, Healthy: true}
-		switch e.ID {
-		case "E6", "E8":
-			c.SkipAuditDeterminism = true
-		case "E14", "E15":
-			c.Healthy = false
-		case "E16":
-			c.Healthy = false
-			c.SkipLedgerOracles = true
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 // Options configures a sweep.
 type Options struct {
 	// Seeds is the sweep's seed list (SeedList builds the standard
-	// contiguous one). Required.
+	// contiguous one). Required, and non-empty.
 	Seeds []uint64
-	// Probes are the fault-tolerant scenarios explored with synthesized
-	// faults AND permuted schedules.
-	Probes []experiments.Scenario
-	// Experiments are explored with permuted schedules only.
-	Experiments []ExperimentCase
+	// Cases are the probes and experiments to explore, in report order
+	// (Cases lists them all).
+	Cases []Case
 	// Workers sizes the case worker pool (default GOMAXPROCS).
 	Workers int
-	// Parallel is the client-goroutine fan-out inside each probe run
-	// (results are byte-identical across values; default 1).
-	Parallel int
 	// Tel receives the sweep counters (cases, decision points,
 	// violations, shrink runs); nil disables them. The report bytes do
 	// not depend on it.
@@ -95,9 +46,10 @@ type Summary struct {
 	// Planted marks the deliberately misconfigured probe: violations
 	// there are the explorer finding its target, not bugs.
 	Planted bool
-	// ScheduleIndependent marks an experiment whose canonical run hit
-	// zero decision points — every admissible schedule is the canonical
-	// one, so a single seed covers the space.
+	// ScheduleIndependent marks a case that synthesizes only its
+	// schedule and whose first seed hit zero decision points: every
+	// admissible schedule is the canonical one, so a single seed
+	// covers the space.
 	ScheduleIndependent bool
 }
 
@@ -123,104 +75,73 @@ type Report struct {
 	Findings  []Finding
 }
 
-// Sweep explores every (probe x seed) and (experiment x seed) case and
-// minimizes the first violating case per probe/experiment.
+// Sweep explores every (case, seed) pair, one per worker-pool item, and
+// minimizes the first violating seed of each case. Every case's first
+// seed runs before the others, so a schedule-independent case runs
+// that seed alone.
 func Sweep(o Options) *Report {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Parallel < 1 {
-		o.Parallel = 1
-	}
-	r := &Report{Seeds: o.Seeds}
-
-	type probeCase struct {
+	type seedResult struct {
 		vs        []Violation
 		trace     *Trace
 		decisions int
 	}
-	probeResults := make([][]probeCase, len(o.Probes))
-	for i := range probeResults {
-		probeResults[i] = make([]probeCase, len(o.Seeds))
-	}
-	expOut := make([]expSweep, len(o.Experiments))
-
-	// Work items: one per (probe, seed) pair; one per experiment (the
-	// seed loop is sequential inside so the schedule-independence
-	// short-circuit can stop it).
-	type work func()
-	var queue []work
-	for pi, probe := range o.Probes {
-		for si, seed := range o.Seeds {
-			pi, si, probe, seed := pi, si, probe, seed
-			queue = append(queue, func() {
-				t := synthCase(probe, seed)
-				vs, run := checkProbeCase(probe, t, o.Parallel)
-				pc := probeCase{vs: vs, trace: t}
-				if run != nil {
-					pc.decisions = run.decisions
-					t.Schedules = run.schedules
-				}
-				probeResults[pi][si] = pc
-			})
+	results := make([][]seedResult, len(o.Cases))
+	indep := make([]bool, len(o.Cases))
+	runSeed := func(ci, si int) func() {
+		return func() {
+			c := o.Cases[ci]
+			t := c.synth(o.Seeds[si])
+			vs, run := check(c, t)
+			sr := seedResult{vs: vs, trace: t}
+			if run != nil {
+				sr.decisions = run.decisions
+			}
+			results[ci][si] = sr
+			if si == 0 {
+				indep[ci] = run != nil && run.decisions == 0 && t.Clients == 0 && t.Faults == ""
+			}
 		}
 	}
-	for ei, ec := range o.Experiments {
-		ei, ec := ei, ec
-		queue = append(queue, func() {
-			expOut[ei] = sweepExperiment(ec, o.Seeds)
-		})
+	var lead, rest []func()
+	for ci := range o.Cases {
+		results[ci] = make([]seedResult, len(o.Seeds))
+		lead = append(lead, runSeed(ci, 0))
 	}
+	runAll(o.Workers, lead)
+	for ci := range o.Cases {
+		for si := 1; si < len(o.Seeds) && !indep[ci]; si++ {
+			rest = append(rest, runSeed(ci, si))
+		}
+	}
+	runAll(o.Workers, rest)
 
-	var wg sync.WaitGroup
-	next := make(chan work)
-	for w := 0; w < o.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fn := range next {
-				fn()
-			}
-		}()
-	}
-	for _, fn := range queue {
-		next <- fn
-	}
-	close(next)
-	wg.Wait()
-
-	// Fold probe results in (probe, seed) order.
+	// Fold in (case, seed) order.
+	r := &Report{Seeds: o.Seeds}
 	shrinkRuns := 0
-	for pi, probe := range o.Probes {
-		s := Summary{Kind: "probe", ID: probe.ID, Cases: len(o.Seeds), Planted: !probe.FailClosed}
+	for ci, c := range o.Cases {
+		s := Summary{Kind: c.Kind, ID: c.ID, Cases: len(o.Seeds), Planted: c.Planted,
+			ScheduleIndependent: indep[ci]}
+		if s.ScheduleIndependent {
+			s.Cases = 1
+		}
 		var first *Finding
-		for si, seed := range o.Seeds {
-			pc := probeResults[pi][si]
-			r.Decisions += pc.decisions
-			if len(pc.vs) == 0 {
+		for si, sr := range results[ci][:s.Cases] {
+			r.Decisions += sr.decisions
+			if len(sr.vs) == 0 {
 				continue
 			}
-			s.ViolSeeds = append(s.ViolSeeds, seed)
+			s.ViolSeeds = append(s.ViolSeeds, o.Seeds[si])
 			if first == nil {
-				first = &Finding{Kind: "probe", ID: probe.ID, Seed: seed,
-					Planted: !probe.FailClosed, Violations: pc.vs, Trace: pc.trace,
-					OriginalEvents: pc.trace.Events()}
+				first = &Finding{Kind: c.Kind, ID: c.ID, Seed: o.Seeds[si], Planted: c.Planted,
+					Violations: sr.vs, Trace: sr.trace, OriginalEvents: sr.trace.Events()}
 			}
 		}
 		if first != nil {
-			shrinkRuns += minimizeProbeFinding(probe, first, o.Parallel)
+			shrinkRuns += minimize(c, first)
 			r.Findings = append(r.Findings, *first)
-		}
-		r.Summaries = append(r.Summaries, s)
-	}
-	for ei, ec := range o.Experiments {
-		out := expOut[ei]
-		s := Summary{Kind: "experiment", ID: ec.Exp.ID, Cases: out.cases,
-			ViolSeeds: out.violSeeds, ScheduleIndependent: out.scheduleIndependent}
-		r.Decisions += out.decisions
-		if out.first != nil {
-			shrinkRuns += minimizeExperimentFinding(ec, out.first)
-			r.Findings = append(r.Findings, *out.first)
 		}
 		r.Summaries = append(r.Summaries, s)
 	}
@@ -249,20 +170,24 @@ func Sweep(o Options) *Report {
 	return r
 }
 
-// checkProbeCase records one probe case, runs the oracle library, and
-// appends the determinism check. The trace's Oracle/Detail fields are
-// stamped from the first violation.
-func checkProbeCase(probe experiments.Scenario, t *Trace, parallel int) ([]Violation, *caseRun) {
-	run, err := runCase(probe, t, parallel, false)
-	if err != nil {
-		vs := []Violation{{OracleReproduction, err.Error()}}
-		stampTrace(t, vs)
-		return vs, nil
+// runAll runs fns on a pool of workers and waits for every one.
+func runAll(workers int, fns []func()) {
+	var wg sync.WaitGroup
+	next := make(chan func())
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for fn := range next {
+				fn()
+			}
+		}()
 	}
-	vs := Check(run.lg, probe.Expected(), healthyCase(probe, t))
-	vs = append(vs, checkDeterminism(probe, t, parallel, run)...)
-	stampTrace(t, vs)
-	return vs, run
+	for _, fn := range fns {
+		next <- fn
+	}
+	close(next)
+	wg.Wait()
 }
 
 // stampTrace records the first violated oracle (and its detail lines)
@@ -279,159 +204,23 @@ func stampTrace(t *Trace, vs []Violation) {
 	}
 }
 
-// minimizeProbeFinding shrinks a probe finding in place (determinism
-// violations are reported unshrunk — a nondeterministic case cannot be
-// validated by replay). It returns the number of candidate executions
-// the shrink spent.
-func minimizeProbeFinding(probe experiments.Scenario, f *Finding, parallel int) int {
+// minimize shrinks a finding in place (determinism violations are
+// reported unshrunk — a nondeterministic case cannot be validated by
+// replay). It returns the number of candidate executions the shrink
+// spent.
+func minimize(c Case, f *Finding) int {
 	if f.Trace.Oracle == OracleDeterminism {
 		return 0
 	}
 	runs := 0
-	runner := func(cand *Trace) (*caseRun, []Violation, error) {
+	f.Trace = shrinkWith(func(cand *Trace) (*caseRun, []Violation, error) {
 		runs++
-		run, err := runCase(probe, cand, parallel, true)
+		run, err := execute(c, cand, 1, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		return run, Check(run.lg, probe.Expected(), healthyCase(probe, cand)), nil
-	}
-	f.Trace = shrinkWith(runner, f.Trace)
-	return runs
-}
-
-// expSweep is one experiment's fold across the seed list.
-type expSweep struct {
-	cases               int
-	decisions           int
-	violSeeds           []uint64
-	first               *Finding
-	scheduleIndependent bool
-}
-
-// expRun is one experiment execution under a hooked Ctx.
-type expRun struct {
-	res       *experiments.Result
-	schedules []simnet.ScheduleTrace
-	decisions int
-}
-
-// runExperimentSeed executes an experiment with either a seeded
-// scheduler (record mode) or a replayed schedule per net.
-func runExperimentSeed(exp experiments.Experiment, t *Trace, replay bool) (run *expRun, err error) {
-	ctx, rec := exploreCtx(t, replay)
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("experiment %s panicked: %v", exp.ID, p)
-		}
-	}()
-	res, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	schedules, decisions := rec.harvest()
-	return &expRun{res: res, schedules: schedules, decisions: decisions}, nil
-}
-
-// checkExperimentCase runs one (experiment, seed) case and its oracle
-// library: reproduction (no error, PASS holds), the ledger oracles the
-// case's configuration admits, and determinism (replaying the recorded
-// schedules reproduces the report and audit byte-for-byte).
-func checkExperimentCase(ec ExperimentCase, t *Trace) ([]Violation, *expRun) {
-	run, err := runExperimentSeed(ec.Exp, t, false)
-	if err != nil {
-		vs := []Violation{{OracleReproduction, err.Error()}}
-		stampTrace(t, vs)
-		return vs, nil
-	}
-	var vs []Violation
-	if !run.res.Pass {
-		vs = append(vs, Violation{OracleReproduction,
-			"experiment reports FAIL under explored schedule"})
-	}
-	checkLedger := !ec.SkipLedgerOracles && run.res.Ledger != nil && run.res.Expected != nil
-	if checkLedger {
-		vs = append(vs, Check(run.res.Ledger, run.res.Expected, ec.Healthy)...)
-	}
-
-	// Determinism: replay the recorded schedules and compare the
-	// rendered report, the re-recorded schedules, and (when retained)
-	// the provenance audit.
-	replayT := *t
-	replayT.Schedules = run.schedules
-	rerun, err := runExperimentSeed(ec.Exp, &replayT, true)
-	switch {
-	case err != nil:
-		vs = append(vs, Violation{OracleDeterminism, "replaying recorded case: " + err.Error()})
-	case !equalSchedules(rerun.schedules, run.schedules):
-		vs = append(vs, Violation{OracleDeterminism, fmt.Sprintf(
-			"replay re-recorded a different schedule: %v, recorded %v", rerun.schedules, run.schedules)})
-	case run.res.Render() != rerun.res.Render():
-		vs = append(vs, Violation{OracleDeterminism, "replayed report differs from recorded report"})
-	case checkLedger && !ec.SkipAuditDeterminism:
-		want, werr := auditBytes(run.res.Ledger, run.res.Expected)
-		got, gerr := auditBytes(rerun.res.Ledger, rerun.res.Expected)
-		if werr != nil || gerr != nil || !bytes.Equal(want, got) {
-			vs = append(vs, Violation{OracleDeterminism, "replayed audit differs from recorded audit"})
-		}
-	}
-	t.Schedules = run.schedules
-	stampTrace(t, vs)
-	return vs, run
-}
-
-// sweepExperiment explores one experiment across the seed list,
-// stopping after the first seed when the canonical run has no decision
-// points (no admissible schedule differs from canonical).
-func sweepExperiment(ec ExperimentCase, seeds []uint64) expSweep {
-	var out expSweep
-	for _, seed := range seeds {
-		t := &Trace{Format: TraceFormat, Probe: ec.Exp.ID, Seed: seed}
-		vs, run := checkExperimentCase(ec, t)
-		out.cases++
-		if run != nil {
-			out.decisions += run.decisions
-		}
-		if len(vs) > 0 {
-			out.violSeeds = append(out.violSeeds, seed)
-			if out.first == nil {
-				out.first = &Finding{Kind: "experiment", ID: ec.Exp.ID, Seed: seed,
-					Violations: vs, Trace: t, OriginalEvents: t.Events()}
-			}
-		}
-		if out.cases == 1 && run != nil && run.decisions == 0 {
-			out.scheduleIndependent = true
-			return out
-		}
-	}
-	return out
-}
-
-// minimizeExperimentFinding shrinks an experiment finding's schedules
-// (experiments have no synthesized clients or faults to reduce). It
-// returns the number of candidate executions the shrink spent.
-func minimizeExperimentFinding(ec ExperimentCase, f *Finding) int {
-	if f.Trace.Oracle == OracleDeterminism || f.Trace.Oracle == "" {
-		return 0
-	}
-	runs := 0
-	runner := func(cand *Trace) (*caseRun, []Violation, error) {
-		runs++
-		run, err := runExperimentSeed(ec.Exp, cand, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		var vs []Violation
-		if !run.res.Pass {
-			vs = append(vs, Violation{OracleReproduction,
-				"experiment reports FAIL under explored schedule"})
-		}
-		if !ec.SkipLedgerOracles && run.res.Ledger != nil && run.res.Expected != nil {
-			vs = append(vs, Check(run.res.Ledger, run.res.Expected, ec.Healthy)...)
-		}
-		return &caseRun{schedules: run.schedules, decisions: run.decisions}, vs, nil
-	}
-	f.Trace = shrinkWith(runner, f.Trace)
+		return run, oracles(c, cand, run), nil
+	}, f.Trace)
 	return runs
 }
 

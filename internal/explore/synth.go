@@ -43,15 +43,11 @@ func (r *rng) intn(n int) int {
 // seed for any simulated networks the probe builds.
 func synthCase(probe experiments.Scenario, seed uint64) *Trace {
 	r := newRng(seed ^ telemetry.Mix64(uint64(len(probe.ID))^hashID(probe.ID)))
-	maxClients := probe.MaxClients
-	if maxClients < 1 {
-		maxClients = 1
-	}
 	t := &Trace{
 		Format:  TraceFormat,
 		Probe:   probe.ID,
 		Seed:    seed,
-		Clients: 1 + r.intn(maxClients),
+		Clients: 1 + r.intn(canonicalClients(probe)),
 	}
 
 	step := 10 * time.Millisecond

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"decoupling/internal/core"
 	"decoupling/internal/dcrypto/hpke"
@@ -118,9 +117,6 @@ type Target struct {
 
 	kp    *hpke.KeyPair
 	keyID []byte // first 8 bytes of SHA-256 of the public key
-
-	mu      sync.Mutex
-	handled int
 }
 
 // NewTarget creates a target resolving through upstream, with a fresh
@@ -148,13 +144,6 @@ func (t *Target) InstrumentWire(p *wiretrace.Plane) { t.wire = p }
 // KeyConfig returns (keyID, public key) of the published config.
 func (t *Target) KeyConfig() (keyID, pub []byte) {
 	return bytes.Clone(t.keyID), t.kp.PublicKey()
-}
-
-// Handled reports the number of successfully answered queries.
-func (t *Target) Handled() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.handled
 }
 
 // HandleQuery processes one oblivious query arriving from the named
@@ -219,9 +208,6 @@ func (t *Target) HandleQuery(from string, raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	t.handled++
-	t.mu.Unlock()
 	return (&Message{Type: MessageTypeResponse, KeyID: m.KeyID, Body: sealed}).Marshal(), nil
 }
 
@@ -234,9 +220,6 @@ type Proxy struct {
 	lg     *ledger.Ledger
 	tel    *telemetry.Telemetry
 	wire   *wiretrace.Plane
-
-	mu        sync.Mutex
-	forwarded int
 }
 
 // NewProxy creates a proxy forwarding to target.
@@ -252,13 +235,6 @@ func (p *Proxy) Instrument(tel *telemetry.Telemetry) { p.tel = tel }
 // prototypical decoupling boundary, so its span rotates the trace ID
 // before the target leg. Nil-safe.
 func (p *Proxy) InstrumentWire(w *wiretrace.Plane) { p.wire = w }
-
-// Forwarded reports the number of relayed queries.
-func (p *Proxy) Forwarded() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forwarded
-}
 
 // Forward relays an opaque oblivious query from clientAddr to the
 // target and returns the opaque response. The proxy's observations:
@@ -292,21 +268,11 @@ func (p *Proxy) relay(clientAddr string, raw []byte, client *http.Client, target
 		hop.Observe(core.Identity, clientAddr)
 		hop.Observe(core.Data, "ciphertext:"+ledger.Hash(raw))
 	}
-	var resp []byte
-	var err error
 	if targetURL == "" {
 		p.wire.Handoff(raw, hop.Forward())
-		resp, err = p.Target.HandleQuery(p.Name, raw)
-	} else {
-		resp, err = post(client, targetURL+"/dns-query", raw, hop.Forward())
+		return p.Target.HandleQuery(p.Name, raw)
 	}
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	p.forwarded++
-	p.mu.Unlock()
-	return resp, nil
+	return post(client, targetURL+"/dns-query", raw, hop.Forward())
 }
 
 // Client encrypts DNS queries for a target and sends them via a

@@ -143,7 +143,6 @@ run tc-exp bin/tracecheck -metrics metrics.prom
 : > empty.jsonl
 fails tc-empty bin/tracecheck -spans empty.jsonl
 run tc-empty-allowed bin/tracecheck -spans empty.jsonl -allow-empty
-run bd-ci bin/benchdiff -throughput-drop 0.9 -latency-grow 5 -alloc-grow 3 "$root/BENCH_transport.json" bench.ci.json
 run bd-chaos bin/benchdiff -throughput-drop 0.9 -latency-grow 200 -alloc-grow 10 "$root/BENCH_transport.json" bench.chaos.json
 fails bd-chaos-default bin/benchdiff "$root/BENCH_transport.json" bench.chaos.json
 
